@@ -185,15 +185,17 @@ def sensitivity_vs_rank(traj, objective, a, b, ranks, svd=None):
     """Sensitivity of the truncated-SVD solution as the rank grows.
 
     Returns a list of (rank, sensitivity) pairs, the data behind the
-    accuracy-vs-rank curve.
+    accuracy-vs-rank curve.  The sensitivities of all ranks come from
+    one batched forced-tangent sweep.
     """
     if svd is None:
         svd = np.linalg.svd(a, full_matrices=False)
-    out = []
-    for rank in ranks:
-        v = truncated_svd_solution(a, b, int(rank), svd=svd)
-        out.append((int(rank), shadow.evaluate_sensitivity(traj, objective, v)))
-    return out
+    ranks = [int(rank) for rank in ranks]
+    k, n = np.asarray(b).shape
+    stack = np.empty((len(ranks), k + 1, n))
+    for i, rank in enumerate(ranks):
+        stack[i] = truncated_svd_solution(a, b, rank, svd=svd)
+    return list(zip(ranks, shadow.evaluate_sensitivity(traj, objective, stack)))
 
 
 def write_csv(path, header, rows):

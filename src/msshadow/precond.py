@@ -211,6 +211,16 @@ class BlockDiagPreconditioner:
         self.blocks = blocks
         self.retained = retained
         self.cycles = cycles
+        # all blocks as one (K, N, l) array of left vectors and (K, l)
+        # values, l the largest block; clamped modes are zero columns
+        # with value 1, whose coefficient is 0 in every apply
+        n = blocks[0].left.shape[0]
+        width = max(blk.values.size for blk in blocks)
+        self._left = np.zeros((len(blocks), n, width))
+        self._values = np.ones((len(blocks), width))
+        for i, blk in enumerate(blocks):
+            self._left[i, :, : blk.values.size] = blk.left
+            self._values[i, : blk.values.size] = blk.values
 
     @property
     def n_segments(self):
@@ -221,12 +231,9 @@ class BlockDiagPreconditioner:
             raise DimensionMismatch(
                 f"stack has {z.shape[0]} rows, expected {self.n_segments}"
             )
-        out = z.copy()
-        for i, blk in enumerate(self.blocks):
-            if blk.values.size:
-                c = blk.left.T @ z[i]
-                out[i] += blk.left @ (coeff(blk.values) * c)
-        return out
+        c = np.matmul(z[:, None, :], self._left)[:, 0, :]
+        d = coeff(self._values) * c
+        return z + np.matmul(self._left, d[:, :, None])[:, :, 0]
 
     def apply(self, z):
         return self._apply_coeff(z, lambda s: s**-2 - 1.0)

@@ -30,8 +30,6 @@ Segment indices are 0-based throughout: segment i spans
 ledger one unit per application, however the product is evaluated.
 """
 
-import threading
-
 import numpy as np
 
 from . import timestep
@@ -39,7 +37,8 @@ from .errors import DegenerateProjectorError, DimensionMismatch
 
 DENSE_AFTER = 4
 
-# elements per row batch when the propagator matrices are built
+# elements per row batch of the propagator-matrix build and of the
+# batched sensitivity sweep
 _BUILD_BATCH = 1 << 15
 
 
@@ -48,22 +47,19 @@ class CostLedger:
 
     ``forward`` counts tangent-side products (including forced
     right-hand-side sweeps), ``adjoint`` counts transpose products.
-    Increments are lock-protected so concurrent segment workers can
-    share one ledger.
+    A ledger belongs to one process; parallel work here runs in worker
+    processes, each with its own ledger.
     """
 
     def __init__(self):
         self.forward = 0
         self.adjoint = 0
-        self._lock = threading.Lock()
 
     def charge_forward(self, n=1):
-        with self._lock:
-            self.forward += n
+        self.forward += n
 
     def charge_adjoint(self, n=1):
-        with self._lock:
-            self.adjoint += n
+        self.adjoint += n
 
     @property
     def total(self):
@@ -244,18 +240,40 @@ def evaluate_sensitivity(traj, objective, v):
     solved checkpoint value, accumulating the trapezoidal time integral
     of <dJ/du, v'> plus the checkpoint correction
     <f, v'> / |f|^2 * (Jbar - J) at each segment end.
+
+    ``v`` is one checkpoint stack (K+1, N), which gives one value, or R
+    of them as an (R, K+1, N) array, which gives R values from one
+    batched sweep over R*K rows (in chunks of whole stacks of at most
+    _BUILD_BATCH elements, or one stack when a stack is larger).  Every
+    row's arithmetic is independent of its batch, so each value is the
+    one its stack gives alone.
     """
-    k = traj.n_segments
-    _check_stack(traj, v, k + 1)
+    k, n = traj.n_segments, traj.system.dim
+    stacks = v[None] if v.ndim == 2 else v
+    if stacks.ndim != 3 or stacks.shape[1:] != (k + 1, n):
+        raise DimensionMismatch(
+            f"expected (K+1, N) = ({k + 1}, {n}) stacks, got shape {v.shape}"
+        )
+    per_chunk = max(1, _BUILD_BATCH // (k * n))
+    out = np.empty(len(stacks))
+    for r0 in range(0, len(stacks), per_chunk):
+        out[r0 : r0 + per_chunk] = _sensitivities(
+            traj, objective, stacks[r0 : r0 + per_chunk])
+    return out if v.ndim == 3 else out[0]
+
+
+def _sensitivities(traj, objective, v):
+    """evaluate_sensitivity of each (K+1, N) stack of v, in one sweep."""
+    r, k = v.shape[0], traj.n_segments
     sys = traj.system
     h = traj.h
-    offs = np.arange(k) * traj.stride
+    offs = np.tile(np.arange(k) * traj.stride, r)
 
     j_vals = objective.value(traj.states)
     j_bar = np.trapezoid(j_vals, dx=h) / traj.span
 
     s2, s3, s4 = traj.stages()
-    vv = v[:k].copy()
+    vv = v[:, :k].reshape(r * k, sys.dim)
     acc = 0.5 * h * (objective.gradient(traj.states[offs]) * vv).sum(axis=-1)
     for j in range(traj.stride):
         idx = offs + j
@@ -270,4 +288,5 @@ def evaluate_sensitivity(traj, objective, v):
     j_end = j_vals[offs + traj.stride]
     corr = (f_end * vv).sum(axis=-1) / (f_end * f_end).sum(axis=-1) * (j_bar - j_end)
 
-    return (acc.sum() + corr.sum()) / traj.span + objective.param_deriv
+    acc, corr = acc.reshape(r, k), corr.reshape(r, k)
+    return (acc.sum(axis=1) + corr.sum(axis=1)) / traj.span + objective.param_deriv

@@ -97,6 +97,19 @@ class ExperimentConfig:
                 f"segment {self.segment} is not an integer number of "
                 f"steps of size {self.step}"
             )
+        # the solver's and the integrator's own checks, so that bad input
+        # fails here and not after the spin-up
+        try:
+            solver.SolveConfig(tol=self.tol, gamma=self.gamma, mode=self.mode)
+            system = build_system(self)
+            timestep._check_stable(system, self.step)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        build_objective(self, system)
+        if not 1 <= self.rank <= system.dim:
+            raise ConfigError(
+                f"preconditioner rank {self.rank} is outside [1, {system.dim}]"
+            )
 
     @property
     def n_segments(self):

@@ -120,6 +120,32 @@ class TestBlockDiagPreconditioner:
         np.testing.assert_allclose(
             (dense @ z.reshape(-1)).reshape(k, n), pc.apply(z), rtol=1e-12)
 
+    def test_batched_apply_equals_block_loop(self, pc, ks_traj):
+        # one block keeps fewer modes than retained, one keeps none; the
+        # narrower block's dot products are summed in another order than
+        # the loop's (matrix product against padded columns, not BLAS
+        # dot), so that preconditioner agrees to round-off, the
+        # unclamped one exactly
+        blocks = list(pc.blocks)
+        for i, keep in ((1, 1), (2, 0)):
+            blk = blocks[i]
+            blocks[i] = ms.SegmentSVD(i, blk.left[:, :keep].copy(),
+                                      blk.values[:keep].copy(), blk.cycles)
+        clamped = ms.BlockDiagPreconditioner(blocks, pc.retained, pc.cycles)
+        z = np.random.default_rng(13).standard_normal((ks_traj.n_segments, 31))
+        for p, tol in ((pc, 0.0), (clamped, 31 * np.finfo(float).eps)):
+            for name, coeff in (("apply", lambda s: s**-2 - 1.0),
+                                ("apply_inv", lambda s: s**2 - 1.0),
+                                ("apply_sqrt", lambda s: 1.0 / s - 1.0)):
+                ref = z.copy()
+                for i, blk in enumerate(p.blocks):
+                    if blk.values.size:
+                        ref[i] += blk.left @ (coeff(blk.values)
+                                              * (blk.left.T @ z[i]))
+                np.testing.assert_allclose(getattr(p, name)(z), ref, rtol=0,
+                                           atol=tol * np.abs(ref).max())
+        assert np.array_equal(clamped.apply(z)[2], z[2])
+
     def test_save_load_roundtrip(self, pc, tmp_path):
         path = tmp_path / "pc.bin"
         pc.save(path)

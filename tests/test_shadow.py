@@ -1,10 +1,8 @@
-import threading
-
 import numpy as np
 import pytest
 
 import msshadow as ms
-from msshadow import analysis, shadow
+from msshadow import analysis, shadow, timestep
 from msshadow.errors import DegenerateProjectorError, DimensionMismatch
 
 
@@ -212,6 +210,70 @@ class TestRecoveryAndSensitivity:
         assert sens == 0.0
 
 
+def _one_stack_sensitivity(traj, objective, v):
+    """Reference: the forced-tangent sweep of a single (K+1, N) stack."""
+    k = traj.n_segments
+    h = traj.h
+    offs = np.arange(k) * traj.stride
+    j_vals = objective.value(traj.states)
+    j_bar = np.trapezoid(j_vals, dx=h) / traj.span
+    s2, s3, s4 = traj.stages()
+    vv = v[:k].copy()
+    acc = 0.5 * h * (objective.gradient(traj.states[offs]) * vv).sum(axis=-1)
+    for j in range(traj.stride):
+        idx = offs + j
+        vv = timestep.tangent_step_at(
+            traj.system, h, traj.states[idx], s2[idx], s3[idx], s4[idx], vv,
+            forcing=True)
+        wq = h if j < traj.stride - 1 else 0.5 * h
+        acc += wq * (objective.gradient(traj.states[idx + 1]) * vv).sum(axis=-1)
+    f_end = traj.fvals[offs + traj.stride]
+    j_end = j_vals[offs + traj.stride]
+    corr = (f_end * vv).sum(axis=-1) / (f_end * f_end).sum(axis=-1) * (j_bar - j_end)
+    return (acc.sum() + corr.sum()) / traj.span + objective.param_deriv
+
+
+class TestBatchedSensitivity:
+    @pytest.fixture(params=["lorenz_traj", "ks_traj"])
+    def case(self, request):
+        traj = request.getfixturevalue(request.param)
+        objective = (ms.LorenzZ() if traj.system.dim == 3
+                     else ms.SpatialMeanSquare(traj.system))
+        rng = np.random.default_rng(12)
+        stacks = rng.standard_normal((5, traj.n_segments + 1, traj.system.dim))
+        return traj, objective, stacks
+
+    def test_stack_equals_single_calls(self, case):
+        traj, objective, stacks = case
+        batched = ms.evaluate_sensitivity(traj, objective, stacks)
+        single = [ms.evaluate_sensitivity(traj, objective, v) for v in stacks]
+        assert batched.shape == (5,)
+        assert np.array_equal(batched, single)
+
+    def test_single_stack_returns_reference_float(self, case):
+        traj, objective, stacks = case
+        for v in stacks:
+            sens = ms.evaluate_sensitivity(traj, objective, v)
+            assert isinstance(sens, float)
+            assert sens == _one_stack_sensitivity(traj, objective, v)
+
+    def test_chunks_equal_one_batch(self, case, monkeypatch):
+        traj, objective, stacks = case
+        whole = ms.evaluate_sensitivity(traj, objective, stacks)
+        stack_size = traj.n_segments * traj.system.dim
+        for cap in (1, 2 * stack_size):
+            monkeypatch.setattr(shadow, "_BUILD_BATCH", cap)
+            assert np.array_equal(
+                ms.evaluate_sensitivity(traj, objective, stacks), whole)
+
+    def test_wrong_stack_shape(self, case):
+        traj, objective, stacks = case
+        for bad in (stacks[:, :-1], stacks[:, :, :-1], stacks[None],
+                    stacks[0, 0]):
+            with pytest.raises(DimensionMismatch):
+                ms.evaluate_sensitivity(traj, objective, bad)
+
+
 class TestPropagatorMatrices:
     def test_switch_after_dense_after_n_products(self, lorenz28):
         # a fresh trajectory sweeps until it has been asked for
@@ -261,18 +323,3 @@ class TestCostLedger:
         assert led.snapshot() == (3, 1)
         assert led.total == 4
         assert led.delta((1, 0)) == (2, 1)
-
-    def test_concurrent_increments(self):
-        led = ms.CostLedger()
-
-        def work():
-            for _ in range(1000):
-                led.charge_forward()
-                led.charge_adjoint(2)
-
-        threads = [threading.Thread(target=work) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert led.snapshot() == (8000, 16000)

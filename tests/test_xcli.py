@@ -223,6 +223,30 @@ class TestRunExperiment:
                           "--set", "time.segment=0.9"])
         assert code == xcli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("model, override", [
+        ("ks", "time.step=0.5"),
+        ("lorenz", "preconditioner.rank=0"),
+        ("lorenz", "preconditioner.rank=4"),
+        ("lorenz", "solver.mode=bogus"),
+        ("lorenz", "solver.tol=0"),
+        ("lorenz", "solver.gamma=-0.1"),
+    ])
+    def test_main_rejects_bad_input_before_integration(
+            self, lorenz_ini, tmp_path, monkeypatch, model, override):
+        def integration_started(*args, **kwargs):
+            raise AssertionError("integration started")
+
+        monkeypatch.setattr(xcli.timestep, "advance", integration_started)
+        monkeypatch.setattr(xcli.timestep, "integrate", integration_started)
+        path = lorenz_ini
+        if model == "ks":
+            # dx = 1, so RK4 is stable up to a step of 2.785 / 16
+            path = tmp_path / "ks.ini"
+            path.write_text("[experiment]\nmodel = ks\n[model]\nn = 31\n"
+                            "length = 32.0\n[time]\nwindow = 4.0\n")
+        code = xcli.main(["run", "--config", str(path), "--set", override])
+        assert code == xcli.EXIT_CONFIG
+
     def test_main_non_convergence(self, lorenz_ini):
         code = xcli.main(["run", "--config", str(lorenz_ini),
                           "--set", "solver.max_iter=1",
