@@ -16,14 +16,19 @@ normal equations use S = A A^T, which is symmetric positive definite
 and is never assembled.
 
 A product with Phi_i or its transpose is a tangent or adjoint sweep
-across the segment.  Once a trajectory has been asked for
-DENSE_AFTER * N such products per segment, its projected propagators
-are kept as (N, N) matrices, built from one batched sweep of the unit
-directions, and later products are matrix-vector products.  The build
-costs about N products per segment in wall time, so a run spends at
-most 1 / DENSE_AFTER more than it would matrix-free, while long solves
-(hundreds of products per segment) stop paying a sweep per product.
-The two ways of evaluating a product agree to round-off.
+across the segment.  A trajectory may instead keep its projected
+propagators as (N, N) matrices, built from batched sweeps of the unit
+directions, and serve products as matrix-vector products.  When the
+whole build is one batch (N * N * K <= _BUILD_BATCH elements, at most
+256 KB of matrices) it is built at the first product: the sweep then
+steps N * K rows at once and, with the per-call overhead of small
+batches dominating, costs about one product.  Otherwise it is built
+once the trajectory has been asked for DENSE_AFTER * N products per
+segment: the build then costs about N products per segment in wall
+time, so a run spends at most 1 / DENSE_AFTER more than it would
+matrix-free, while long solves (hundreds of products per segment) stop
+paying a sweep per product.  The two ways of evaluating a product agree
+to round-off.
 
 Segment indices are 0-based throughout: segment i spans
 [t_i, t_{i+1}] and its propagator/adjoint pair is charged to the cost
@@ -121,18 +126,29 @@ def _build_propagators(traj):
 
 def _propagator_matrices(traj, segments, z):
     """The propagator matrices of the given segments, or None while the
-    trajectory stays matrix-free; counts the products asked for."""
+    trajectory stays matrix-free; counts the products swept until the
+    matrices are built."""
     if z.shape != (segments.size, traj.system.dim):
         raise DimensionMismatch("propagation batch shape mismatch")
     if traj._propagators is None:
-        traj._swept_rows += len(segments)
-        if traj._swept_rows < DENSE_AFTER * traj.system.dim * traj.n_segments:
+        n, k = traj.system.dim, traj.n_segments
+        if (n * n * k > _BUILD_BATCH
+                and traj._swept_rows + len(segments) < DENSE_AFTER * n * k):
+            traj._swept_rows += len(segments)
             return None
         traj._propagators = _build_propagators(traj)
     if len(segments) == traj.n_segments and np.array_equal(
             segments, np.arange(traj.n_segments)):
         return traj._propagators
     return traj._propagators[segments]
+
+
+def products_before_matrices(traj):
+    """Products per segment the trajectory ran matrix-free before its
+    propagator matrices were built; None while they are not built."""
+    if traj._propagators is None:
+        return None
+    return traj._swept_rows / traj.n_segments
 
 
 def _propagate_rows(traj, ledger, segments, z):

@@ -100,6 +100,8 @@ class ExperimentConfig:
         # the solver's and the integrator's own checks, so that bad input
         # fails here and not after the spin-up
         try:
+            if self.spin_up > 0:
+                timestep._n_steps(-self.spin_up, 0.0, self.step)
             solver.SolveConfig(tol=self.tol, gamma=self.gamma, mode=self.mode)
             system = build_system(self)
             timestep._check_stable(system, self.step)
@@ -338,6 +340,7 @@ def summarize(result):
     predicted = precond.predict_costs(
         cfg.n_segments, cfg.cycles if cfg.pc_enabled else 0,
         cfg.rank, result.report.iterations)
+    before = shadow.products_before_matrices(result.trajectory)
     rows = [
         ("model", cfg.model),
         ("objective", cfg.objective),
@@ -363,6 +366,8 @@ def summarize(result):
         ("solve_cost", result.solve_cost),
         ("predicted_precond_cost", predicted[0] if cfg.pc_enabled else 0),
         ("predicted_solve_cost", predicted[1]),
+        ("products_per_segment_before_matrices",
+         "" if before is None else f"{before:.17g}"),
     ]
     for key, rep in result.spectra.items():
         rows.append((f"kappa_{key}", f"{rep.kappa:.17g}"))
@@ -472,6 +477,10 @@ def finite_difference_reference(cfg, delta, n_samples, horizon):
         raise ConfigError("finite-difference delta must be positive")
     if n_samples < 1:
         raise ConfigError("need at least one sample")
+    try:
+        timestep._n_steps(0.0, horizon, cfg.step)
+    except ValueError as exc:
+        raise ConfigError(f"finite-difference horizon: {exc}") from exc
     seeds = np.random.SeedSequence(cfg.seed).spawn(n_samples)
     n_jobs = min(max(cfg.workers, 1), n_samples)
     jobs = [(cfg, delta, horizon, [seeds[i] for i in chunk])
@@ -619,7 +628,10 @@ def main(argv=None):
                 return EXIT_NO_CONVERGENCE
             return EXIT_OK
         if args.command == "sweep":
-            values = [float(v) for v in args.values.split(",") if v.strip()]
+            try:
+                values = [float(v) for v in args.values.split(",") if v.strip()]
+            except ValueError as exc:
+                raise ConfigError(f"bad --values {args.values!r}: {exc}") from exc
             rows = sweep(cfg, args.axis, values)
             failed = [r for r in rows if r["error"]]
             for row in rows:

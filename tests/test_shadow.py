@@ -274,15 +274,23 @@ class TestBatchedSensitivity:
                 ms.evaluate_sensitivity(traj, objective, bad)
 
 
+def _fresh(traj):
+    """The same stored trajectory without cached propagators."""
+    return timestep.Trajectory(traj.system, traj.t_start, traj.h,
+                               traj.states, traj.fvals, traj.stride)
+
+
 class TestPropagatorMatrices:
-    def test_switch_after_dense_after_n_products(self, lorenz28):
-        # a fresh trajectory sweeps until it has been asked for
-        # DENSE_AFTER * N products per segment, then multiplies by its
-        # cached propagator matrices; both agree to round-off and the
-        # ledger counts every product once either way
+    def test_switch_after_dense_after_n_products(self, lorenz28, monkeypatch):
+        # with N * N * K above _BUILD_BATCH, a fresh trajectory sweeps
+        # until it has been asked for DENSE_AFTER * N products per
+        # segment, then multiplies by its cached propagator matrices;
+        # both agree to round-off and the ledger counts every product
+        # once either way
         u0 = ms.advance(lorenz28, np.ones(3), -10.0, 0.0, 0.002)
         traj = ms.integrate(lorenz28, u0, 0.0, 3.0, 0.002, stride=500)
         k, n = traj.n_segments, 3
+        monkeypatch.setattr(shadow, "_BUILD_BATCH", n * n * k - 1)
         rng = np.random.default_rng(6)
         w = rng.standard_normal((k, n))
         led = ms.CostLedger()
@@ -292,6 +300,7 @@ class TestPropagatorMatrices:
             ms.schur_apply(traj, led, w)
             calls += 1
         assert 2 * calls == shadow.DENSE_AFTER * n
+        assert traj._swept_rows == (2 * calls - 1) * k
         dense = ms.schur_apply(traj, led, w)
         np.testing.assert_allclose(dense, swept, rtol=0,
                                    atol=1e-12 * np.abs(swept).max())
@@ -306,6 +315,62 @@ class TestPropagatorMatrices:
             fz, ms.project_off_flow(traj.checkpoint_f(2),
                                     ms.tangent_sweep(traj, 1, z)),
             rtol=0, atol=1e-12 * np.linalg.norm(fz))
+
+    def test_first_product_from_matrices_when_build_is_one_batch(
+            self, lorenz_traj, monkeypatch):
+        # N * N * K = 45 fits one build batch: the first Schur product
+        # builds the matrices in one sweep of the N * K unit rows and
+        # multiplies by them, with no adjoint sweep; it agrees with the
+        # swept product to round-off and is charged K products of each
+        # kind
+        k, n = lorenz_traj.n_segments, 3
+        assert n * n * k <= shadow._BUILD_BATCH
+        w = np.random.default_rng(2).standard_normal((k, n))
+        traj = _fresh(lorenz_traj)
+        sweeps = []
+        sweep, adjoint = timestep.tangent_sweep_many, timestep.adjoint_sweep_many
+
+        def tangent_spy(traj, segments, z, forcing=False):
+            sweeps.append(("tangent", len(segments)))
+            return sweep(traj, segments, z, forcing=forcing)
+
+        def adjoint_spy(traj, segments, z):
+            sweeps.append(("adjoint", len(segments)))
+            return adjoint(traj, segments, z)
+
+        monkeypatch.setattr(timestep, "tangent_sweep_many", tangent_spy)
+        monkeypatch.setattr(timestep, "adjoint_sweep_many", adjoint_spy)
+        led = ms.CostLedger()
+        dense = ms.schur_apply(traj, led, w)
+        assert sweeps == [("tangent", n * k)]
+        assert traj._propagators is not None and traj._swept_rows == 0
+        assert led.snapshot() == (k, k)
+
+        monkeypatch.setattr(shadow, "_BUILD_BATCH", n * n * k - 1)
+        lazy = _fresh(lorenz_traj)
+        swept = ms.schur_apply(lazy, ms.CostLedger(), w)
+        assert lazy._propagators is None
+        np.testing.assert_allclose(dense, swept, rtol=0,
+                                   atol=1e-12 * np.abs(swept).max())
+
+    def test_large_ks_stays_matrix_free_below_dense_after_n(self):
+        # N * N * K = 63 * 63 * 10 exceeds _BUILD_BATCH, so the trajectory
+        # keeps sweeping until DENSE_AFTER * N products per segment
+        ks = ms.KuramotoSivashinsky(n=63, length=64.0, c=0.5)
+        u0 = np.random.default_rng(4).uniform(0.0, 1.0, 63)
+        traj = ms.integrate(ks, u0, 0.0, 2.0, 0.02, stride=10)
+        k, n = traj.n_segments, ks.dim
+        assert n * n * k > shadow._BUILD_BATCH
+        w = np.random.default_rng(5).standard_normal((k, n))
+        led = ms.CostLedger()
+        calls = shadow.DENSE_AFTER * n // 2 - 1
+        for _ in range(calls):
+            ms.schur_apply(traj, led, w)
+        assert traj._propagators is None
+        assert traj._swept_rows == 2 * calls * k
+        assert led.snapshot() == (calls * k, calls * k)
+        ms.schur_apply(traj, led, w)
+        assert traj._propagators is not None
 
     def test_build_in_batches_is_exact(self, ks_traj, monkeypatch):
         # sweeping the unit directions one column per batch gives the

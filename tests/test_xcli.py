@@ -175,6 +175,15 @@ class TestFiniteDifferenceReference:
                                              horizon=5.0)
 
 
+def _forbid_integration(monkeypatch):
+    def integration_started(*args, **kwargs):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(xcli.timestep, "advance", integration_started)
+    monkeypatch.setattr(xcli.timestep, "integrate", integration_started)
+    monkeypatch.setattr(xcli, "_integrate_average", integration_started)
+
+
 class TestRunExperiment:
     def test_artifacts_and_summary(self, lorenz_ini, tmp_path):
         cfg = xcli.load_config(lorenz_ini)
@@ -192,6 +201,20 @@ class TestRunExperiment:
             summary["predicted_precond_cost"])
         assert int(summary["solve_cost"]) == int(summary["predicted_solve_cost"])
         assert summary["converged"] == "True"
+
+    def test_summary_reports_products_before_matrices(self, lorenz_ini):
+        # a Lorenz trajectory builds its propagator matrices at its first
+        # product; a KS one above one build batch never does in a short run
+        result = xcli.run_pipeline(xcli.load_config(lorenz_ini))
+        assert dict(xcli.summarize(result))[
+            "products_per_segment_before_matrices"] == "0"
+        cfg = xcli.ExperimentConfig(
+            model="ks", n=63, length=64.0, c=0.5, spin_up=2.0, window=2.0,
+            segment=0.2, step=0.02, rank=2, cycles=1, max_iter=20)
+        result = xcli.run_pipeline(cfg)
+        assert result.trajectory._propagators is None
+        assert dict(xcli.summarize(result))[
+            "products_per_segment_before_matrices"] == ""
 
     def test_deterministic_outputs(self, lorenz_ini, tmp_path):
         cfg = xcli.load_config(lorenz_ini)
@@ -230,14 +253,11 @@ class TestRunExperiment:
         ("lorenz", "solver.mode=bogus"),
         ("lorenz", "solver.tol=0"),
         ("lorenz", "solver.gamma=-0.1"),
+        ("lorenz", "time.spin_up=5.0001"),
     ])
     def test_main_rejects_bad_input_before_integration(
             self, lorenz_ini, tmp_path, monkeypatch, model, override):
-        def integration_started(*args, **kwargs):
-            raise AssertionError("integration started")
-
-        monkeypatch.setattr(xcli.timestep, "advance", integration_started)
-        monkeypatch.setattr(xcli.timestep, "integrate", integration_started)
+        _forbid_integration(monkeypatch)
         path = lorenz_ini
         if model == "ks":
             # dx = 1, so RK4 is stable up to a step of 2.785 / 16
@@ -290,6 +310,22 @@ class TestSweep:
             xcli.sweep(cfg, "c", [0.1])
         with pytest.raises(ConfigError):
             xcli.sweep(cfg, "volume", [1.0])
+
+    def test_main_rejects_bad_values_before_integration(
+            self, lorenz_ini, monkeypatch):
+        _forbid_integration(monkeypatch)
+        code = xcli.main(["sweep", "--config", str(lorenz_ini),
+                          "--axis", "gamma", "--values", "0.1,foo"])
+        assert code == xcli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("horizon", ["0", "-1.0", "10.001"])
+    def test_main_fd_ref_rejects_bad_horizon_before_integration(
+            self, lorenz_ini, monkeypatch, horizon):
+        _forbid_integration(monkeypatch)
+        code = xcli.main(["fd-ref", "--config", str(lorenz_ini),
+                          "--delta", "1.0", "--samples", "2",
+                          "--horizon", horizon])
+        assert code == xcli.EXIT_CONFIG
 
     def test_main_fd_ref(self, lorenz_ini, capsys, tmp_path):
         code = xcli.main(["fd-ref", "--config", str(lorenz_ini),
