@@ -18,17 +18,13 @@ and is never assembled.
 A product with Phi_i or its transpose is a tangent or adjoint sweep
 across the segment.  A trajectory may instead keep its projected
 propagators as (N, N) matrices, built from batched sweeps of the unit
-directions, and serve products as matrix-vector products.  When the
-whole build is one batch (N * N * K <= _BUILD_BATCH elements, at most
-256 KB of matrices) it is built at the first product: the sweep then
-steps N * K rows at once and, with the per-call overhead of small
-batches dominating, costs about one product.  Otherwise it is built
-once the trajectory has been asked for DENSE_AFTER * N products per
-segment: the build then costs about N products per segment in wall
-time, so a run spends at most 1 / DENSE_AFTER more than it would
-matrix-free, while long solves (hundreds of products per segment) stop
-paying a sweep per product.  The two ways of evaluating a product agree
-to round-off.
+directions, and serve products as matrix products.  It builds them at
+its first product when all N * N * K entries fit _MATRIX_BUDGET (2 MB):
+the build costs under N products per segment of wall time, which the
+preconditioner (2q(l+2) per segment) and CG (2 per iteration) spend
+several times over.  Past the budget it stays matrix-free for its whole
+life, the paper's route for systems whose matrices do not fit in
+memory.  The two ways agree to round-off.
 
 Segment indices are 0-based throughout: segment i spans
 [t_i, t_{i+1}] and its propagator/adjoint pair is charged to the cost
@@ -40,11 +36,13 @@ import numpy as np
 from . import timestep
 from .errors import DegenerateProjectorError, DimensionMismatch
 
-DENSE_AFTER = 4
+# largest N * N * K, in float64 elements, kept as propagator matrices
+_MATRIX_BUDGET = 1 << 18
 
 # elements per row batch of the propagator-matrix build and of the
-# batched sensitivity sweep
-_BUILD_BATCH = 1 << 15
+# batched sensitivity sweep; larger batches build no faster and raise
+# peak memory
+_BUILD_BATCH = 1 << 14
 
 
 class CostLedger:
@@ -124,42 +122,42 @@ def _build_propagators(traj):
     return mats
 
 
-def _propagator_matrices(traj, segments, z):
-    """The propagator matrices of the given segments, or None while the
-    trajectory stays matrix-free; counts the products swept until the
-    matrices are built."""
-    if z.shape != (segments.size, traj.system.dim):
+def _matrix_rows(traj, segments, z, adjoint):
+    """Rows of z times their segments' propagator matrices (transposed
+    if adjoint), built at the first product; None past _MATRIX_BUDGET.
+    Rows grouped p per segment in order (repeat(arange(K), p)) multiply
+    a broadcast view of the matrices; other patterns gather a copy."""
+    n, k = traj.system.dim, traj.n_segments
+    if z.shape != (segments.size, n):
         raise DimensionMismatch("propagation batch shape mismatch")
     if traj._propagators is None:
-        n, k = traj.system.dim, traj.n_segments
-        if (n * n * k > _BUILD_BATCH
-                and traj._swept_rows + len(segments) < DENSE_AFTER * n * k):
-            traj._swept_rows += len(segments)
+        if n * n * k > _MATRIX_BUDGET:
             return None
         traj._propagators = _build_propagators(traj)
-    if len(segments) == traj.n_segments and np.array_equal(
-            segments, np.arange(traj.n_segments)):
-        return traj._propagators
-    return traj._propagators[segments]
+    p, rest = divmod(segments.size, k)
+    if p and not rest and (segments.reshape(k, p).T == np.arange(k)).all():
+        mats, z = traj._propagators[:, None], z.reshape(k, p, n)
+    else:
+        mats = traj._propagators[segments]
+    if adjoint:
+        return np.matmul(z[..., None, :], mats).reshape(segments.size, n)
+    return np.matmul(mats, z[..., None]).reshape(segments.size, n)
 
 
 def products_before_matrices(traj):
     """Products per segment the trajectory ran matrix-free before its
-    propagator matrices were built; None while they are not built."""
-    if traj._propagators is None:
-        return None
-    return traj._swept_rows / traj.n_segments
+    propagator matrices were built: 0, as they are built at the first
+    product, or None when they never were."""
+    return None if traj._propagators is None else 0
 
 
 def _propagate_rows(traj, ledger, segments, z):
     """Projected tangent propagation of each row across its segment."""
     segments = timestep._check_segments(traj, segments)
-    mats = _propagator_matrices(traj, segments, z)
-    if mats is None:
+    out = _matrix_rows(traj, segments, z, adjoint=False)
+    if out is None:
         out = timestep.tangent_sweep_many(traj, segments, z, forcing=False)
         out = project_off_flow(_endpoint_f(traj, segments), out)
-    else:
-        out = np.matmul(mats, z[:, :, None])[:, :, 0]
     ledger.charge_forward(len(segments))
     return out
 
@@ -168,12 +166,10 @@ def _propagate_rows_adjoint(traj, ledger, segments, z):
     """Transpose of _propagate_rows: project at the segment end, then
     sweep the adjoint back to the segment start."""
     segments = timestep._check_segments(traj, segments)
-    mats = _propagator_matrices(traj, segments, z)
-    if mats is None:
+    out = _matrix_rows(traj, segments, z, adjoint=True)
+    if out is None:
         zp = project_off_flow(_endpoint_f(traj, segments), z)
         out = timestep.adjoint_sweep_many(traj, segments, zp)
-    else:
-        out = np.matmul(z[:, None, :], mats)[:, 0, :]
     ledger.charge_adjoint(len(segments))
     return out
 

@@ -105,10 +105,9 @@ class Trajectory:
         self.fvals = fvals
         self.stride = int(stride)
         self._stages = None
-        # projected segment propagators as (K, N, N) matrices once built
-        # (see shadow), and the matrix-free products asked for until then
+        # projected segment propagators as (K, N, N) matrices, built at
+        # the first product when they fit shadow's memory budget
         self._propagators = None
-        self._swept_rows = 0
 
     def stages(self):
         """RK4 stage states of every step, computed once and cached.

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -280,41 +282,64 @@ def _fresh(traj):
                                traj.states, traj.fvals, traj.stride)
 
 
+def _spy_sweeps(monkeypatch):
+    """Record (kind, rows) of every tangent and adjoint sweep."""
+    sweeps = []
+    sweep, adjoint = timestep.tangent_sweep_many, timestep.adjoint_sweep_many
+
+    def tangent_spy(traj, segments, z, forcing=False):
+        sweeps.append(("tangent", len(segments)))
+        return sweep(traj, segments, z, forcing=forcing)
+
+    def adjoint_spy(traj, segments, z):
+        sweeps.append(("adjoint", len(segments)))
+        return adjoint(traj, segments, z)
+
+    monkeypatch.setattr(timestep, "tangent_sweep_many", tangent_spy)
+    monkeypatch.setattr(timestep, "adjoint_sweep_many", adjoint_spy)
+    return sweeps
+
+
 class TestPropagatorMatrices:
-    def test_switch_after_dense_after_n_products(self, lorenz28, monkeypatch):
-        # with N * N * K above _BUILD_BATCH, a fresh trajectory sweeps
-        # until it has been asked for DENSE_AFTER * N products per
-        # segment, then multiplies by its cached propagator matrices;
-        # both agree to round-off and the ledger counts every product
+    def test_over_budget_stays_matrix_free(self, lorenz28, monkeypatch):
+        # with N * N * K above _MATRIX_BUDGET, a trajectory sweeps every
+        # product for its whole life (here 10N products per segment); its
+        # products agree with the matrix products of a trajectory within
+        # the budget to round-off, and the ledger counts every product
         # once either way
         u0 = ms.advance(lorenz28, np.ones(3), -10.0, 0.0, 0.002)
         traj = ms.integrate(lorenz28, u0, 0.0, 3.0, 0.002, stride=500)
         k, n = traj.n_segments, 3
-        monkeypatch.setattr(shadow, "_BUILD_BATCH", n * n * k - 1)
         rng = np.random.default_rng(6)
         w = rng.standard_normal((k, n))
+        dense_traj = _fresh(traj)
+        dense_led = ms.CostLedger()
+        dense = ms.schur_apply(dense_traj, dense_led, w)
+        assert dense_traj._propagators is not None
+        assert dense_led.snapshot() == (k, k)
+
+        monkeypatch.setattr(shadow, "_MATRIX_BUDGET", n * n * k - 1)
         led = ms.CostLedger()
-        swept = ms.schur_apply(traj, led, w)
-        calls = 1
-        while traj._propagators is None:
-            ms.schur_apply(traj, led, w)
-            calls += 1
-        assert 2 * calls == shadow.DENSE_AFTER * n
-        assert traj._swept_rows == (2 * calls - 1) * k
-        dense = ms.schur_apply(traj, led, w)
+        calls = 5 * n
+        for _ in range(calls):
+            swept = ms.schur_apply(traj, led, w)
+            assert traj._propagators is None
+        assert shadow.products_before_matrices(traj) is None
+        assert led.snapshot() == (calls * k, calls * k)
         np.testing.assert_allclose(dense, swept, rtol=0,
                                    atol=1e-12 * np.abs(swept).max())
-        assert led.snapshot() == ((calls + 1) * k, (calls + 1) * k)
 
         z = rng.standard_normal(n)
         y = rng.standard_normal(n)
-        fz = ms.propagate_segment(traj, led, 1, z)
-        bty = ms.propagate_segment_adjoint(traj, led, 1, y)
-        assert fz @ y == pytest.approx(z @ bty, rel=1e-12)
-        np.testing.assert_allclose(
-            fz, ms.project_off_flow(traj.checkpoint_f(2),
-                                    ms.tangent_sweep(traj, 1, z)),
-            rtol=0, atol=1e-12 * np.linalg.norm(fz))
+        for t in (traj, dense_traj):
+            fz = ms.propagate_segment(t, led, 1, z)
+            bty = ms.propagate_segment_adjoint(t, led, 1, y)
+            assert fz @ y == pytest.approx(z @ bty, rel=1e-12)
+            np.testing.assert_allclose(
+                fz, ms.project_off_flow(t.checkpoint_f(2),
+                                        ms.tangent_sweep(t, 1, z)),
+                rtol=0, atol=1e-12 * np.linalg.norm(fz))
+        assert traj._propagators is None
 
     def test_first_product_from_matrices_when_build_is_one_batch(
             self, lorenz_traj, monkeypatch):
@@ -327,50 +352,67 @@ class TestPropagatorMatrices:
         assert n * n * k <= shadow._BUILD_BATCH
         w = np.random.default_rng(2).standard_normal((k, n))
         traj = _fresh(lorenz_traj)
-        sweeps = []
-        sweep, adjoint = timestep.tangent_sweep_many, timestep.adjoint_sweep_many
-
-        def tangent_spy(traj, segments, z, forcing=False):
-            sweeps.append(("tangent", len(segments)))
-            return sweep(traj, segments, z, forcing=forcing)
-
-        def adjoint_spy(traj, segments, z):
-            sweeps.append(("adjoint", len(segments)))
-            return adjoint(traj, segments, z)
-
-        monkeypatch.setattr(timestep, "tangent_sweep_many", tangent_spy)
-        monkeypatch.setattr(timestep, "adjoint_sweep_many", adjoint_spy)
+        sweeps = _spy_sweeps(monkeypatch)
         led = ms.CostLedger()
         dense = ms.schur_apply(traj, led, w)
         assert sweeps == [("tangent", n * k)]
-        assert traj._propagators is not None and traj._swept_rows == 0
+        assert traj._propagators is not None
+        assert shadow.products_before_matrices(traj) == 0
         assert led.snapshot() == (k, k)
 
-        monkeypatch.setattr(shadow, "_BUILD_BATCH", n * n * k - 1)
+        monkeypatch.setattr(shadow, "_MATRIX_BUDGET", n * n * k - 1)
         lazy = _fresh(lorenz_traj)
         swept = ms.schur_apply(lazy, ms.CostLedger(), w)
         assert lazy._propagators is None
         np.testing.assert_allclose(dense, swept, rtol=0,
                                    atol=1e-12 * np.abs(swept).max())
 
-    def test_large_ks_stays_matrix_free_below_dense_after_n(self):
-        # N * N * K = 63 * 63 * 10 exceeds _BUILD_BATCH, so the trajectory
-        # keeps sweeping until DENSE_AFTER * N products per segment
+    def test_ks_within_budget_builds_at_first_product(self, monkeypatch):
+        # N * N * K = 63 * 63 * 10 needs several build batches but fits
+        # _MATRIX_BUDGET, so the first Schur product builds the matrices
+        # and no product is ever swept
         ks = ms.KuramotoSivashinsky(n=63, length=64.0, c=0.5)
         u0 = np.random.default_rng(4).uniform(0.0, 1.0, 63)
         traj = ms.integrate(ks, u0, 0.0, 2.0, 0.02, stride=10)
         k, n = traj.n_segments, ks.dim
-        assert n * n * k > shadow._BUILD_BATCH
+        assert shadow._BUILD_BATCH < n * n * k <= shadow._MATRIX_BUDGET
         w = np.random.default_rng(5).standard_normal((k, n))
-        led = ms.CostLedger()
-        calls = shadow.DENSE_AFTER * n // 2 - 1
-        for _ in range(calls):
-            ms.schur_apply(traj, led, w)
+        with monkeypatch.context() as m:
+            m.setattr(shadow, "_MATRIX_BUDGET", n * n * k - 1)
+            swept = ms.schur_apply(traj, ms.CostLedger(), w)
         assert traj._propagators is None
-        assert traj._swept_rows == 2 * calls * k
-        assert led.snapshot() == (calls * k, calls * k)
-        ms.schur_apply(traj, led, w)
+        sweeps = _spy_sweeps(monkeypatch)
+        led = ms.CostLedger()
+        dense = ms.schur_apply(traj, led, w)
         assert traj._propagators is not None
+        assert led.snapshot() == (k, k)
+        step = shadow._BUILD_BATCH // (k * n)
+        assert sweeps == [("tangent", k * min(step, n - c0))
+                          for c0 in range(0, n, step)]
+        np.testing.assert_allclose(dense, swept, rtol=0,
+                                   atol=1e-12 * np.abs(swept).max())
+
+    def test_grouped_rows_served_without_gather(self, ks_traj):
+        # rows grouped p per segment, as the thick restart of the
+        # preconditioner build passes them, equal the gathered products
+        # and allocate no (K * p, N, N) copy of the matrices
+        k, n, p = ks_traj.n_segments, ks_traj.system.dim, 5
+        rows = np.repeat(np.arange(k), p)
+        z = np.random.default_rng(8).standard_normal((k * p, n))
+        led = ms.CostLedger()
+        shadow._propagate_rows(ks_traj, led, rows, z)
+        mats = ks_traj._propagators[rows]
+        tracemalloc.start()
+        try:
+            fwd = shadow._propagate_rows(ks_traj, led, rows, z)
+            adj = shadow._propagate_rows_adjoint(ks_traj, led, rows, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < k * p * n * n * 8
+        np.testing.assert_array_equal(fwd, np.matmul(mats, z[:, :, None])[:, :, 0])
+        np.testing.assert_array_equal(adj, np.matmul(z[:, None, :], mats)[:, 0, :])
+        assert led.snapshot() == (2 * k * p, k * p)
 
     def test_build_in_batches_is_exact(self, ks_traj, monkeypatch):
         # sweeping the unit directions one column per batch gives the

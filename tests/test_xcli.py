@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import msshadow as ms
-from msshadow import xcli
+from msshadow import shadow, xcli
 from msshadow.errors import ConfigError
 
 LORENZ_INI = """\
@@ -202,15 +202,18 @@ class TestRunExperiment:
         assert int(summary["solve_cost"]) == int(summary["predicted_solve_cost"])
         assert summary["converged"] == "True"
 
-    def test_summary_reports_products_before_matrices(self, lorenz_ini):
+    def test_summary_reports_products_before_matrices(self, lorenz_ini,
+                                                      monkeypatch):
         # a Lorenz trajectory builds its propagator matrices at its first
-        # product; a KS one above one build batch never does in a short run
+        # product; a KS one whose matrices exceed the memory budget never
+        # does, and solves end to end on matrix-free sweeps
         result = xcli.run_pipeline(xcli.load_config(lorenz_ini))
         assert dict(xcli.summarize(result))[
             "products_per_segment_before_matrices"] == "0"
         cfg = xcli.ExperimentConfig(
             model="ks", n=63, length=64.0, c=0.5, spin_up=2.0, window=2.0,
             segment=0.2, step=0.02, rank=2, cycles=1, max_iter=20)
+        monkeypatch.setattr(shadow, "_MATRIX_BUDGET", 63 * 63 * 10 - 1)
         result = xcli.run_pipeline(cfg)
         assert result.trajectory._propagators is None
         assert dict(xcli.summarize(result))[
