@@ -36,6 +36,7 @@ from .shadow import (
     propagate_segment_adjoint,
     recover_checkpoints,
     schur_apply,
+    sensitivity_functional,
     time_average,
 )
 from .solver import SolveConfig, SolveReport, cg_solve, error_bound
@@ -87,6 +88,7 @@ __all__ = [
     "propagate_segment_adjoint",
     "recover_checkpoints",
     "schur_apply",
+    "sensitivity_functional",
     "tangent_sweep",
     "time_average",
 ]

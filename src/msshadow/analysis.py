@@ -185,8 +185,9 @@ def sensitivity_vs_rank(traj, objective, a, b, ranks, svd=None):
     """Sensitivity of the truncated-SVD solution as the rank grows.
 
     Returns a list of (rank, sensitivity) pairs, the data behind the
-    accuracy-vs-rank curve.  The sensitivities of all ranks come from
-    one batched forced-tangent sweep.
+    accuracy-vs-rank curve.  The sensitivity is affine in the
+    checkpoint stack, so every rank's value is s0 + <weights, v> / T
+    from one shadow.sensitivity_functional of the trajectory.
     """
     if svd is None:
         svd = np.linalg.svd(a, full_matrices=False)
@@ -195,7 +196,8 @@ def sensitivity_vs_rank(traj, objective, a, b, ranks, svd=None):
     stack = np.empty((len(ranks), k + 1, n))
     for i, rank in enumerate(ranks):
         stack[i] = truncated_svd_solution(a, b, rank, svd=svd)
-    return list(zip(ranks, shadow.evaluate_sensitivity(traj, objective, stack)))
+    weights, s0 = shadow.sensitivity_functional(traj, objective)
+    return list(zip(ranks, s0 + (stack * weights).sum(axis=(1, 2)) / traj.span))
 
 
 def write_csv(path, header, rows):

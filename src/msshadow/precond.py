@@ -63,16 +63,18 @@ def _orthogonalize(x, basis, n_cols):
 def _normalize_column(x, basis, n_cols, rng, failures, scale):
     """Turn rows of x into fresh unit basis columns.
 
-    Returns (column, coeff): coeff is the row norm, or zero for rows
-    that broke down.  Degenerate rows are replaced by random directions
-    orthogonal to the basis; if the basis already spans the space the
-    column stays zero.  Three failed random restarts raise."""
+    Returns (column, coeff, restarts): coeff is the row norm, or zero
+    for rows that broke down.  Degenerate rows are replaced by random
+    directions orthogonal to the basis, counted in restarts; if the
+    basis already spans the space the column stays zero.  Three failed
+    random restarts raise."""
     nrm = np.linalg.norm(x, axis=1)
     ok = nrm > CLAMP_RATIO * scale
     coeff = np.where(ok, nrm, 0.0)
     col = np.zeros_like(x)
     col[ok] = x[ok] / nrm[ok, None]
     dim = x.shape[1]
+    restarts = 0
     for row in np.nonzero(~ok)[0]:
         if n_cols >= dim:
             continue
@@ -82,6 +84,7 @@ def _normalize_column(x, basis, n_cols, rng, failures, scale):
             cnrm = np.linalg.norm(cand)
             if cnrm > 1e-8:
                 col[row] = cand / cnrm
+                restarts += 1
                 break
             failures[row] += 1
             if failures[row] >= 3:
@@ -89,19 +92,21 @@ def _normalize_column(x, basis, n_cols, rng, failures, scale):
                     n_cols, f"Lanczos breakdown in row {row}: "
                     "3 random restarts produced degenerate vectors"
                 )
-    return col, coeff
+    return col, coeff, restarts
 
 
 def _batched_partial_svd(fwd, adj, segments, dim, subspace, cycles, rng):
     """Leading singular triplets of one operator per row, in lockstep.
 
     fwd/adj map (rows, dim) arrays to (rows, dim) arrays given the
-    per-row segment indices.  Returns (values, left) of shapes
-    (m, subspace) and (m, dim, subspace), values descending.
+    per-row segment indices.  Returns (values, left, restarts): values
+    (m, subspace) descending, left (m, dim, subspace), and the number of
+    basis vectors restarted with a random direction after a breakdown.
     """
     m = len(segments)
     p = subspace
     failures = np.zeros(m, dtype=int)
+    restarts = 0
 
     big_v = np.zeros((m, dim, p + 1))
     big_u = np.zeros((m, dim, p))
@@ -118,7 +123,8 @@ def _batched_partial_svd(fwd, adj, segments, dim, subspace, cycles, rng):
         if j > 0:
             u = u - beta[:, j - 1, None] * big_u[:, :, j - 1]
         u = _orthogonalize(u, big_u, j)
-        col, coeff = _normalize_column(u, big_u, j, rng, failures, scale)
+        col, coeff, new = _normalize_column(u, big_u, j, rng, failures, scale)
+        restarts += new
         alpha[:, j] = coeff
         big_u[:, :, j] = col
         scale = np.maximum(scale, coeff)
@@ -126,7 +132,8 @@ def _batched_partial_svd(fwd, adj, segments, dim, subspace, cycles, rng):
         vn = adj(big_u[:, :, j], segments)
         vn = vn - alpha[:, j, None] * big_v[:, :, j]
         vn = _orthogonalize(vn, big_v, j + 1)
-        col, coeff = _normalize_column(vn, big_v, j + 1, rng, failures, scale)
+        col, coeff, new = _normalize_column(vn, big_v, j + 1, rng, failures, scale)
+        restarts += new
         beta[:, j] = coeff
         big_v[:, :, j + 1] = col
         scale = np.maximum(scale, coeff)
@@ -158,22 +165,23 @@ def _batched_partial_svd(fwd, adj, segments, dim, subspace, cycles, rng):
         right = np.einsum("mnp,mqp->mnq", v_basis, yt)
         values = s
 
-    return values, left
+    return values, left, restarts
 
 
 def lanczos_partial_svd(op, op_t, dim, retained, cycles, rng):
     """Partial SVD of a generic operator pair (matrix-free).
 
-    Returns (values, left_vectors) for the top ``retained`` singular
-    modes, using the same restarted bidiagonalization as the segment
-    builds.  Mainly a test seam for injected operators.
+    Returns (values, left_vectors, restarts) for the top ``retained``
+    singular modes, using the same restarted bidiagonalization as the
+    segment builds; restarts counts the random restarts after Lanczos
+    breakdowns.  Mainly a test seam for injected operators.
     """
     p = min(retained + 2, dim)
-    values, left = _batched_partial_svd(
+    values, left, restarts = _batched_partial_svd(
         lambda x, _: op(x), lambda x, _: op_t(x),
         np.zeros(1, dtype=int), dim, p, cycles, rng,
     )
-    return values[0, :retained], left[0, :, :retained]
+    return values[0, :retained], left[0, :, :retained], restarts
 
 
 @dataclass
@@ -202,15 +210,18 @@ class BlockDiagPreconditioner:
     ``apply`` is the preconditioner itself; ``apply_inv`` and
     ``apply_sqrt`` use the closed forms obtained by replacing the
     inverse-square coefficients.  All three are symmetric positive
-    definite and cost no propagator products.
+    definite and cost no propagator products.  ``restarts`` is the
+    build's count of Lanczos random restarts, None when not known (a
+    loaded preconditioner).
     """
 
-    def __init__(self, blocks, retained, cycles):
+    def __init__(self, blocks, retained, cycles, restarts=None):
         if [b.segment for b in blocks] != list(range(len(blocks))):
             raise ValueError("need exactly one block per segment, in order")
         self.blocks = blocks
         self.retained = retained
         self.cycles = cycles
+        self.restarts = restarts
         # all blocks as one (K, N, l) array of left vectors and (K, l)
         # values, l the largest block; clamped modes are zero columns
         # with value 1, whose coefficient is 0 in every apply
@@ -225,6 +236,11 @@ class BlockDiagPreconditioner:
     @property
     def n_segments(self):
         return len(self.blocks)
+
+    @property
+    def clamped_modes(self):
+        """Retained modes dropped by CLAMP_RATIO, summed over blocks."""
+        return sum(self.retained - blk.values.size for blk in self.blocks)
 
     def _apply_coeff(self, z, coeff):
         if z.shape[0] != self.n_segments:
@@ -299,49 +315,43 @@ def _clamp(values, left, retained):
     return values[:keep].copy(), left[:, :keep].copy()
 
 
+def _segment_svds(traj, ledger, segments, retained, cycles, rng):
+    """Clamped partial SVDs of the given segments' propagators, run in
+    lockstep, and the build's count of Lanczos random restarts."""
+    dim = traj.system.dim
+    if not 1 <= retained <= dim:
+        raise ValueError(f"retained modes must be in [1, {dim}]")
+    if cycles < 1:
+        raise ValueError("need at least one cycle")
+    if rng is None:
+        rng = np.random.default_rng()
+    values, left, restarts = _batched_partial_svd(
+        lambda x, segs: _propagate_rows(traj, ledger, segs, x),
+        lambda x, segs: _propagate_rows_adjoint(traj, ledger, segs, x),
+        segments, dim, min(retained + 2, dim), cycles, rng,
+    )
+    blocks = []
+    for row, i in enumerate(segments):
+        vals, vecs = _clamp(values[row], left[row], retained)
+        blocks.append(SegmentSVD(int(i), vecs, vals, cycles))
+    return blocks, restarts
+
+
 def partial_svd_segment(traj, ledger, segment, retained, cycles, rng=None):
     """Leading singular pairs of one segment's projected propagator.
 
     Charges the ledger exactly cycles*(retained+2) products of each
     kind.  ``retained`` must not exceed the state dimension.
     """
-    dim = traj.system.dim
-    if not 1 <= retained <= dim:
-        raise ValueError(f"retained modes must be in [1, {dim}]")
-    if cycles < 1:
-        raise ValueError("need at least one cycle")
-    if rng is None:
-        rng = np.random.default_rng()
-    values, left = _batched_partial_svd(
-        lambda x, segs: _propagate_rows(traj, ledger, segs, x),
-        lambda x, segs: _propagate_rows_adjoint(traj, ledger, segs, x),
-        np.asarray([segment], dtype=int), dim, min(retained + 2, dim),
-        cycles, rng,
-    )
-    vals, vecs = _clamp(values[0], left[0], retained)
-    return SegmentSVD(int(segment), vecs, vals, cycles)
+    segments = np.asarray([segment], dtype=int)
+    return _segment_svds(traj, ledger, segments, retained, cycles, rng)[0][0]
 
 
 def build_preconditioner(traj, ledger, retained, cycles, rng=None):
     """Partial SVDs of all segment propagators, run in lockstep."""
-    dim = traj.system.dim
-    k = traj.n_segments
-    if not 1 <= retained <= dim:
-        raise ValueError(f"retained modes must be in [1, {dim}]")
-    if cycles < 1:
-        raise ValueError("need at least one cycle")
-    if rng is None:
-        rng = np.random.default_rng()
-    values, left = _batched_partial_svd(
-        lambda x, segs: _propagate_rows(traj, ledger, segs, x),
-        lambda x, segs: _propagate_rows_adjoint(traj, ledger, segs, x),
-        np.arange(k), dim, min(retained + 2, dim), cycles, rng,
-    )
-    blocks = []
-    for i in range(k):
-        vals, vecs = _clamp(values[i], left[i], retained)
-        blocks.append(SegmentSVD(i, vecs, vals, cycles))
-    return BlockDiagPreconditioner(blocks, retained, cycles)
+    blocks, restarts = _segment_svds(
+        traj, ledger, np.arange(traj.n_segments), retained, cycles, rng)
+    return BlockDiagPreconditioner(blocks, retained, cycles, restarts)
 
 
 class DeflationPreconditioner:

@@ -39,9 +39,8 @@ from .errors import DegenerateProjectorError, DimensionMismatch
 # largest N * N * K, in float64 elements, kept as propagator matrices
 _MATRIX_BUDGET = 1 << 18
 
-# elements per row batch of the propagator-matrix build and of the
-# batched sensitivity sweep; larger batches build no faster and raise
-# peak memory
+# elements per row batch of the propagator-matrix build; larger batches
+# build no faster and raise peak memory
 _BUILD_BATCH = 1 << 14
 
 
@@ -245,47 +244,32 @@ def time_average(traj, objective):
     return np.trapezoid(vals, dx=traj.h) / traj.span
 
 
+def _end_correction(traj, objective):
+    """Per segment: the flow at its end, |f_end|^2 and Jbar - J_end,
+    the pieces of the checkpoint correction."""
+    j_vals = objective.value(traj.states)
+    j_bar = np.trapezoid(j_vals, dx=traj.h) / traj.span
+    end = (np.arange(traj.n_segments) + 1) * traj.stride
+    f_end = traj.fvals[end]
+    return f_end, (f_end * f_end).sum(axis=-1), j_bar - j_vals[end]
+
+
 def evaluate_sensitivity(traj, objective, v):
     """Sensitivity of the time-averaged objective to the parameter.
 
     Re-runs the forced tangent within each segment starting from the
-    solved checkpoint value, accumulating the trapezoidal time integral
-    of <dJ/du, v'> plus the checkpoint correction
-    <f, v'> / |f|^2 * (Jbar - J) at each segment end.
-
-    ``v`` is one checkpoint stack (K+1, N), which gives one value, or R
-    of them as an (R, K+1, N) array, which gives R values from one
-    batched sweep over R*K rows (in chunks of whole stacks of at most
-    _BUILD_BATCH elements, or one stack when a stack is larger).  Every
-    row's arithmetic is independent of its batch, so each value is the
-    one its stack gives alone.
+    solved checkpoint value ``v``, a (K+1, N) stack, accumulating the
+    trapezoidal time integral of <dJ/du, v'> plus the checkpoint
+    correction <f, v'> / |f|^2 * (Jbar - J) at each segment end.  This
+    forward sweep is the reference that sensitivity_functional matches.
     """
-    k, n = traj.n_segments, traj.system.dim
-    stacks = v[None] if v.ndim == 2 else v
-    if stacks.ndim != 3 or stacks.shape[1:] != (k + 1, n):
-        raise DimensionMismatch(
-            f"expected (K+1, N) = ({k + 1}, {n}) stacks, got shape {v.shape}"
-        )
-    per_chunk = max(1, _BUILD_BATCH // (k * n))
-    out = np.empty(len(stacks))
-    for r0 in range(0, len(stacks), per_chunk):
-        out[r0 : r0 + per_chunk] = _sensitivities(
-            traj, objective, stacks[r0 : r0 + per_chunk])
-    return out if v.ndim == 3 else out[0]
-
-
-def _sensitivities(traj, objective, v):
-    """evaluate_sensitivity of each (K+1, N) stack of v, in one sweep."""
-    r, k = v.shape[0], traj.n_segments
+    k = traj.n_segments
+    _check_stack(traj, v, k + 1)
     sys = traj.system
     h = traj.h
-    offs = np.tile(np.arange(k) * traj.stride, r)
-
-    j_vals = objective.value(traj.states)
-    j_bar = np.trapezoid(j_vals, dx=h) / traj.span
-
+    offs = np.arange(k) * traj.stride
     s2, s3, s4 = traj.stages()
-    vv = v[:, :k].reshape(r * k, sys.dim)
+    vv = v[:k]
     acc = 0.5 * h * (objective.gradient(traj.states[offs]) * vv).sum(axis=-1)
     for j in range(traj.stride):
         idx = offs + j
@@ -293,12 +277,37 @@ def _sensitivities(traj, objective, v):
             sys, h, traj.states[idx], s2[idx], s3[idx], s4[idx], vv, forcing=True
         )
         wq = h if j < traj.stride - 1 else 0.5 * h
-        g = objective.gradient(traj.states[idx + 1])
-        acc += wq * (g * vv).sum(axis=-1)
+        acc += wq * (objective.gradient(traj.states[idx + 1]) * vv).sum(axis=-1)
 
-    f_end = traj.fvals[offs + traj.stride]
-    j_end = j_vals[offs + traj.stride]
-    corr = (f_end * vv).sum(axis=-1) / (f_end * f_end).sum(axis=-1) * (j_bar - j_end)
+    f_end, ff, dj = _end_correction(traj, objective)
+    corr = (f_end * vv).sum(axis=-1) / ff * dj
+    return (acc.sum() + corr.sum()) / traj.span + objective.param_deriv
 
-    acc, corr = acc.reshape(r, k), corr.reshape(r, k)
-    return (acc.sum(axis=1) + corr.sum(axis=1)) / traj.span + objective.param_deriv
+
+def sensitivity_functional(traj, objective):
+    """The sensitivity as an affine functional of the checkpoint stack.
+
+    Returns (a, s0), a of shape (K+1, N) with a zero last row, such
+    that evaluate_sensitivity(traj, objective, v) == s0 + (a * v).sum() / T
+    to round-off.  a is the transpose of the forward quadrature, one
+    adjoint sweep per segment seeded at its end with h/2 dJ/du +
+    (Jbar - J_end) / |f_end|^2 f_end, adding after each step the
+    trapezoid weight (h, or h/2 at the segment start) times dJ/du; s0 is
+    the sensitivity of the zero stack.  Charges no products.  It pays
+    when two or more stacks are evaluated on one trajectory.
+    """
+    k, n = traj.n_segments, traj.system.dim
+    h = traj.h
+    offs = np.arange(k) * traj.stride
+    s2, s3, s4 = traj.stages()
+    f_end, ff, dj = _end_correction(traj, objective)
+    grad = objective.gradient
+    w = 0.5 * h * grad(traj.states[offs + traj.stride]) + (dj / ff)[:, None] * f_end
+    for j in range(traj.stride - 1, -1, -1):
+        idx = offs + j
+        w = timestep.adjoint_step_at(
+            traj.system, h, traj.states[idx], s2[idx], s3[idx], s4[idx], w)
+        w += (h if j else 0.5 * h) * grad(traj.states[idx])
+    a = np.zeros((k + 1, n))
+    a[:k] = w
+    return a, evaluate_sensitivity(traj, objective, np.zeros((k + 1, n)))

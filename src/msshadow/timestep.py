@@ -41,17 +41,18 @@ def _check_stable(system, h):
         )
 
 
-def _rk4(system, u, h, n, states=None, check_every=1):
+def _rk4(system, u, h, n, states=None, check_every=1, on_step=None):
     """n classical RK4 steps from u (left unchanged); the primal loop.
 
     Row j + 1 of ``states``, when given, receives the state after j + 1
-    steps.  A non-finite state raises DivergenceError; the check runs
+    steps, and ``on_step``, when given, is called with it after its
+    check.  A non-finite state raises DivergenceError; the check runs
     every ``check_every`` steps and after the last one.  Systems with a
-    ``rk4_scalar`` method take single states (N,) through it, with the
-    same arithmetic in plain floats.
+    ``rk4_scalar`` method take single states (N,) without ``on_step``
+    through it, with the same arithmetic in plain floats.
     """
     scalar = getattr(system, "rk4_scalar", None)
-    if scalar is not None and u.ndim == 1:
+    if scalar is not None and u.ndim == 1 and on_step is None:
         return scalar(u, h, n, states, check_every)
     u = u.copy()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -65,6 +66,8 @@ def _rk4(system, u, h, n, states=None, check_every=1):
                 states[j + 1] = u
             if j % check_every == 0 and not np.isfinite(u).all():
                 raise DivergenceError(j + 1)
+            if on_step is not None:
+                on_step(u)
     if not np.isfinite(u).all():
         raise DivergenceError(n)
     return u

@@ -341,6 +341,7 @@ def summarize(result):
         cfg.n_segments, cfg.cycles if cfg.pc_enabled else 0,
         cfg.rank, result.report.iterations)
     before = shadow.products_before_matrices(result.trajectory)
+    pc = result.preconditioner
     rows = [
         ("model", cfg.model),
         ("objective", cfg.objective),
@@ -368,6 +369,8 @@ def summarize(result):
         ("predicted_solve_cost", predicted[1]),
         ("products_per_segment_before_matrices",
          "" if before is None else f"{before:.17g}"),
+        ("lanczos_restarts", "" if pc is None else pc.restarts),
+        ("clamped_modes", "" if pc is None else pc.clamped_modes),
     ]
     for key, rep in result.spectra.items():
         rows.append((f"kappa_{key}", f"{rep.kappa:.17g}"))
@@ -421,18 +424,14 @@ def _integrate_average(system, objective, u0, t_start, t_end, h):
     each row's average is the one it would get on its own.
     """
     n = timestep._n_steps(t_start, t_end, h)
-    u = np.asarray(u0, dtype=float).copy()
-    acc = 0.5 * objective.value(u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n):
-            k1 = system.rhs(u)
-            k2 = system.rhs(u + 0.5 * h * k1)
-            k3 = system.rhs(u + 0.5 * h * k2)
-            k4 = system.rhs(u + h * k3)
-            u += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(u).all():
-                raise DivergenceError(j + 1)
-            acc += objective.value(u)
+    u0 = np.asarray(u0, dtype=float)
+    acc = 0.5 * objective.value(u0)
+
+    def accumulate(u):
+        nonlocal acc
+        acc += objective.value(u)
+
+    u = timestep._rk4(system, u0, h, n, on_step=accumulate)
     acc -= 0.5 * objective.value(u)
     return acc * h / (t_end - t_start)
 

@@ -8,7 +8,7 @@ from msshadow import analysis, precond
 class TestLanczosPartialSVD:
     def test_injected_diagonal_operator(self):
         d = np.array([5.0, 2.0, 1.0])
-        vals, left = precond.lanczos_partial_svd(
+        vals, left, _ = precond.lanczos_partial_svd(
             lambda x: d * x, lambda x: d * x, 3, retained=1, cycles=3,
             rng=np.random.default_rng(0))
         assert vals[0] == pytest.approx(5.0, rel=1e-12)
@@ -18,17 +18,36 @@ class TestLanczosPartialSVD:
     def test_injected_rectangularish_operator(self):
         rng = np.random.default_rng(1)
         mat = rng.standard_normal((8, 8))
-        vals, left = precond.lanczos_partial_svd(
+        vals, left, restarts = precond.lanczos_partial_svd(
             lambda x: x @ mat.T, lambda x: x @ mat, 8, retained=3, cycles=8,
             rng=rng)
         ref = np.linalg.svd(mat, compute_uv=False)
         np.testing.assert_allclose(vals, ref[:3], rtol=1e-8)
+        assert restarts == 0
 
     def test_zero_operator_no_error(self):
-        vals, left = precond.lanczos_partial_svd(
+        vals, left, _ = precond.lanczos_partial_svd(
             lambda x: np.zeros_like(x), lambda x: np.zeros_like(x), 5,
             retained=2, cycles=2, rng=np.random.default_rng(2))
         assert (vals == 0).all()
+
+    def test_rank_deficient_operator_counts(self, tmp_path):
+        # rank 2 in dimension 8 with retained = 3, so subspace p = 5: both
+        # sides of the range are spanned after two Lanczos steps, and each
+        # of the steps j = 2..4 restarts its forward and its adjoint basis
+        # vector, 2 (p - 2) = 6 restarts; the third mode is clamped
+        d = np.array([3.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        vals, left, restarts = precond.lanczos_partial_svd(
+            lambda x: d * x, lambda x: d * x, 8, retained=3, cycles=2,
+            rng=np.random.default_rng(8))
+        assert restarts == 6
+        kept, vecs = precond._clamp(vals, left, 3)
+        pc = precond.BlockDiagPreconditioner(
+            [precond.SegmentSVD(0, vecs, kept, 2)], 3, 2, restarts)
+        assert (pc.clamped_modes, pc.restarts) == (1, 6)
+        pc.save(tmp_path / "pc.bin")
+        loaded = precond.BlockDiagPreconditioner.load(tmp_path / "pc.bin")
+        assert (loaded.clamped_modes, loaded.restarts) == (1, None)
 
     def test_lorenz_segment_matches_dense(self, lorenz_traj):
         led = ms.CostLedger()

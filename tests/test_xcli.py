@@ -219,6 +219,19 @@ class TestRunExperiment:
         assert dict(xcli.summarize(result))[
             "products_per_segment_before_matrices"] == ""
 
+    def test_summary_reports_numerical_health(self, lorenz_ini):
+        # projected off the flow, a Lorenz propagator has rank N - 1 = 2,
+        # so a Lanczos subspace of l + 2 = 3 restarts once per segment,
+        # and retaining all 3 modes clamps the third in every block
+        for overrides, expected in (
+                ([], ("4", "0")),
+                (["preconditioner.rank=3"], ("4", "4")),
+                (["preconditioner.enabled=false"], ("", ""))):
+            cfg = xcli.load_config(lorenz_ini, overrides)
+            summary = dict(xcli.summarize(xcli.run_pipeline(cfg)))
+            assert (str(summary["lanczos_restarts"]),
+                    str(summary["clamped_modes"])) == expected
+
     def test_deterministic_outputs(self, lorenz_ini, tmp_path):
         cfg = xcli.load_config(lorenz_ini)
         xcli.run_experiment(cfg, out_dir=tmp_path / "r1")
