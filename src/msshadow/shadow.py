@@ -121,6 +121,16 @@ def _build_propagators(traj):
     return mats
 
 
+def build_matrices(traj):
+    """Build the trajectory's propagator matrices now if they fit
+    _MATRIX_BUDGET and are not built yet; returns whether it has them.
+    Charges nothing: the matrices are a cache of the products."""
+    n, k = traj.system.dim, traj.n_segments
+    if traj._propagators is None and n * n * k <= _MATRIX_BUDGET:
+        traj._propagators = _build_propagators(traj)
+    return traj._propagators is not None
+
+
 def _matrix_rows(traj, segments, z, adjoint):
     """Rows of z times their segments' propagator matrices (transposed
     if adjoint), built at the first product; None past _MATRIX_BUDGET.
@@ -129,10 +139,8 @@ def _matrix_rows(traj, segments, z, adjoint):
     n, k = traj.system.dim, traj.n_segments
     if z.shape != (segments.size, n):
         raise DimensionMismatch("propagation batch shape mismatch")
-    if traj._propagators is None:
-        if n * n * k > _MATRIX_BUDGET:
-            return None
-        traj._propagators = _build_propagators(traj)
+    if not build_matrices(traj):
+        return None
     p, rest = divmod(segments.size, k)
     if p and not rest and (segments.reshape(k, p).T == np.arange(k)).all():
         mats, z = traj._propagators[:, None], z.reshape(k, p, n)

@@ -1,10 +1,21 @@
 """Experiment driver: config parsing, pipeline orchestration, artifacts.
 
 A run is described by a flat INI file (sections: experiment, model,
-time, solver, preconditioner, analysis).  The pipeline is: spin-up ->
-stored trajectory -> right-hand side -> optional preconditioner build
--> CG solve -> checkpoint recovery -> sensitivity, with per-stage cost
-deltas and CSV artifacts.  Fixed seed implies bit-identical outputs.
+time, solver, preconditioner, analysis).  The pipeline is prepare then
+solve.  ``prepare`` does the work that fixes the trajectory and charges
+no products: spin-up -> stored trajectory with its RK4 stages ->
+propagator matrices when they fit the memory budget.  ``solve`` does the
+rest on every request: right-hand side -> optional preconditioner build
+-> CG solve -> checkpoint recovery -> sensitivity -> analysis, with
+per-stage cost deltas and CSV artifacts.  Fixed seed implies
+bit-identical outputs.
+
+The module keeps the last prepared Problem, keyed by the config fields
+in TRAJECTORY_FIELDS, so requests that differ only in solver settings
+(a sweep over gamma or the preconditioner rank) share one trajectory.
+On a key miss the kept Problem is dropped before the next one is
+prepared, so at most one lives at a time.  Like a CostLedger, the keep
+belongs to one process and one thread; worker processes keep their own.
 
 Exit codes: 0 ok, 2 config error, 3 divergence, 4 non-convergence.
 """
@@ -220,6 +231,12 @@ def initial_state(cfg, rng):
 
 @dataclass
 class RunResult:
+    """One request's outputs.
+
+    ``wall_time`` covers prepare and solve; a request that reused the
+    kept Problem (``trajectory_reused``) covers its solve only.
+    """
+
     config: ExperimentConfig
     trajectory: object
     rhs: np.ndarray
@@ -236,26 +253,88 @@ class RunResult:
     picard: object
     truncated: list
     wall_time: float
+    trajectory_reused: bool
 
     @property
     def total_cost(self):
         return self.precond_cost + self.solve_cost
 
 
-def run_pipeline(cfg, spectrum_mode=None):
-    """Execute the full shadowing pipeline for one configuration."""
+def _rng(cfg, stream):
+    """A generator on one of the seed's two streams: 0 draws the initial
+    state, 1 the preconditioner's start vectors.  Each solve draws
+    stream 1 afresh, so a reused trajectory gets the same preconditioner
+    as a new one."""
+    return np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[stream])
+
+
+# the config fields that fix the trajectory; every other field only
+# steers the solve, its analysis or its artifacts
+TRAJECTORY_FIELDS = ("model", "sigma", "rho", "beta", "n", "length", "c",
+                     "seed", "spin_up", "window", "segment", "step")
+
+
+@dataclass
+class Problem:
+    """The trajectory side of a request, which charges no products: the
+    stored trajectory (it carries its system) with its RK4 stages, and
+    its propagator matrices when they fit shadow's memory budget.
+
+    ``prepare_s`` is the wall time prepare spent on it for this request,
+    0 when it was ``reused`` from the kept one.
+    """
+
+    trajectory: object
+    prepare_s: float
+    reused: bool = False
+
+
+# (key, Problem) of the last prepare, or None
+_kept = None
+
+
+def drop_problem():
+    """Forget the kept Problem, so that the next prepare starts cold."""
+    global _kept
+    _kept = None
+
+
+def prepare(cfg):
+    """The Problem of cfg's trajectory: the kept one when its key
+    matches, else a new one, which replaces it.
+
+    On a miss the kept Problem is dropped before the new one is built,
+    so two never live at once (the caller's own references aside).  A
+    prepare that raises leaves no Problem kept.
+    """
+    global _kept
+    key = tuple(getattr(cfg, name) for name in TRAJECTORY_FIELDS)
+    if _kept is not None and _kept[0] == key:
+        return replace(_kept[1], prepare_s=0.0, reused=True)
+    drop_problem()
     t0 = time.perf_counter()
     system = build_system(cfg)
-    objective = build_objective(cfg, system)
-    seeds = np.random.SeedSequence(cfg.seed).spawn(2)
-    rng_ic = np.random.default_rng(seeds[0])
-    rng_svd = np.random.default_rng(seeds[1])
-
-    u0 = initial_state(cfg, rng_ic)
+    u0 = initial_state(cfg, _rng(cfg, 0))
     if cfg.spin_up > 0:
         u0 = timestep.advance(system, u0, -cfg.spin_up, 0.0, cfg.step)
     traj = timestep.integrate(system, u0, 0.0, cfg.window, cfg.step,
                               stride=cfg.stride)
+    traj.stages()
+    shadow.build_matrices(traj)
+    problem = Problem(trajectory=traj, prepare_s=time.perf_counter() - t0)
+    _kept = (key, problem)
+    return problem
+
+
+def solve(problem, cfg, spectrum_mode=None):
+    """The ledgered part of a request on a prepared trajectory: rhs,
+    optional preconditioner, CG, checkpoint recovery, sensitivity and
+    analysis, all redone on every call.  ``cfg`` must agree with the
+    problem's config in TRAJECTORY_FIELDS."""
+    t0 = time.perf_counter()
+    traj = problem.trajectory
+    system = traj.system
+    objective = build_objective(cfg, system)
 
     ledger = shadow.CostLedger()
     b = shadow.assemble_rhs(traj, ledger)
@@ -265,7 +344,7 @@ def run_pipeline(cfg, spectrum_mode=None):
     if cfg.pc_enabled:
         before = ledger.snapshot()
         pc = precond.build_preconditioner(traj, ledger, cfg.rank, cfg.cycles,
-                                          rng=rng_svd)
+                                          rng=_rng(cfg, 1))
         precond_cost = sum(ledger.delta(before))
 
     cfg_solve = solver.SolveConfig(tol=cfg.tol, max_iter=cfg.max_iter,
@@ -331,8 +410,15 @@ def run_pipeline(cfg, spectrum_mode=None):
         preconditioner=pc, report=report, sensitivity=float(sens),
         j_bar=float(j_bar), ledger=ledger, precond_cost=precond_cost,
         solve_cost=solve_cost, spectra=spectra, picard=picard_table,
-        truncated=truncated, wall_time=time.perf_counter() - t0,
+        truncated=truncated,
+        wall_time=problem.prepare_s + time.perf_counter() - t0,
+        trajectory_reused=problem.reused,
     )
+
+
+def run_pipeline(cfg, spectrum_mode=None):
+    """Execute the full shadowing pipeline for one configuration."""
+    return solve(prepare(cfg), cfg, spectrum_mode)
 
 
 def summarize(result):
@@ -371,6 +457,7 @@ def summarize(result):
          "" if before is None else f"{before:.17g}"),
         ("lanczos_restarts", "" if pc is None else pc.restarts),
         ("clamped_modes", "" if pc is None else pc.clamped_modes),
+        ("trajectory_reused", result.trajectory_reused),
     ]
     for key, rep in result.spectra.items():
         rows.append((f"kappa_{key}", f"{rep.kappa:.17g}"))

@@ -2,6 +2,16 @@ import numpy as np
 import pytest
 
 import msshadow as ms
+from msshadow import xcli
+
+
+@pytest.fixture(autouse=True)
+def _cold_pipeline():
+    """Each test starts without a kept Problem and leaves none behind, so
+    no test sees a trajectory prepared under another test's patches."""
+    xcli.drop_problem()
+    yield
+    xcli.drop_problem()
 
 
 @pytest.fixture(scope="session")

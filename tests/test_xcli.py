@@ -1,9 +1,12 @@
+import dataclasses
+import weakref
+
 import numpy as np
 import pytest
 
 import msshadow as ms
 from msshadow import shadow, xcli
-from msshadow.errors import ConfigError
+from msshadow.errors import ConfigError, DivergenceError
 
 LORENZ_INI = """\
 [experiment]
@@ -233,12 +236,23 @@ class TestRunExperiment:
                     str(summary["clamped_modes"])) == expected
 
     def test_deterministic_outputs(self, lorenz_ini, tmp_path):
+        # two cold runs give the same bytes; a warm third run on the kept
+        # Problem differs from them only in its trajectory_reused row
         cfg = xcli.load_config(lorenz_ini)
         xcli.run_experiment(cfg, out_dir=tmp_path / "r1")
+        xcli.drop_problem()
         xcli.run_experiment(cfg, out_dir=tmp_path / "r2")
+        xcli.run_experiment(cfg, out_dir=tmp_path / "r3")
         for name in ("tiny_summary.csv", "tiny_residuals.csv"):
             assert ((tmp_path / "r1" / name).read_bytes()
                     == (tmp_path / "r2" / name).read_bytes())
+        assert ((tmp_path / "r3" / "tiny_residuals.csv").read_bytes()
+                == (tmp_path / "r2" / "tiny_residuals.csv").read_bytes())
+        cold = (tmp_path / "r2" / "tiny_summary.csv").read_bytes()
+        warm = (tmp_path / "r3" / "tiny_summary.csv").read_bytes()
+        assert b"trajectory_reused,False" in cold
+        assert warm == cold.replace(b"trajectory_reused,False",
+                                    b"trajectory_reused,True")
 
     def test_spectrum_and_picard_artifacts(self, lorenz_ini, tmp_path):
         cfg = xcli.load_config(
@@ -295,6 +309,112 @@ class TestRunExperiment:
                           "--set", "time.step=0.5",
                           "--set", "time.spin_up=0.0"])
         assert code == xcli.EXIT_DIVERGENCE
+
+
+# every ExperimentConfig field that does not fix the trajectory; a new
+# field must join this set or xcli.TRAJECTORY_FIELDS
+SOLVE_ONLY_FIELDS = {
+    "name", "output_dir", "workers", "objective", "gamma", "mode", "tol",
+    "max_iter", "pc_enabled", "rank", "cycles", "spectrum", "picard",
+    "truncated_sweep", "dense_cap",
+}
+
+
+def _outputs(result):
+    summary = dict(xcli.summarize(result))
+    del summary["trajectory_reused"]
+    return dict(
+        sensitivity=result.sensitivity, multipliers=result.multipliers,
+        checkpoints=result.checkpoints, residuals=result.report.residuals,
+        ledger=result.ledger.snapshot(), truncated=result.truncated,
+        summary=summary)
+
+
+class TestKeptProblem:
+    def test_every_config_field_is_classified(self):
+        names = {f.name for f in dataclasses.fields(xcli.ExperimentConfig)}
+        key = set(xcli.TRAJECTORY_FIELDS)
+        assert not key & SOLVE_ONLY_FIELDS
+        assert names == key | SOLVE_ONLY_FIELDS
+
+    @pytest.mark.parametrize("overrides", [
+        ["solver.gamma=0.2"],
+        ["solver.mode=post"],
+        ["solver.tol=1e-4"],
+        ["solver.max_iter=7"],
+        ["preconditioner.rank=2"],
+        ["preconditioner.cycles=1"],
+        ["preconditioner.enabled=false"],
+        ["analysis.spectrum=true", "analysis.picard=true",
+         "analysis.truncated_sweep=true"],
+    ])
+    def test_warm_request_equals_cold(self, lorenz_ini, monkeypatch,
+                                      overrides):
+        xcli.run_pipeline(xcli.load_config(lorenz_ini))
+        cfg = xcli.load_config(lorenz_ini, overrides)
+        with monkeypatch.context() as m:
+            _forbid_integration(m)
+            warm = xcli.run_pipeline(cfg)
+        xcli.drop_problem()
+        cold = xcli.run_pipeline(cfg)
+        assert warm.trajectory_reused and not cold.trajectory_reused
+        got, want = _outputs(warm), _outputs(cold)
+        assert got.keys() == want.keys()
+        for name in got:
+            if isinstance(want[name], np.ndarray):
+                assert np.array_equal(got[name], want[name]), name
+            else:
+                assert got[name] == want[name], name
+
+    @pytest.mark.parametrize("field, value", [
+        ("model", "ks"), ("sigma", 10.5), ("rho", 29.0), ("beta", 2.5),
+        ("n", 63), ("length", 64.0), ("c", 0.1), ("seed", 12),
+        ("spin_up", 4.0), ("window", 3.0), ("segment", 0.5),
+        ("step", 0.001),
+    ])
+    def test_trajectory_field_misses(self, lorenz_ini, monkeypatch, field,
+                                     value):
+        # prepare builds the propagator matrices before any product, and
+        # any change to a trajectory field starts a new prepare
+        cfg = xcli.load_config(lorenz_ini)
+        assert xcli.prepare(cfg).trajectory._propagators is not None
+        assert field in xcli.TRAJECTORY_FIELDS
+        changed = dataclasses.replace(
+            cfg, **{field: value},
+            objective="mean" if value == "ks" else cfg.objective)
+        _forbid_integration(monkeypatch)
+        with pytest.raises(AssertionError, match="integration started"):
+            xcli.prepare(changed)
+        assert xcli._kept is None
+
+    def test_divergence_keeps_no_problem(self, lorenz_ini):
+        cfg = xcli.load_config(lorenz_ini)
+        xcli.prepare(cfg)
+        diverging = dataclasses.replace(cfg, step=0.5, spin_up=0.0)
+        with pytest.raises(DivergenceError):
+            xcli.prepare(diverging)
+        assert xcli._kept is None
+        assert not xcli.prepare(cfg).reused
+
+    def test_old_trajectory_freed_before_next_prepare(self, lorenz_ini,
+                                                      monkeypatch):
+        # a ks_c08 Problem is about 9% of its run's peak memory, so the
+        # kept one must be gone before the next spin-up starts
+        cfg = xcli.load_config(lorenz_ini)
+        result = xcli.run_pipeline(cfg)
+        old = weakref.ref(result.trajectory)
+        del result
+        alive = []
+        advance = xcli.timestep.advance
+
+        def watched(*args, **kwargs):
+            alive.append(old() is not None)
+            return advance(*args, **kwargs)
+
+        monkeypatch.setattr(xcli.timestep, "advance", watched)
+        assert not xcli.run_pipeline(
+            dataclasses.replace(cfg, seed=12)).trajectory_reused
+        assert alive == [False]
 
 
 class TestSweep:
