@@ -25,7 +25,6 @@ import configparser
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -572,6 +571,7 @@ def finite_difference_reference(cfg, delta, n_samples, horizon):
     jobs = [(cfg, delta, horizon, [seeds[i] for i in chunk])
             for chunk in np.array_split(np.arange(n_samples), n_jobs)]
     if n_jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             samples = np.concatenate(list(pool.map(_fd_samples_from_config, jobs)))
     else:
@@ -627,6 +627,7 @@ def sweep(cfg, axis, values):
     jobs = [(cfg, axis, float(v)) for v in values]
     rows = []
     if cfg.workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             futures = [pool.submit(_sweep_point, job) for job in jobs]
             for job, fut in zip(jobs, futures):

@@ -1,5 +1,10 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,6 +181,15 @@ class TestFiniteDifferenceReference:
         with pytest.raises(ConfigError):
             xcli.finite_difference_reference(cfg, delta=0.0, n_samples=2,
                                              horizon=5.0)
+
+    def test_worker_pool_matches_one_process(self, lorenz_ini):
+        cfg = dataclasses.replace(xcli.load_config(lorenz_ini), workers=1)
+        _, _, serial = xcli.finite_difference_reference(
+            cfg, delta=1.0, n_samples=3, horizon=10.0)
+        _, _, pooled = xcli.finite_difference_reference(
+            dataclasses.replace(cfg, workers=2), delta=1.0, n_samples=3,
+            horizon=10.0)
+        assert np.array_equal(pooled, serial)
 
 
 def _forbid_integration(monkeypatch):
@@ -433,6 +447,13 @@ class TestSweep:
         merged = (tmp_path / "out" / "tiny_sweep_gamma.csv").read_text()
         assert len(merged.strip().splitlines()) == 3
 
+    def test_worker_pool_matches_one_process(self, lorenz_ini):
+        cfg = dataclasses.replace(xcli.load_config(lorenz_ini), workers=1)
+        serial = xcli.sweep(cfg, "gamma", [0.05, 0.5])
+        pooled = xcli.sweep(dataclasses.replace(cfg, workers=2), "gamma",
+                            [0.05, 0.5])
+        assert pooled == serial
+
     def test_failure_recorded_and_continues(self, lorenz_ini):
         cfg = xcli.load_config(lorenz_ini)
         # window 3.5 is not an integer number of unit segments
@@ -486,3 +507,52 @@ def test_ks_iterations_stable_across_resolution(tmp_path):
     assert all(row["converged"] for row in rows)
     iters = [row["iterations"] for row in rows]
     assert max(iters) <= 2 * min(iters)
+
+
+_FOOTPRINT = """\
+import json, sys
+import numpy as np
+import msshadow, msshadow.xcli as xcli
+from msshadow import analysis
+
+
+def heavy():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                  or m == "concurrent.futures.process")
+
+
+cfg = xcli.load_config(sys.argv[1], ["analysis.spectrum=true"])
+result = xcli.run_experiment(cfg)
+after_run = heavy()
+rng = np.random.default_rng(4)
+q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+mat = q @ np.diag(np.geomspace(0.1, 5.0, 30)) @ q.T
+rep = analysis.spectrum(mat, 30, mode="lanczos-extremes")
+exact = np.linalg.eigvalsh(mat)
+print(json.dumps({
+    "raw_mode": result.spectra["raw"].mode,
+    "after_run": after_run,
+    "after_lanczos": heavy(),
+    "converged": rep.converged,
+    "lanczos": [float(v) for v in rep.eigenvalues],
+    "exact": [float(exact[0]), float(exact[-1])],
+}))
+"""
+
+
+def test_scipy_and_process_pool_load_on_first_use(lorenz_ini):
+    # a fresh interpreter running a dense-spectrum request loads neither
+    # SciPy nor the process pool; a lanczos-extremes spectrum loads SciPy
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, str(lorenz_ini)],
+                          env=env, capture_output=True, text=True, check=True,
+                          timeout=300)
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["raw_mode"] == "dense"
+    assert got["after_run"] == []
+    assert "scipy.sparse.linalg" in got["after_lanczos"]
+    assert got["converged"]
+    assert got["lanczos"] == pytest.approx(got["exact"], rel=1e-5)
