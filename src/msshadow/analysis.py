@@ -183,13 +183,16 @@ def truncated_svd_solution(a, b, rank, svd=None, cap=DENSE_CAP):
     return (vt[:rank].T @ coef).reshape(k + 1, n)
 
 
-def sensitivity_vs_rank(traj, objective, a, b, ranks, svd=None):
+def sensitivity_vs_rank(traj, objective, a, b, ranks, svd=None,
+                        functional=None):
     """Sensitivity of the truncated-SVD solution as the rank grows.
 
     Returns a list of (rank, sensitivity) pairs, the data behind the
     accuracy-vs-rank curve.  The sensitivity is affine in the
-    checkpoint stack, so every rank's value is s0 + <weights, v> / T
-    from one shadow.sensitivity_functional of the trajectory.
+    checkpoint stack, so every rank's value is s0 + <weights, v> / T.
+    ``functional`` is (weights, s0): the trajectory's
+    shadow.sensitivity_functional and the zero stack's sensitivity, as
+    the pipeline keeps them; without it both are computed here.
     """
     if svd is None:
         svd = np.linalg.svd(a, full_matrices=False)
@@ -198,7 +201,11 @@ def sensitivity_vs_rank(traj, objective, a, b, ranks, svd=None):
     stack = np.empty((len(ranks), k + 1, n))
     for i, rank in enumerate(ranks):
         stack[i] = truncated_svd_solution(a, b, rank, svd=svd)
-    weights, s0 = shadow.sensitivity_functional(traj, objective)
+    if functional is None:
+        functional = (shadow.sensitivity_functional(traj, objective),
+                      shadow.evaluate_sensitivity(traj, objective,
+                                                  np.zeros((k + 1, n))))
+    weights, s0 = functional
     return list(zip(ranks, s0 + (stack * weights).sum(axis=(1, 2)) / traj.span))
 
 

@@ -65,34 +65,35 @@ def _normalize_column(x, basis, n_cols, rng, failures, scale):
 
     Returns (column, coeff, restarts): coeff is the row norm, or zero
     for rows that broke down.  Degenerate rows are replaced by random
-    directions orthogonal to the basis, counted in restarts; if the
-    basis already spans the space the column stays zero.  Three failed
-    random restarts raise."""
+    directions orthogonal to the basis, counted in restarts, from one
+    draw (the stream of one draw per row); if the basis already spans
+    the space the column stays zero.  A degenerate direction is redrawn
+    for its row alone; a row's third failed restart raises."""
     nrm = np.linalg.norm(x, axis=1)
     ok = nrm > CLAMP_RATIO * scale
     coeff = np.where(ok, nrm, 0.0)
     col = np.zeros_like(x)
     col[ok] = x[ok] / nrm[ok, None]
+    rows = np.nonzero(~ok)[0]
     dim = x.shape[1]
-    restarts = 0
-    for row in np.nonzero(~ok)[0]:
-        if n_cols >= dim:
-            continue
-        for _ in range(3):
-            cand = rng.standard_normal(dim)
-            cand = _orthogonalize(cand[None, :], basis[row : row + 1], n_cols)[0]
-            cnrm = np.linalg.norm(cand)
-            if cnrm > 1e-8:
-                col[row] = cand / cnrm
-                restarts += 1
-                break
+    if n_cols >= dim or not rows.size:
+        return col, coeff, 0
+    cand = _orthogonalize(rng.standard_normal((rows.size, dim)), basis[rows], n_cols)
+    cnrm = np.linalg.norm(cand, axis=1)
+    for i in np.nonzero(cnrm <= 1e-8)[0]:
+        row = rows[i]
+        while cnrm[i] <= 1e-8:
             failures[row] += 1
             if failures[row] >= 3:
                 raise BreakdownError(
                     n_cols, f"Lanczos breakdown in row {row}: "
                     "3 random restarts produced degenerate vectors"
                 )
-    return col, coeff, restarts
+            cand[i] = _orthogonalize(rng.standard_normal((1, dim)),
+                                     basis[row : row + 1], n_cols)[0]
+            cnrm[i] = np.linalg.norm(cand[i])
+    col[rows] = cand / cnrm[:, None]
+    return col, coeff, rows.size
 
 
 def _batched_partial_svd(fwd, adj, segments, dim, subspace, cycles, rng):
@@ -143,10 +144,9 @@ def _batched_partial_svd(fwd, adj, segments, dim, subspace, cycles, rng):
     idx = np.arange(p)
     bmat[:, idx, idx] = alpha
     bmat[:, idx[:-1], idx[:-1] + 1] = beta[:, : p - 1]
-    x, s, yt = np.linalg.svd(bmat)
+    x, values, yt = np.linalg.svd(bmat)
     left = np.einsum("mnp,mpq->mnq", big_u, x)
     right = np.einsum("mnp,mqp->mnq", big_v[:, :, :p], yt)
-    values = s
 
     # thick restart: two-sided refresh of the Ritz block + Rayleigh-Ritz
     rows = np.repeat(segments, p)
@@ -160,10 +160,9 @@ def _batched_partial_svd(fwd, adj, segments, dim, subspace, cycles, rng):
         ).reshape(m, p, dim).transpose(0, 2, 1)
         v_basis, rv = np.linalg.qr(z)
         # cross matrix u^T Phi v == rv^T, no extra products needed
-        x, s, yt = np.linalg.svd(rv.transpose(0, 2, 1))
+        x, values, yt = np.linalg.svd(rv.transpose(0, 2, 1))
         left = np.einsum("mnp,mpq->mnq", u_basis, x)
         right = np.einsum("mnp,mqp->mnq", v_basis, yt)
-        values = s
 
     return values, left, restarts
 
@@ -184,6 +183,21 @@ def lanczos_partial_svd(op, op_t, dim, retained, cycles, rng):
     return values[0, :retained], left[0, :, :retained], restarts
 
 
+def _check_modes(left, values, kept):
+    """SegmentSVD's checks on m blocks at once: (m, N, l) left vectors
+    and (m, l) values of which row i keeps its first kept[i]."""
+    if left.shape[::2] != values.shape or kept.shape != values.shape[:1]:
+        raise DimensionMismatch("left vectors and values disagree")
+    live = np.arange(values.shape[1]) < kept[:, None]
+    gram = np.matmul(left.transpose(0, 2, 1), left)
+    gram -= live[:, :, None] * np.eye(live.shape[1])
+    if np.abs(gram).max(initial=0.0) > 1e-10:
+        raise ValueError("left singular vectors are not orthonormal")
+    if (((values <= 0) & live).any()
+            or ((np.diff(values, axis=1) > 0) & live[:, 1:]).any()):
+        raise ValueError("singular values must be positive descending")
+
+
 @dataclass
 class SegmentSVD:
     """Leading left singular pairs of one projected segment propagator."""
@@ -194,62 +208,13 @@ class SegmentSVD:
     cycles: int
 
     def __post_init__(self):
-        if self.left.shape[1] != self.values.shape[0]:
-            raise DimensionMismatch("left vectors and values disagree")
-        if self.values.size:
-            gram = self.left.T @ self.left
-            if np.abs(gram - np.eye(self.values.size)).max() > 1e-10:
-                raise ValueError("left singular vectors are not orthonormal")
-            if (self.values <= 0).any() or (np.diff(self.values) > 0).any():
-                raise ValueError("singular values must be positive descending")
+        _check_modes(self.left[None], self.values[None],
+                     np.array([self.values.size]))
 
 
-class BlockDiagPreconditioner:
-    """Per-segment deflation blocks applied to (K, N) stacks.
-
-    ``apply`` is the preconditioner itself; ``apply_inv`` and
-    ``apply_sqrt`` use the closed forms obtained by replacing the
-    inverse-square coefficients.  All three are symmetric positive
-    definite and cost no propagator products.  ``restarts`` is the
-    build's count of Lanczos random restarts, None when not known (a
-    loaded preconditioner).
-    """
-
-    def __init__(self, blocks, retained, cycles, restarts=None):
-        if [b.segment for b in blocks] != list(range(len(blocks))):
-            raise ValueError("need exactly one block per segment, in order")
-        self.blocks = blocks
-        self.retained = retained
-        self.cycles = cycles
-        self.restarts = restarts
-        # all blocks as one (K, N, l) array of left vectors and (K, l)
-        # values, l the largest block; clamped modes are zero columns
-        # with value 1, whose coefficient is 0 in every apply
-        n = blocks[0].left.shape[0]
-        width = max(blk.values.size for blk in blocks)
-        self._left = np.zeros((len(blocks), n, width))
-        self._values = np.ones((len(blocks), width))
-        for i, blk in enumerate(blocks):
-            self._left[i, :, : blk.values.size] = blk.left
-            self._values[i, : blk.values.size] = blk.values
-
-    @property
-    def n_segments(self):
-        return len(self.blocks)
-
-    @property
-    def clamped_modes(self):
-        """Retained modes dropped by CLAMP_RATIO, summed over blocks."""
-        return sum(self.retained - blk.values.size for blk in self.blocks)
-
-    def _apply_coeff(self, z, coeff):
-        if z.shape[0] != self.n_segments:
-            raise DimensionMismatch(
-                f"stack has {z.shape[0]} rows, expected {self.n_segments}"
-            )
-        c = np.matmul(z[:, None, :], self._left)[:, 0, :]
-        d = coeff(self._values) * c
-        return z + np.matmul(self._left, d[:, :, None])[:, :, 0]
+class _Deflation:
+    """The operators of a deflation preconditioner I + U (c(S) - 1) U^T
+    from its _apply_coeff(z, c) and, for validation, _dense(c)."""
 
     def apply(self, z):
         return self._apply_coeff(z, lambda s: s**-2 - 1.0)
@@ -261,14 +226,57 @@ class BlockDiagPreconditioner:
         return self._apply_coeff(z, lambda s: 1.0 / s - 1.0)
 
     def dense(self):
-        """Full matrix (validation only)."""
         return self._dense(lambda s: s**-2)
 
     def dense_sqrt(self):
         return self._dense(lambda s: 1.0 / s)
 
+
+class BlockDiagPreconditioner(_Deflation):
+    """Per-segment deflation blocks applied to (K, N) stacks.
+
+    Block i keeps the first kept[i] columns of left[i], of the (K, N, l)
+    left vectors, and of values[i], of the (K, l) singular values; its
+    other columns are zero with value 1, whose coefficient is 0 in every
+    apply.  ``apply`` is the preconditioner itself; ``apply_inv`` and
+    ``apply_sqrt`` use the closed forms obtained by replacing the
+    inverse-square coefficients.  All three are symmetric positive
+    definite and cost no propagator products.  ``restarts`` is the
+    build's count of Lanczos random restarts, None when not known (a
+    loaded preconditioner).
+    """
+
+    def __init__(self, left, values, kept, retained, cycles, restarts=None):
+        _check_modes(left, values, kept)
+        self._left, self._values, self.kept = left, values, kept
+        self.retained, self.cycles, self.restarts = retained, cycles, restarts
+
+    @property
+    def blocks(self):
+        """One SegmentSVD per segment, viewing the arrays."""
+        return [SegmentSVD(i, self._left[i, :, :k], self._values[i, :k], self.cycles)
+                for i, k in enumerate(self.kept)]
+
+    @property
+    def n_segments(self):
+        return self.kept.size
+
+    @property
+    def clamped_modes(self):
+        """Retained modes dropped by CLAMP_RATIO, summed over blocks."""
+        return int(self.retained * self.kept.size - self.kept.sum())
+
+    def _apply_coeff(self, z, coeff):
+        if z.shape[0] != self.n_segments:
+            raise DimensionMismatch(
+                f"stack has {z.shape[0]} rows, expected {self.n_segments}"
+            )
+        c = np.matmul(z[:, None, :], self._left)[:, 0, :]
+        d = coeff(self._values) * c
+        return z + np.matmul(self._left, d[:, :, None])[:, :, 0]
+
     def _dense(self, diag):
-        n = self.blocks[0].left.shape[0]
+        n = self._left.shape[1]
         k = self.n_segments
         out = np.zeros((n * k, n * k))
         for i, blk in enumerate(self.blocks):
@@ -281,10 +289,9 @@ class BlockDiagPreconditioner:
     def save(self, path):
         """Little-endian binary dump: magic, <q K> <q N> <q retained>
         <q cycles>, then per segment <q l_i>, values, left row-major."""
-        n = self.blocks[0].left.shape[0]
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
-            fh.write(struct.pack("<qqqq", self.n_segments, n,
+            fh.write(struct.pack("<qqqq", self.n_segments, self._left.shape[1],
                                  self.retained, self.cycles))
             for blk in self.blocks:
                 fh.write(struct.pack("<q", blk.values.size))
@@ -298,26 +305,33 @@ class BlockDiagPreconditioner:
                 raise ShadowingError(f"{path} is not a preconditioner dump")
             k, n, retained, cycles = struct.unpack("<qqqq", fh.read(32))
             blocks = []
-            for i in range(k):
+            for _ in range(k):
                 (li,) = struct.unpack("<q", fh.read(8))
-                values = np.frombuffer(fh.read(8 * li), dtype="<f8").astype(float)
-                left = np.frombuffer(fh.read(8 * li * n), dtype="<f8")
-                blocks.append(
-                    SegmentSVD(i, left.reshape(n, li).astype(float), values, cycles)
-                )
-        return cls(blocks, retained, cycles)
+                blocks.append((np.frombuffer(fh.read(8 * li), dtype="<f8"),
+                               np.frombuffer(fh.read(8 * li * n), dtype="<f8")))
+        kept = np.array([vals.size for vals, _ in blocks])
+        left, values = np.zeros((k, n, kept.max())), np.ones((k, kept.max()))
+        for i, (vals, vecs) in enumerate(blocks):
+            left[i, :, : vals.size] = vecs.reshape(n, vals.size)
+            values[i, : vals.size] = vals
+        return cls(left, values, kept, retained, cycles)
 
 
-def _clamp(values, left, retained):
-    if values.size == 0 or values[0] <= 0.0:
-        return values[:0], left[:, :0]
-    keep = min(retained, int((values > CLAMP_RATIO * values[0]).sum()))
-    return values[:keep].copy(), left[:, :keep].copy()
+def _clamp(left, values, retained):
+    """Per row, the leading modes above CLAMP_RATIO times the largest, at
+    most retained: (left, values, kept), padded to the widest row with
+    zero columns of value 1."""
+    count = (values > CLAMP_RATIO * values[:, :1]).sum(axis=1)
+    kept = np.where(values[:, 0] > 0.0, np.minimum(retained, count), 0)
+    live = np.arange(kept.max()) < kept[:, None]
+    return (np.where(live[:, None, :], left[:, :, : kept.max()], 0.0),
+            np.where(live, values[:, : kept.max()], 1.0), kept)
 
 
 def _segment_svds(traj, ledger, segments, retained, cycles, rng):
     """Clamped partial SVDs of the given segments' propagators, run in
-    lockstep, and the build's count of Lanczos random restarts."""
+    lockstep: the arrays (left, values, kept) of _clamp and the build's
+    count of Lanczos random restarts."""
     dim = traj.system.dim
     if not 1 <= retained <= dim:
         raise ValueError(f"retained modes must be in [1, {dim}]")
@@ -330,11 +344,7 @@ def _segment_svds(traj, ledger, segments, retained, cycles, rng):
         lambda x, segs: _propagate_rows_adjoint(traj, ledger, segs, x),
         segments, dim, min(retained + 2, dim), cycles, rng,
     )
-    blocks = []
-    for row, i in enumerate(segments):
-        vals, vecs = _clamp(values[row], left[row], retained)
-        blocks.append(SegmentSVD(int(i), vecs, vals, cycles))
-    return blocks, restarts
+    return (*_clamp(left, values, retained), restarts)
 
 
 def partial_svd_segment(traj, ledger, segment, retained, cycles, rng=None):
@@ -343,18 +353,19 @@ def partial_svd_segment(traj, ledger, segment, retained, cycles, rng=None):
     Charges the ledger exactly cycles*(retained+2) products of each
     kind.  ``retained`` must not exceed the state dimension.
     """
-    segments = np.asarray([segment], dtype=int)
-    return _segment_svds(traj, ledger, segments, retained, cycles, rng)[0][0]
+    left, values, (k,), _ = _segment_svds(
+        traj, ledger, np.asarray([segment], dtype=int), retained, cycles, rng)
+    return SegmentSVD(int(segment), left[0, :, :k], values[0, :k], cycles)
 
 
 def build_preconditioner(traj, ledger, retained, cycles, rng=None):
     """Partial SVDs of all segment propagators, run in lockstep."""
-    blocks, restarts = _segment_svds(
+    *arrays, restarts = _segment_svds(
         traj, ledger, np.arange(traj.n_segments), retained, cycles, rng)
-    return BlockDiagPreconditioner(blocks, retained, cycles, restarts)
+    return BlockDiagPreconditioner(*arrays, retained, cycles, restarts)
 
 
-class DeflationPreconditioner:
+class DeflationPreconditioner(_Deflation):
     """Exact deflation operator from the top-l SVD of the dense
     constraint matrix (validation at small scale).
 
@@ -375,22 +386,9 @@ class DeflationPreconditioner:
             out += self.left @ (coeff(self.values) * c)
         return out.reshape(self.stack_shape)
 
-    def apply(self, z):
-        return self._apply_coeff(z, lambda s: s**-2 - 1.0)
-
-    def apply_inv(self, z):
-        return self._apply_coeff(z, lambda s: s**2 - 1.0)
-
-    def apply_sqrt(self, z):
-        return self._apply_coeff(z, lambda s: 1.0 / s - 1.0)
-
-    def dense(self):
+    def _dense(self, diag):
         n = self.left.shape[0]
-        return np.eye(n) + self.left @ np.diag(self.values**-2 - 1.0) @ self.left.T
-
-    def dense_sqrt(self):
-        n = self.left.shape[0]
-        return np.eye(n) + self.left @ np.diag(1.0 / self.values - 1.0) @ self.left.T
+        return np.eye(n) + self.left @ np.diag(diag(self.values) - 1.0) @ self.left.T
 
 
 def exact_preconditioner(a_dense, retained, stack_shape=None):

@@ -230,15 +230,16 @@ def schur_apply(traj, ledger, w):
     return constraint_apply(traj, ledger, constraint_transpose_apply(traj, ledger, w))
 
 
-def assemble_rhs(traj, ledger):
+def assemble_rhs(traj, ledger, objective=None):
     """Right-hand-side blocks: per segment, the forced tangent solution
-    from a zero initial condition, projected at the segment end."""
+    from a zero initial condition, projected at the segment end.  With
+    an objective it returns (b, s0), s0 the zero stack's sensitivity
+    summed along the same sweep, == evaluate_sensitivity of zeros."""
     k = traj.n_segments
-    segments = np.arange(k)
-    zero = np.zeros((k, traj.system.dim))
-    forced = timestep.tangent_sweep_many(traj, segments, zero, forcing=True)
+    forced, s0 = _forced_sweep(traj, np.zeros((k, traj.system.dim)), objective)
     ledger.charge_forward(k)
-    return project_off_flow(_endpoint_f(traj, segments), forced)
+    b = project_off_flow(_endpoint_f(traj, np.arange(k)), forced)
+    return b if objective is None else (b, s0)
 
 
 def recover_checkpoints(traj, ledger, w):
@@ -262,48 +263,50 @@ def _end_correction(traj, objective):
     return f_end, (f_end * f_end).sum(axis=-1), j_bar - j_vals[end]
 
 
-def evaluate_sensitivity(traj, objective, v):
-    """Sensitivity of the time-averaged objective to the parameter.
+def _forced_sweep(traj, v, objective=None):
+    """Forced tangent sweep of every segment from the rows of v (K, N)
+    at the segment starts.  Returns the rows at the segment ends and,
+    with an objective, the sensitivity of the checkpoint stack whose
+    first K rows are v (else None): the trapezoidal time integral of
+    <dJ/du, v'> plus the checkpoint correction <f, v'> / |f|^2 *
+    (Jbar - J) at each segment end, over T, plus dJ/ds."""
+    segments = np.arange(traj.n_segments)
+    if objective is None:
+        return timestep.tangent_sweep_many(traj, segments, v, forcing=True), None
+    h, grad = traj.h, objective.gradient
+    offs = segments * traj.stride
+    acc = 0.5 * h * (grad(traj.states[offs]) * v).sum(axis=-1)
 
-    Re-runs the forced tangent within each segment starting from the
-    solved checkpoint value ``v``, a (K+1, N) stack, accumulating the
-    trapezoidal time integral of <dJ/du, v'> plus the checkpoint
-    correction <f, v'> / |f|^2 * (Jbar - J) at each segment end.  This
-    forward sweep is the reference that sensitivity_functional matches.
-    """
-    k = traj.n_segments
-    _check_stack(traj, v, k + 1)
-    sys = traj.system
-    h = traj.h
-    offs = np.arange(k) * traj.stride
-    s2, s3, s4 = traj.stages()
-    vv = v[:k]
-    acc = 0.5 * h * (objective.gradient(traj.states[offs]) * vv).sum(axis=-1)
-    for j in range(traj.stride):
-        idx = offs + j
-        vv = timestep.tangent_step_at(
-            sys, h, traj.states[idx], s2[idx], s3[idx], s4[idx], vv, forcing=True
-        )
+    def accumulate(j, vv):
+        nonlocal acc
         wq = h if j < traj.stride - 1 else 0.5 * h
-        acc += wq * (objective.gradient(traj.states[idx + 1]) * vv).sum(axis=-1)
+        acc += wq * (grad(traj.states[offs + j + 1]) * vv).sum(axis=-1)
 
+    end = timestep.tangent_sweep_many(traj, segments, v, forcing=True,
+                                      on_step=accumulate)
     f_end, ff, dj = _end_correction(traj, objective)
-    corr = (f_end * vv).sum(axis=-1) / ff * dj
-    return (acc.sum() + corr.sum()) / traj.span + objective.param_deriv
+    corr = (f_end * end).sum(axis=-1) / ff * dj
+    return end, (acc.sum() + corr.sum()) / traj.span + objective.param_deriv
+
+
+def evaluate_sensitivity(traj, objective, v):
+    """Sensitivity of the time-averaged objective to the parameter at
+    the checkpoint stack v (K+1, N): the forced tangent re-run within
+    each segment from v (see _forced_sweep).  The matrix-free reference
+    that the pipeline's s0 + <a, v> / T matches to round-off."""
+    _check_stack(traj, v, traj.n_segments + 1)
+    return _forced_sweep(traj, v[:-1], objective)[1]
 
 
 def sensitivity_functional(traj, objective):
-    """The sensitivity as an affine functional of the checkpoint stack.
-
-    Returns (a, s0), a of shape (K+1, N) with a zero last row, such
-    that evaluate_sensitivity(traj, objective, v) == s0 + (a * v).sum() / T
-    to round-off.  a is the transpose of the forward quadrature, one
+    """Weights a (K+1, N), last row zero, of the sensitivity as an
+    affine functional of the checkpoint stack: evaluate_sensitivity(traj,
+    objective, v) == s0 + (a * v).sum() / T to round-off, s0 from
+    assemble_rhs.  a is the transpose of the forward quadrature, one
     adjoint sweep per segment seeded at its end with h/2 dJ/du +
     (Jbar - J_end) / |f_end|^2 f_end, adding after each step the
-    trapezoid weight (h, or h/2 at the segment start) times dJ/du; s0 is
-    the sensitivity of the zero stack.  Charges no products.  It pays
-    when two or more stacks are evaluated on one trajectory.
-    """
+    trapezoid weight (h, or h/2 at the segment start) times dJ/du.
+    Charges no products."""
     k, n = traj.n_segments, traj.system.dim
     h = traj.h
     offs = np.arange(k) * traj.stride
@@ -318,4 +321,4 @@ def sensitivity_functional(traj, objective):
         w += (h if j else 0.5 * h) * grad(traj.states[idx])
     a = np.zeros((k + 1, n))
     a[:k] = w
-    return a, evaluate_sensitivity(traj, objective, np.zeros((k + 1, n)))
+    return a

@@ -144,20 +144,10 @@ class Trajectory:
     def n_segments(self):
         return self.n_steps // self.stride
 
-    @property
-    def segment_span(self):
-        return self.stride * self.h
-
-    def checkpoint_index(self, i):
+    def checkpoint_f(self, i):
         if not 0 <= i <= self.n_segments:
             raise IndexError(f"checkpoint {i} out of range")
-        return i * self.stride
-
-    def checkpoint_state(self, i):
-        return self.states[self.checkpoint_index(i)]
-
-    def checkpoint_f(self, i):
-        return self.fvals[self.checkpoint_index(i)]
+        return self.fvals[i * self.stride]
 
     def dump(self, path):
         """Write a little-endian binary snapshot.
@@ -260,12 +250,13 @@ def _check_segments(traj, segments):
     return segments
 
 
-def tangent_sweep_many(traj, segments, v, forcing=False):
+def tangent_sweep_many(traj, segments, v, forcing=False, on_step=None):
     """Propagate rows of v across their segments with the discrete tangent.
 
     v has shape (m, N); row i is advanced from the start to the end of
     segment segments[i].  Returns v at the segment ends (before any
-    projection).
+    projection).  ``on_step``, when given, is called with (j, rows)
+    after step j of every segment.
     """
     segments = _check_segments(traj, segments)
     if v.shape != (segments.size, traj.system.dim):
@@ -281,6 +272,8 @@ def tangent_sweep_many(traj, segments, v, forcing=False):
             sys, h, traj.states[idx], s2[idx], s3[idx], s4[idx], out,
             forcing=forcing,
         )
+        if on_step is not None:
+            on_step(j, out)
     return out
 
 

@@ -4,11 +4,12 @@ A run is described by a flat INI file (sections: experiment, model,
 time, solver, preconditioner, analysis).  The pipeline is prepare then
 solve.  ``prepare`` does the work that fixes the trajectory and charges
 no products: spin-up -> stored trajectory with its RK4 stages ->
-propagator matrices when they fit the memory budget.  ``solve`` does the
-rest on every request: right-hand side -> optional preconditioner build
--> CG solve -> checkpoint recovery -> sensitivity -> analysis, with
-per-stage cost deltas and CSV artifacts.  Fixed seed implies
-bit-identical outputs.
+propagator matrices when they fit the memory budget -> the weights of
+the sensitivity functional.  ``solve`` does the rest on every request:
+right-hand side (with the zero stack's sensitivity) -> optional
+preconditioner build -> CG solve -> checkpoint recovery -> sensitivity
+as a dot product -> analysis, with per-stage cost deltas and CSV
+artifacts.  Fixed seed implies bit-identical outputs.
 
 The module keeps the last prepared Problem, keyed by the config fields
 in TRAJECTORY_FIELDS, so requests that differ only in solver settings
@@ -90,23 +91,18 @@ class ExperimentConfig:
             self.name = self.model
         if not self.objective:
             self.objective = "z" if self.model == "lorenz" else "mean"
-        for field_name in ("spin_up", "window", "segment", "step"):
-            if getattr(self, field_name) <= 0 and field_name != "spin_up":
+        for field_name in ("window", "segment", "step"):
+            if getattr(self, field_name) <= 0:
                 raise ConfigError(f"{field_name} must be positive")
         if self.spin_up < 0:
             raise ConfigError("spin_up must be non-negative")
-        k = self.window / self.segment
-        if abs(k - round(k)) > 1e-9 or round(k) < 1:
-            raise ConfigError(
-                f"window {self.window} is not an integer number of "
-                f"segments of length {self.segment}"
-            )
-        stride = self.segment / self.step
-        if abs(stride - round(stride)) > 1e-9 or round(stride) < 1:
-            raise ConfigError(
-                f"segment {self.segment} is not an integer number of "
-                f"steps of size {self.step}"
-            )
+        for whole, part, unit in (("window", "segment", "segments of length"),
+                                  ("segment", "step", "steps of size")):
+            ratio = getattr(self, whole) / getattr(self, part)
+            if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+                raise ConfigError(
+                    f"{whole} {getattr(self, whole)} is not an integer number "
+                    f"of {unit} {getattr(self, part)}")
         # the solver's and the integrator's own checks, so that bad input
         # fails here and not after the spin-up
         try:
@@ -267,23 +263,29 @@ def _rng(cfg, stream):
     return np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[stream])
 
 
-# the config fields that fix the trajectory; every other field only
-# steers the solve, its analysis or its artifacts
+# the config fields that fix the trajectory and the sensitivity
+# functional kept with it; every other field only steers the solve, its
+# analysis or its artifacts
 TRAJECTORY_FIELDS = ("model", "sigma", "rho", "beta", "n", "length", "c",
-                     "seed", "spin_up", "window", "segment", "step")
+                     "objective", "seed", "spin_up", "window", "segment",
+                     "step")
 
 
 @dataclass
 class Problem:
     """The trajectory side of a request, which charges no products: the
-    stored trajectory (it carries its system) with its RK4 stages, and
-    its propagator matrices when they fit shadow's memory budget.
+    stored trajectory (it carries its system) with its RK4 stages, its
+    propagator matrices when they fit shadow's memory budget, the
+    objective, and the (K+1, N) weights of the objective's sensitivity
+    functional (shadow.sensitivity_functional).
 
     ``prepare_s`` is the wall time prepare spent on it for this request,
     0 when it was ``reused`` from the kept one.
     """
 
     trajectory: object
+    objective: object
+    functional: np.ndarray
     prepare_s: float
     reused: bool = False
 
@@ -320,7 +322,10 @@ def prepare(cfg):
                               stride=cfg.stride)
     traj.stages()
     shadow.build_matrices(traj)
-    problem = Problem(trajectory=traj, prepare_s=time.perf_counter() - t0)
+    objective = build_objective(cfg, system)
+    problem = Problem(trajectory=traj, objective=objective,
+                      functional=shadow.sensitivity_functional(traj, objective),
+                      prepare_s=time.perf_counter() - t0)
     _kept = (key, problem)
     return problem
 
@@ -328,15 +333,17 @@ def prepare(cfg):
 def solve(problem, cfg, spectrum_mode=None):
     """The ledgered part of a request on a prepared trajectory: rhs,
     optional preconditioner, CG, checkpoint recovery, sensitivity and
-    analysis, all redone on every call.  ``cfg`` must agree with the
-    problem's config in TRAJECTORY_FIELDS."""
+    analysis, all redone on every call.  The sensitivity is s0 + <a, v>
+    / T, s0 from the rhs sweep and a the problem's functional, so it
+    runs no sweep of its own.  ``cfg`` must agree with the problem's
+    config in TRAJECTORY_FIELDS."""
     t0 = time.perf_counter()
     traj = problem.trajectory
     system = traj.system
-    objective = build_objective(cfg, system)
+    objective = problem.objective
 
     ledger = shadow.CostLedger()
-    b = shadow.assemble_rhs(traj, ledger)
+    b, s0 = shadow.assemble_rhs(traj, ledger, objective)
 
     pc = None
     precond_cost = 0
@@ -357,7 +364,7 @@ def solve(problem, cfg, spectrum_mode=None):
     solve_cost = sum(ledger.delta(before))
 
     v = shadow.recover_checkpoints(traj, ledger, w)
-    sens = shadow.evaluate_sensitivity(traj, objective, v)
+    sens = s0 + (problem.functional * v).sum() / traj.span
     j_bar = shadow.time_average(traj, objective)
 
     spectra = {}
@@ -382,16 +389,15 @@ def solve(problem, cfg, spectrum_mode=None):
                     spectra["preconditioned"] = analysis.preconditioned_spectrum(
                         s_dense, pc, label="preconditioned")
             else:
+                def schur(x):
+                    return shadow.schur_apply(traj, scratch,
+                                              x.reshape(traj.n_segments, -1))
                 spectra["raw"] = analysis.spectrum(
-                    lambda x: shadow.schur_apply(
-                        traj, scratch, x.reshape(traj.n_segments, -1)
-                    ).reshape(-1),
+                    lambda x: schur(x).reshape(-1),
                     nk, mode="lanczos-extremes", label="raw")
                 if pc is not None:
                     spectra["preconditioned"] = analysis.spectrum(
-                        lambda x: pc.apply(shadow.schur_apply(
-                            traj, scratch, x.reshape(traj.n_segments, -1)
-                        )).reshape(-1),
+                        lambda x: pc.apply(schur(x)).reshape(-1),
                         nk, mode="lanczos-extremes", label="preconditioned")
         if cfg.picard or cfg.truncated_sweep:
             svd = np.linalg.svd(a, full_matrices=False)
@@ -402,7 +408,8 @@ def solve(problem, cfg, spectrum_mode=None):
                     np.linspace(1, nk, min(nk, 40)).astype(int).tolist()
                 ))
                 truncated = analysis.sensitivity_vs_rank(
-                    traj, objective, a, b, ranks, svd=svd)
+                    traj, objective, a, b, ranks, svd=svd,
+                    functional=(problem.functional, s0))
 
     return RunResult(
         config=cfg, trajectory=traj, rhs=b, multipliers=w, checkpoints=v,
@@ -591,6 +598,11 @@ _AXES = {
 }
 
 
+# the merged sweep table's columns after the axis value
+_SWEEP_COLUMNS = ("sensitivity", "iterations", "converged", "precond_cost",
+                  "solve_cost", "error")
+
+
 def _sweep_point(args):
     cfg, axis, value = args
     key, kind = _AXES[axis]
@@ -609,6 +621,15 @@ def _sweep_point(args):
     }
 
 
+def _sweep_row(value, outcome):
+    """The row of one sweep point: outcome(), or the error it raises."""
+    try:
+        return outcome()
+    except ShadowingError as exc:
+        return {"value": value, **dict.fromkeys(_SWEEP_COLUMNS, ""),
+                "error": str(exc)}
+
+
 def sweep(cfg, axis, values):
     """Run the pipeline once per axis value and merge the summaries.
 
@@ -618,44 +639,24 @@ def sweep(cfg, axis, values):
     if axis not in _AXES:
         raise ConfigError(
             f"unknown sweep axis {axis!r}; expected one of {sorted(_AXES)}")
-    if axis in ("c",) and cfg.model != "ks":
-        raise ConfigError("axis 'c' applies to the ks model only")
-    if axis in ("rho",) and cfg.model != "lorenz":
-        raise ConfigError("axis 'rho' applies to the lorenz model only")
-    if axis == "N" and cfg.model != "ks":
-        raise ConfigError("axis 'N' applies to the ks model only")
+    model = {"c": "ks", "N": "ks", "rho": "lorenz"}.get(axis, cfg.model)
+    if cfg.model != model:
+        raise ConfigError(f"axis {axis!r} applies to the {model} model only")
     jobs = [(cfg, axis, float(v)) for v in values]
-    rows = []
     if cfg.workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             futures = [pool.submit(_sweep_point, job) for job in jobs]
-            for job, fut in zip(jobs, futures):
-                try:
-                    rows.append(fut.result())
-                except ShadowingError as exc:
-                    rows.append({"value": job[2], "sensitivity": "",
-                                 "iterations": "", "converged": "",
-                                 "precond_cost": "", "solve_cost": "",
-                                 "error": str(exc)})
+            rows = [_sweep_row(job[2], fut.result)
+                    for job, fut in zip(jobs, futures)]
     else:
-        for job in jobs:
-            try:
-                rows.append(_sweep_point(job))
-            except ShadowingError as exc:
-                rows.append({"value": job[2], "sensitivity": "",
-                             "iterations": "", "converged": "",
-                             "precond_cost": "", "solve_cost": "",
-                             "error": str(exc)})
+        rows = [_sweep_row(job[2], lambda job=job: _sweep_point(job))
+                for job in jobs]
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    header = [axis, "sensitivity", "iterations", "converged",
-              "precond_cost", "solve_cost", "error"]
     analysis.write_csv(
-        out / f"{cfg.name}_sweep_{axis}.csv", header,
-        [[row["value"], row["sensitivity"], row["iterations"],
-          row["converged"], row["precond_cost"], row["solve_cost"],
-          row["error"]] for row in rows],
+        out / f"{cfg.name}_sweep_{axis}.csv", [axis, *_SWEEP_COLUMNS],
+        [[row["value"], *(row[c] for c in _SWEEP_COLUMNS)] for row in rows],
     )
     return rows
 
@@ -699,10 +700,8 @@ def main(argv=None):
     try:
         cfg = load_config(args.config, args.overrides)
         if args.command in ("run", "spectrum", "picard"):
-            if args.command == "spectrum":
-                cfg = replace(cfg, spectrum=True)
-            elif args.command == "picard":
-                cfg = replace(cfg, picard=True)
+            if args.command != "run":
+                cfg = replace(cfg, **{args.command: True})
             result = run_experiment(cfg)
             print(f"sensitivity = {result.sensitivity:.12g}")
             print(f"iterations = {result.report.iterations}"

@@ -41,13 +41,32 @@ class TestLanczosPartialSVD:
             lambda x: d * x, lambda x: d * x, 8, retained=3, cycles=2,
             rng=np.random.default_rng(8))
         assert restarts == 6
-        kept, vecs = precond._clamp(vals, left, 3)
-        pc = precond.BlockDiagPreconditioner(
-            [precond.SegmentSVD(0, vecs, kept, 2)], 3, 2, restarts)
+        arrays = precond._clamp(left[None], vals[None], 3)
+        pc = precond.BlockDiagPreconditioner(*arrays, 3, 2, restarts)
         assert (pc.clamped_modes, pc.restarts) == (1, 6)
         pc.save(tmp_path / "pc.bin")
         loaded = precond.BlockDiagPreconditioner.load(tmp_path / "pc.bin")
         assert (loaded.clamped_modes, loaded.restarts) == (1, None)
+
+    def test_breakdown_raises_after_three_restarts(self):
+        # every draw is e_0, the start vector itself: the first adjoint
+        # step breaks down and each random restart lies in the basis
+        # span, so the third degenerate one raises
+        class SpanRng:
+            draws = 0
+
+            def standard_normal(self, shape):
+                self.draws += 1
+                out = np.zeros(shape)
+                out[..., 0] = 1.0
+                return out
+
+        d = np.array([3.0, 1.0, 0.0, 0.0])
+        rng = SpanRng()
+        with pytest.raises(ms.BreakdownError, match="3 random restarts"):
+            precond.lanczos_partial_svd(lambda x: d * x, lambda x: d * x, 4,
+                                        retained=1, cycles=1, rng=rng)
+        assert rng.draws == 1 + 3
 
     def test_lorenz_segment_matches_dense(self, lorenz_traj):
         led = ms.CostLedger()
@@ -145,12 +164,11 @@ class TestBlockDiagPreconditioner:
         # the loop's (matrix product against padded columns, not BLAS
         # dot), so that preconditioner agrees to round-off, the
         # unclamped one exactly
-        blocks = list(pc.blocks)
+        left, values, kept = pc._left.copy(), pc._values.copy(), pc.kept.copy()
         for i, keep in ((1, 1), (2, 0)):
-            blk = blocks[i]
-            blocks[i] = ms.SegmentSVD(i, blk.left[:, :keep].copy(),
-                                      blk.values[:keep].copy(), blk.cycles)
-        clamped = ms.BlockDiagPreconditioner(blocks, pc.retained, pc.cycles)
+            left[i, :, keep:], values[i, keep:], kept[i] = 0.0, 1.0, keep
+        clamped = ms.BlockDiagPreconditioner(left, values, kept, pc.retained,
+                                             pc.cycles)
         z = np.random.default_rng(13).standard_normal((ks_traj.n_segments, 31))
         for p, tol in ((pc, 0.0), (clamped, 31 * np.finfo(float).eps)):
             for name, coeff in (("apply", lambda s: s**-2 - 1.0),
@@ -178,6 +196,29 @@ class TestBlockDiagPreconditioner:
     def test_block_count_checked(self, pc):
         with pytest.raises(ms.DimensionMismatch):
             pc.apply(np.zeros((2, 31)))
+
+    @pytest.mark.parametrize("case, message", [
+        ("not_orthonormal", "not orthonormal"),
+        ("ascending", "positive descending"),
+    ])
+    def test_batched_build_validates(self, lorenz_traj, monkeypatch, case,
+                                     message):
+        # the array build rejects what SegmentSVD rejects: here the
+        # partial SVD of segment 2 is replaced by a bad one
+        k = lorenz_traj.n_segments
+        values = np.tile([2.0, 1.0, 0.5], (k, 1))
+        left = np.tile(np.eye(3), (k, 1, 1))
+        if case == "not_orthonormal":
+            left[2, :, 1] = left[2, :, 0]
+        else:
+            values[2] = [0.5, 1.0, 2.0]
+
+        def bad_svd(fwd, adj, segments, dim, subspace, cycles, rng):
+            return values, left, 0
+
+        monkeypatch.setattr(precond, "_batched_partial_svd", bad_svd)
+        with pytest.raises(ValueError, match=message):
+            ms.build_preconditioner(lorenz_traj, ms.CostLedger(), 2, 1)
 
     def test_segment_svd_validates(self):
         bad = np.ones((4, 2)) / 2.0

@@ -271,8 +271,12 @@ class TestBatchedSensitivity:
 
         monkeypatch.setattr(ms.CostLedger, "charge_forward", charged)
         monkeypatch.setattr(ms.CostLedger, "charge_adjoint", charged)
-        weights, s0 = shadow.sensitivity_functional(traj, objective)
+        weights = shadow.sensitivity_functional(traj, objective)
         monkeypatch.undo()
+        # s0 comes with the right-hand side, from the same forced sweep
+        led = ms.CostLedger()
+        b, s0 = ms.assemble_rhs(traj, led, objective)
+        assert np.array_equal(b, ms.assemble_rhs(traj, led))
         assert weights.shape == (traj.n_segments + 1, traj.system.dim)
         assert (weights[-1] == 0.0).all()
         functional = s0 + (stacks * weights).sum(axis=(1, 2)) / traj.span

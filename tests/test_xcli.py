@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import msshadow as ms
-from msshadow import shadow, xcli
+from msshadow import shadow, timestep, xcli
 from msshadow.errors import ConfigError, DivergenceError
 
 LORENZ_INI = """\
@@ -328,7 +328,7 @@ class TestRunExperiment:
 # every ExperimentConfig field that does not fix the trajectory; a new
 # field must join this set or xcli.TRAJECTORY_FIELDS
 SOLVE_ONLY_FIELDS = {
-    "name", "output_dir", "workers", "objective", "gamma", "mode", "tol",
+    "name", "output_dir", "workers", "gamma", "mode", "tol",
     "max_iter", "pc_enabled", "rank", "cycles", "spectrum", "picard",
     "truncated_sweep", "dense_cap",
 }
@@ -379,6 +379,40 @@ class TestKeptProblem:
                 assert np.array_equal(got[name], want[name]), name
             else:
                 assert got[name] == want[name], name
+
+    def test_warm_request_sweeps_only_the_rhs(self, lorenz_ini, monkeypatch):
+        # the sensitivity functional is kept with the trajectory and the
+        # zero stack's sensitivity comes with the rhs: a cold request
+        # sweeps for the matrices, the functional (adjoint) and the rhs
+        # (forced), a warm one for the rhs alone; both agree with the
+        # forward-sweep reference to round-off
+        steps = {}
+        tangent, adjoint = timestep.tangent_step_at, timestep.adjoint_step_at
+
+        def tangent_spy(*args, forcing=False):
+            kind = "forced" if forcing else "tangent"
+            steps[kind] = steps.get(kind, 0) + 1
+            return tangent(*args, forcing=forcing)
+
+        def adjoint_spy(*args):
+            steps["adjoint"] = steps.get("adjoint", 0) + 1
+            return adjoint(*args)
+
+        monkeypatch.setattr(timestep, "tangent_step_at", tangent_spy)
+        monkeypatch.setattr(timestep, "adjoint_step_at", adjoint_spy)
+        cfg = xcli.load_config(lorenz_ini)
+        stride = cfg.stride
+        for reused, expected in ((False, {"tangent": stride, "adjoint": stride,
+                                          "forced": stride}),
+                                 (True, {"forced": stride})):
+            steps.clear()
+            result = xcli.run_pipeline(cfg)
+            assert result.trajectory_reused == reused
+            assert steps == expected
+        monkeypatch.undo()
+        traj = result.trajectory
+        ref = ms.evaluate_sensitivity(traj, ms.LorenzZ(), result.checkpoints)
+        assert abs(result.sensitivity - ref) <= 1e-13 * abs(ref)
 
     @pytest.mark.parametrize("field, value", [
         ("model", "ks"), ("sigma", 10.5), ("rho", 29.0), ("beta", 2.5),
