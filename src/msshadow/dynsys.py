@@ -4,7 +4,10 @@ Every system exposes the right-hand side f(u, s) of du/dt = f(u, s),
 its Jacobian action and exact transpose, and the derivative of f with
 respect to the single control parameter s.  All operations accept
 arrays of shape (..., N) and act on the last axis, so they can be
-applied to a whole batch of states at once.
+applied to a whole batch of states at once.  The exception is the
+Kuramoto-Sivashinsky kernel behind ``rk4_stepper`` and
+``tangent_columns``, which works on axis 0 of preallocated buffers so
+that every stencil shift is one contiguous block.
 """
 
 import math
@@ -229,6 +232,90 @@ class KuramotoSivashinsky(DynamicalSystem):
     def param_deriv(self, u):
         _check_dim(self, u)
         return -self._d1(u)
+
+    # The kernel repeats the arithmetic of rhs, jacobian_apply and the RK4
+    # loops element for element, on axis 0 of buffers allocated once per
+    # call; forming -D1 q as (q[1:-3] - q[3:-1]) / (2 dx) can change only the
+    # sign of an exact zero.  Ufuncs get out positionally and constants as
+    # 0-d arrays, which NumPy dispatches fastest.
+
+    def _rk4_kernel(self, h, shape, flux):
+        """step(u, x): one RK4 step, in place, of u (N,) + shape along axis
+        0.  Each stage input is written into the zero-bordered buffer p
+        (N + 4,) + shape with mirrored ghost rows; flux(x, i, p, q) fills
+        q for stage i, and the stage derivative is -D1 q - (D2 + D4) p."""
+        n = self.dim
+        p = np.zeros((n + 4,) + shape)
+        q = np.zeros_like(p)
+        k, acc, t1, t2 = (np.empty((n,) + shape) for _ in range(4))
+        a4, b24, c24, dx2, hh, hf, h6, two = map(np.array, (
+            self._a4, self._b24, self._c24, 2.0 * self.dx,
+            0.5 * h, h, h / 6.0, 2.0))
+        inner, p4, p0, p3, p1 = p[2:-2], p[4:], p[:-4], p[3:-1], p[1:-3]
+        q1, q3 = q[1:-3], q[3:-1]
+        add, mul, sub = np.add, np.multiply, np.subtract
+
+        def deriv(x, i, out):
+            p[0], p[-1] = p[2], p[-3]
+            flux(x, i, p, q)
+            add(p4, p0, t1)
+            mul(t1, a4, t1)
+            add(p3, p1, t2)
+            mul(t2, b24, t2)
+            add(t1, t2, t1)
+            mul(inner, c24, t2)
+            add(t1, t2, t1)
+            sub(q1, q3, out)
+            np.divide(out, dx2, out)
+            sub(out, t1, out)
+
+        def step(u, x=None):
+            np.copyto(inner, u)
+            deriv(x, 0, acc)
+            mul(acc, hh, inner)
+            add(inner, u, inner)
+            deriv(x, 1, k)
+            for i, w in ((2, hh), (3, hf)):
+                mul(k, w, inner)
+                add(inner, u, inner)
+                mul(k, two, k)
+                add(acc, k, acc)
+                deriv(x, i, k)
+            add(acc, k, acc)
+            mul(acc, h6, acc)
+            add(u, acc, u)
+
+        return step
+
+    def rk4_stepper(self, h):
+        """The in-place RK4 step of one state (N,) through the kernel, for
+        the single-state path of ``timestep._rk4``."""
+        cp = np.empty(self.dim + 4)
+        half, c = np.array(0.5), np.array(self.c)
+
+        def flux(x, i, p, q):
+            np.multiply(p, half, q)
+            np.multiply(q, p, q)
+            np.multiply(p, c, cp)
+            np.add(q, cp, q)
+
+        return self._rk4_kernel(h, (), flux)
+
+    def tangent_columns(self, h, u, s2, s3, s4):
+        """The discrete tangent propagator (N, N) across the steps whose
+        RK4 stage states are the rows of u, s2, s3, s4 (m, N): the N unit
+        columns swept through the kernel as one block, each stage state
+        broadcast across it.  Column c equals timestep.tangent_step_at's
+        sweep of the row e_c."""
+        n = self.dim
+        pc = self._pad(np.stack((u, s2, s3, s4), axis=1))[..., None]
+        pc += self.c
+        step = self._rk4_kernel(h, (n,),
+                                lambda x, i, p, q: np.multiply(x[i], p, q))
+        v = np.eye(n)
+        for x in pc:
+            step(v, x)
+        return v
 
 
 class Objective:

@@ -17,14 +17,21 @@ and is never assembled.
 
 A product with Phi_i or its transpose is a tangent or adjoint sweep
 across the segment.  A trajectory may instead keep its projected
-propagators as (N, N) matrices, built from batched sweeps of the unit
-directions, and serve products as matrix products.  It builds them at
+propagators as (N, N) matrices, built from sweeps of the unit
+directions, and serve products as matrix products.  A system with a
+``tangent_columns`` kernel (Kuramoto-Sivashinsky) builds them one
+segment at a time: the segment's N unit columns are swept as one
+block, the segment's stage states broadcast across it, and the
+propagator is then projected off the flow.  Any other system sweeps the
+unit rows of all segments together, in batches.  The segments are
+independent, as in the paper's time-parallel preconditioner; the two
+builds give the same matrices bit for bit.  A trajectory builds them at
 its first product when all N * N * K entries fit _MATRIX_BUDGET (2 MB):
 the build costs under N products per segment of wall time, which the
 preconditioner (2q(l+2) per segment) and CG (2 per iteration) spend
 several times over.  Past the budget it stays matrix-free for its whole
 life, the paper's route for systems whose matrices do not fit in
-memory.  The two ways agree to round-off.
+memory.  Matrix and matrix-free products agree to round-off.
 
 Segment indices are 0-based throughout: segment i spans
 [t_i, t_{i+1}] and its propagator/adjoint pair is charged to the cost
@@ -104,9 +111,30 @@ def _build_propagators(traj):
     """Projected propagators of all segments as a (K, N, N) array.
 
     Column c of matrix i is the projected sweep of the unit vector e_c
-    across segment i; the columns are swept in batches of at most
-    _BUILD_BATCH elements.
+    across segment i.  A system with a ``tangent_columns`` kernel sweeps
+    each segment's N columns as one block; any other goes through
+    _row_propagators.
     """
+    columns = getattr(traj.system, "tangent_columns", None)
+    if columns is None:
+        return _row_propagators(traj)
+    n, k, stride = traj.system.dim, traj.n_segments, traj.stride
+    s2, s3, s4 = traj.stages()
+    f_end = _endpoint_f(traj, np.arange(k))
+    mats = np.empty((k, n, n))
+    for i in range(k):
+        span = slice(i * stride, (i + 1) * stride)
+        prop = columns(traj.h, traj.states[span], s2[span], s3[span], s4[span])
+        # project each column as a contiguous row, as _row_propagators does
+        mats[i] = project_off_flow(np.broadcast_to(f_end[i], (n, n)),
+                                   prop.T.copy()).T
+    return mats
+
+
+def _row_propagators(traj):
+    """_build_propagators for any system: the N * K unit rows swept by
+    timestep.tangent_sweep_many in batches of at most _BUILD_BATCH
+    elements."""
     n, k = traj.system.dim, traj.n_segments
     mats = np.empty((k, n, n))
     step = max(1, _BUILD_BATCH // (k * n))
@@ -149,13 +177,6 @@ def _matrix_rows(traj, segments, z, adjoint):
     if adjoint:
         return np.matmul(z[..., None, :], mats).reshape(segments.size, n)
     return np.matmul(mats, z[..., None]).reshape(segments.size, n)
-
-
-def products_before_matrices(traj):
-    """Products per segment the trajectory ran matrix-free before its
-    propagator matrices were built: 0, as they are built at the first
-    product, or None when they never were."""
-    return None if traj._propagators is None else 0
 
 
 def _propagate_rows(traj, ledger, segments, z):

@@ -49,19 +49,29 @@ def _rk4(system, u, h, n, states=None, check_every=1, on_step=None):
     check.  A non-finite state raises DivergenceError; the check runs
     every ``check_every`` steps and after the last one.  Systems with a
     ``rk4_scalar`` method take single states (N,) without ``on_step``
-    through it, with the same arithmetic in plain floats.
+    through it, with the same arithmetic in plain floats; systems with a
+    ``rk4_stepper`` method step single states with the in-place step it
+    returns, the same arithmetic on preallocated buffers.
     """
     scalar = getattr(system, "rk4_scalar", None)
     if scalar is not None and u.ndim == 1 and on_step is None:
         return scalar(u, h, n, states, check_every)
+    if u.shape[-1] != system.dim:
+        raise DimensionMismatch(f"expected trailing dimension {system.dim}")
     u = u.copy()
+
+    def step(u):
+        k1 = system.rhs(u)
+        k2 = system.rhs(u + 0.5 * h * k1)
+        k3 = system.rhs(u + 0.5 * h * k2)
+        k4 = system.rhs(u + h * k3)
+        u += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    if u.ndim == 1 and hasattr(system, "rk4_stepper"):
+        step = system.rk4_stepper(h)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n):
-            k1 = system.rhs(u)
-            k2 = system.rhs(u + 0.5 * h * k1)
-            k3 = system.rhs(u + 0.5 * h * k2)
-            k4 = system.rhs(u + h * k3)
-            u += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            step(u)
             if states is not None:
                 states[j + 1] = u
             if j % check_every == 0 and not np.isfinite(u).all():

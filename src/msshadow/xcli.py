@@ -280,13 +280,16 @@ class Problem:
     functional (shadow.sensitivity_functional).
 
     ``prepare_s`` is the wall time prepare spent on it for this request,
-    0 when it was ``reused`` from the kept one.
+    0 when it was ``reused`` from the kept one; ``prepare_parts`` splits
+    it into the wall time of the spin-up, the stored integration with
+    its stages, the matrix build and the functional, all 0 when reused.
     """
 
     trajectory: object
     objective: object
     functional: np.ndarray
     prepare_s: float
+    prepare_parts: dict
     reused: bool = False
 
 
@@ -311,21 +314,31 @@ def prepare(cfg):
     global _kept
     key = tuple(getattr(cfg, name) for name in TRAJECTORY_FIELDS)
     if _kept is not None and _kept[0] == key:
-        return replace(_kept[1], prepare_s=0.0, reused=True)
+        parts = dict.fromkeys(_kept[1].prepare_parts, 0.0)
+        return replace(_kept[1], prepare_s=0.0, prepare_parts=parts,
+                       reused=True)
     drop_problem()
     t0 = time.perf_counter()
     system = build_system(cfg)
     u0 = initial_state(cfg, _rng(cfg, 0))
+    parts = {}
+    t = time.perf_counter()
     if cfg.spin_up > 0:
         u0 = timestep.advance(system, u0, -cfg.spin_up, 0.0, cfg.step)
+    parts["spin_up_s"], t = time.perf_counter() - t, time.perf_counter()
     traj = timestep.integrate(system, u0, 0.0, cfg.window, cfg.step,
                               stride=cfg.stride)
     traj.stages()
+    parts["integrate_s"], t = time.perf_counter() - t, time.perf_counter()
     shadow.build_matrices(traj)
+    parts["matrices_s"], t = time.perf_counter() - t, time.perf_counter()
     objective = build_objective(cfg, system)
+    functional = shadow.sensitivity_functional(traj, objective)
+    parts["functional_s"] = time.perf_counter() - t
     problem = Problem(trajectory=traj, objective=objective,
-                      functional=shadow.sensitivity_functional(traj, objective),
-                      prepare_s=time.perf_counter() - t0)
+                      functional=functional,
+                      prepare_s=time.perf_counter() - t0,
+                      prepare_parts=parts)
     _kept = (key, problem)
     return problem
 
@@ -432,7 +445,6 @@ def summarize(result):
     predicted = precond.predict_costs(
         cfg.n_segments, cfg.cycles if cfg.pc_enabled else 0,
         cfg.rank, result.report.iterations)
-    before = shadow.products_before_matrices(result.trajectory)
     pc = result.preconditioner
     rows = [
         ("model", cfg.model),
@@ -459,8 +471,7 @@ def summarize(result):
         ("solve_cost", result.solve_cost),
         ("predicted_precond_cost", predicted[0] if cfg.pc_enabled else 0),
         ("predicted_solve_cost", predicted[1]),
-        ("products_per_segment_before_matrices",
-         "" if before is None else f"{before:.17g}"),
+        ("propagator_matrices", result.trajectory._propagators is not None),
         ("lanczos_restarts", "" if pc is None else pc.restarts),
         ("clamped_modes", "" if pc is None else pc.clamped_modes),
         ("trajectory_reused", result.trajectory_reused),

@@ -334,7 +334,6 @@ class TestPropagatorMatrices:
         for _ in range(calls):
             swept = ms.schur_apply(traj, led, w)
             assert traj._propagators is None
-        assert shadow.products_before_matrices(traj) is None
         assert led.snapshot() == (calls * k, calls * k)
         np.testing.assert_allclose(dense, swept, rtol=0,
                                    atol=1e-12 * np.abs(swept).max())
@@ -367,7 +366,6 @@ class TestPropagatorMatrices:
         dense = ms.schur_apply(traj, led, w)
         assert sweeps == [("tangent", n * k)]
         assert traj._propagators is not None
-        assert shadow.products_before_matrices(traj) == 0
         assert led.snapshot() == (k, k)
 
         monkeypatch.setattr(shadow, "_MATRIX_BUDGET", n * n * k - 1)
@@ -378,9 +376,9 @@ class TestPropagatorMatrices:
                                    atol=1e-12 * np.abs(swept).max())
 
     def test_ks_within_budget_builds_at_first_product(self, monkeypatch):
-        # N * N * K = 63 * 63 * 10 needs several build batches but fits
-        # _MATRIX_BUDGET, so the first Schur product builds the matrices
-        # and no product is ever swept
+        # N * N * K = 63 * 63 * 10 fits _MATRIX_BUDGET, so the first Schur
+        # product builds the matrices, one column block per segment, and
+        # no product is ever swept
         ks = ms.KuramotoSivashinsky(n=63, length=64.0, c=0.5)
         u0 = np.random.default_rng(4).uniform(0.0, 1.0, 63)
         traj = ms.integrate(ks, u0, 0.0, 2.0, 0.02, stride=10)
@@ -392,13 +390,20 @@ class TestPropagatorMatrices:
             swept = ms.schur_apply(traj, ms.CostLedger(), w)
         assert traj._propagators is None
         sweeps = _spy_sweeps(monkeypatch)
+        blocks = []
+        columns = ks.tangent_columns
+
+        def columns_spy(h, u, *stages):
+            blocks.append(len(u))
+            return columns(h, u, *stages)
+
+        monkeypatch.setattr(ks, "tangent_columns", columns_spy)
         led = ms.CostLedger()
         dense = ms.schur_apply(traj, led, w)
         assert traj._propagators is not None
         assert led.snapshot() == (k, k)
-        step = shadow._BUILD_BATCH // (k * n)
-        assert sweeps == [("tangent", k * min(step, n - c0))
-                          for c0 in range(0, n, step)]
+        assert sweeps == []
+        assert blocks == [traj.stride] * k
         np.testing.assert_allclose(dense, swept, rtol=0,
                                    atol=1e-12 * np.abs(swept).max())
 
@@ -427,9 +432,21 @@ class TestPropagatorMatrices:
     def test_build_in_batches_is_exact(self, ks_traj, monkeypatch):
         # sweeping the unit directions one column per batch gives the
         # same matrices as one batch of all of them
-        whole = shadow._build_propagators(ks_traj)
+        whole = shadow._row_propagators(ks_traj)
         monkeypatch.setattr(shadow, "_BUILD_BATCH", 1)
-        assert np.array_equal(shadow._build_propagators(ks_traj), whole)
+        assert np.array_equal(shadow._row_propagators(ks_traj), whole)
+
+    def test_column_build_equals_row_build(self, ks_traj):
+        # the KS column kernel gives the row-batched build's matrices bit
+        # for bit, in one batch (ks_traj) and in several (N * N * K above
+        # _BUILD_BATCH)
+        ks = ms.KuramotoSivashinsky(n=63, length=64.0, c=0.5)
+        u0 = np.random.default_rng(4).uniform(0.0, 1.0, 63)
+        big = ms.integrate(ks, u0, 0.0, 2.0, 0.02, stride=10)
+        assert 63 * 63 * big.n_segments > shadow._BUILD_BATCH
+        for traj in (ks_traj, big):
+            assert np.array_equal(shadow._build_propagators(traj),
+                                  shadow._row_propagators(traj))
 
 
 class TestCostLedger:

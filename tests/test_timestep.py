@@ -77,24 +77,31 @@ class TestIntegrate:
             ms.integrate(Quadratic(), np.array([1.0]), 0.0, 2.0, 0.01)
         assert 0 < err.value.step <= 200
 
-    def test_lorenz_scalar_path_matches_array_loop(self):
-        # a single Lorenz state takes the plain-float path, a batch of one
-        # row the array loop, which is the reference: equal bit for bit,
-        # and a blow-up is reported at the same step
-        system = ms.Lorenz(rho=40.0)
-        u0 = np.array([1.0, 1.0, 1.001])
-        single = ms.advance(system, u0, 0.0, 5.0, 0.002)
-        batch = ms.advance(system, u0[None, :], 0.0, 5.0, 0.002)
+    @pytest.mark.parametrize("system, u0, h", [
+        (ms.Lorenz(rho=40.0), np.array([1.0, 1.0, 1.001]), 0.002),
+        (ms.KuramotoSivashinsky(n=31, length=32.0, c=0.5),
+         np.random.default_rng(4).uniform(0.0, 1.0, 31), 0.02),
+    ], ids=["lorenz", "ks"])
+    def test_single_state_path_matches_array_loop(self, system, u0, h):
+        # a single state takes the system's own path (plain floats for
+        # Lorenz, the axis-0 stencil kernel for KS), a batch of one row
+        # the array loop, which is the reference: equal bit for bit, and a
+        # blow-up from a large state is reported at the same, later step
+        single = ms.advance(system, u0, 0.0, 5.0, h)
+        batch = ms.advance(system, u0[None, :], 0.0, 5.0, h)
         assert np.array_equal(single, batch[0])
-        traj = ms.integrate(system, u0, 0.0, 5.0, 0.002)
-        assert np.array_equal(traj.states[-1], single)
-        huge = np.full(3, 1e120)
+        traj = ms.integrate(system, u0, 0.0, 5.0, h)
+        rows = np.empty((traj.n_steps + 1, 1, system.dim))
+        rows[0] = u0
+        timestep._rk4(system, u0[None, :], h, traj.n_steps, states=rows)
+        assert np.array_equal(traj.states, rows[:, 0])
+        large = np.full(system.dim, 1e3)
         steps = []
-        for start in (huge, huge[None, :]):
+        for start in (large, large[None, :]):
             with pytest.raises(DivergenceError) as err:
                 ms.advance(system, start, 0.0, 1.0, 0.01, check_every=1)
             steps.append(err.value.step)
-        assert steps[0] == steps[1]
+        assert steps[0] == steps[1] > 1
 
     def test_span_must_be_step_multiple(self):
         with pytest.raises(ValueError):

@@ -219,22 +219,20 @@ class TestRunExperiment:
         assert int(summary["solve_cost"]) == int(summary["predicted_solve_cost"])
         assert summary["converged"] == "True"
 
-    def test_summary_reports_products_before_matrices(self, lorenz_ini,
-                                                      monkeypatch):
+    def test_summary_reports_propagator_matrices(self, lorenz_ini,
+                                                 monkeypatch):
         # a Lorenz trajectory builds its propagator matrices at its first
         # product; a KS one whose matrices exceed the memory budget never
         # does, and solves end to end on matrix-free sweeps
         result = xcli.run_pipeline(xcli.load_config(lorenz_ini))
-        assert dict(xcli.summarize(result))[
-            "products_per_segment_before_matrices"] == "0"
+        assert dict(xcli.summarize(result))["propagator_matrices"] is True
         cfg = xcli.ExperimentConfig(
             model="ks", n=63, length=64.0, c=0.5, spin_up=2.0, window=2.0,
             segment=0.2, step=0.02, rank=2, cycles=1, max_iter=20)
         monkeypatch.setattr(shadow, "_MATRIX_BUDGET", 63 * 63 * 10 - 1)
         result = xcli.run_pipeline(cfg)
         assert result.trajectory._propagators is None
-        assert dict(xcli.summarize(result))[
-            "products_per_segment_before_matrices"] == ""
+        assert dict(xcli.summarize(result))["propagator_matrices"] is False
 
     def test_summary_reports_numerical_health(self, lorenz_ini):
         # projected off the flow, a Lorenz propagator has rank N - 1 = 2,
@@ -434,6 +432,19 @@ class TestKeptProblem:
         with pytest.raises(AssertionError, match="integration started"):
             xcli.prepare(changed)
         assert xcli._kept is None
+
+    def test_prepare_parts(self, lorenz_ini):
+        # a cold prepare splits its wall time into its four parts; a
+        # reused Problem reads 0 in every part
+        cfg = xcli.load_config(lorenz_ini)
+        cold = xcli.prepare(cfg)
+        parts = ["spin_up_s", "integrate_s", "matrices_s", "functional_s"]
+        assert list(cold.prepare_parts) == parts
+        assert all(t > 0.0 for t in cold.prepare_parts.values())
+        assert sum(cold.prepare_parts.values()) <= cold.prepare_s
+        warm = xcli.prepare(cfg)
+        assert warm.reused and warm.prepare_s == 0.0
+        assert warm.prepare_parts == dict.fromkeys(parts, 0.0)
 
     def test_divergence_keeps_no_problem(self, lorenz_ini):
         cfg = xcli.load_config(lorenz_ini)
