@@ -1,11 +1,12 @@
 """Dense oracles and conditioning diagnostics for small instances.
 
-Everything here exists to *study* the matrix-free operators: assemble
-the constraint matrix column by column, look at full spectra and
-singular value distributions, and evaluate truncated-SVD solutions.
-Dense paths are gated by a size cap; large instances only get extreme
-eigenvalue estimates.  Those use SciPy's ARPACK, the one SciPy user in
-msshadow, imported on first use; everything else needs NumPy only.
+Everything here exists to *study* the matrix-free operators: place
+the constraint matrix from the segment propagator matrices, look at
+full spectra and singular value distributions, and evaluate
+truncated-SVD solutions.  Dense matrices are made under a size cap;
+large instances only get extreme eigenvalue estimates.  Those use
+SciPy's ARPACK, the one SciPy user in msshadow, imported on first use;
+everything else needs NumPy only.
 """
 
 import csv
@@ -27,34 +28,22 @@ def _check_cap(size, cap):
 
 
 def dense_constraint_matrix(traj, ledger, cap=DENSE_CAP):
-    """Assemble the constraint operator column by column.
-
-    Shape (N*K, N*(K+1)); exactly N*(K+1) operator applications.
+    """The constraint operator as a dense (N*K, N*(K+1)) matrix: row
+    block i is [-Phi_i, I] at column blocks i and i+1, placed from
+    shadow.segment_propagators.  Charged N*K forward products, one per
+    unit column per segment, what a build past the memory budget sweeps.
     """
     n = traj.system.dim
     k = traj.n_segments
     _check_cap(n * k, cap)
-    cols = n * (k + 1)
-    a = np.empty((n * k, cols))
-    unit = np.zeros((k + 1, n))
-    flat = unit.reshape(-1)
-    for c in range(cols):
-        flat[c] = 1.0
-        a[:, c] = shadow.constraint_apply(traj, ledger, unit).reshape(-1)
-        flat[c] = 0.0
+    mats = shadow.segment_propagators(traj)
+    ledger.charge_forward(n * k)
+    a = np.zeros((n * k, n * (k + 1)))
+    blocks = a.reshape(k, n, k + 1, n)
+    seg = np.arange(k)
+    blocks[seg, :, seg, :] = -mats
+    blocks[seg, :, seg + 1, :] = np.eye(n)
     return a
-
-
-def dense_segment_propagator(traj, ledger, segment):
-    """One projected segment propagator as an (N, N) matrix."""
-    n = traj.system.dim
-    mat = np.empty((n, n))
-    unit = np.zeros(n)
-    for c in range(n):
-        unit[c] = 1.0
-        mat[:, c] = shadow.propagate_segment(traj, ledger, segment, unit)
-        unit[c] = 0.0
-    return mat
 
 
 @dataclass
@@ -73,24 +62,16 @@ def spectrum(operator, size, mode="dense", cap=DENSE_CAP, label="", tol=1e-8,
              extremes="both"):
     """Eigenvalues of a symmetric positive definite operator.
 
-    ``operator`` is a dense matrix or a callable on flat vectors.
-    Dense mode symmetrizes ((B + B^T)/2) before the eigensolve and
-    returns the full set.  lanczos-extremes mode estimates
-    (mu_min, mu_max) with matrix-vector products and flags
-    non-convergence instead of raising; ``extremes="max"`` skips the
-    (much slower) smallest-eigenvalue search and reports only mu_max.
+    ``operator`` is a dense matrix, or in lanczos-extremes mode also a
+    callable on flat vectors.  Dense mode symmetrizes ((B + B^T)/2)
+    before the eigensolve and returns the full set.  lanczos-extremes
+    mode estimates (mu_min, mu_max) with matrix-vector products and
+    flags non-convergence instead of raising; ``extremes="max"`` skips
+    the (much slower) smallest-eigenvalue search and reports only mu_max.
     """
     if mode == "dense":
         _check_cap(size, cap)
-        if callable(operator):
-            mat = np.empty((size, size))
-            unit = np.zeros(size)
-            for c in range(size):
-                unit[c] = 1.0
-                mat[:, c] = operator(unit)
-                unit[c] = 0.0
-        else:
-            mat = np.asarray(operator)
+        mat = np.asarray(operator)
         mat = 0.5 * (mat + mat.T)
         eigs = np.linalg.eigvalsh(mat)
         return SpectrumReport(label, eigs, float(eigs[-1] / eigs[0]), "dense")
@@ -126,7 +107,7 @@ def preconditioned_spectrum(s_dense, pc, gamma=0.0, label=""):
     Uses the symmetric similarity M^1/2 S M^1/2, which shares the
     spectrum of M S; the shift adds gamma exactly.
     """
-    msqrt = pc.dense_sqrt() if hasattr(pc, "dense_sqrt") else pc
+    msqrt = pc.dense_sqrt()
     sym = msqrt @ s_dense @ msqrt
     rep = spectrum(sym, s_dense.shape[0], mode="dense", label=label)
     if gamma:
@@ -157,9 +138,8 @@ class PicardTable:
         )
 
 
-def picard_data(a, b, svd=None, cap=DENSE_CAP):
+def picard_data(a, b, svd=None):
     """Picard table of the dense constraint matrix and right-hand side."""
-    _check_cap(a.shape[0], cap)
     u, s, _ = svd if svd is not None else np.linalg.svd(a, full_matrices=False)
     proj = np.abs(u.T @ np.asarray(b).reshape(-1))
     with np.errstate(divide="ignore"):
@@ -167,13 +147,12 @@ def picard_data(a, b, svd=None, cap=DENSE_CAP):
     return PicardTable(s.copy(), proj, coef)
 
 
-def truncated_svd_solution(a, b, rank, svd=None, cap=DENSE_CAP):
+def truncated_svd_solution(a, b, rank, svd=None):
     """Minimal-norm solution restricted to the top ``rank`` singular modes.
 
     Returns a (K+1, N) checkpoint stack; rank may be 0 (zero stack) up
     to the full row count of the dense constraint matrix.
     """
-    _check_cap(a.shape[0], cap)
     if not 0 <= rank <= a.shape[0]:
         raise ValueError(f"rank must be in [0, {a.shape[0]}]")
     k, n = np.asarray(b).shape

@@ -278,12 +278,12 @@ class BlockDiagPreconditioner(_Deflation):
     def _dense(self, diag):
         n = self._left.shape[1]
         k = self.n_segments
+        left = self._left
+        scaled = left * (diag(self._values) - 1.0)[:, None, :]
+        blocks = np.eye(n) + np.matmul(scaled, left.transpose(0, 2, 1))
         out = np.zeros((n * k, n * k))
-        for i, blk in enumerate(self.blocks):
-            block = np.eye(n)
-            if blk.values.size:
-                block += blk.left @ np.diag(diag(blk.values) - 1.0) @ blk.left.T
-            out[i * n : (i + 1) * n, i * n : (i + 1) * n] = block
+        seg = np.arange(k)
+        out.reshape(k, n, k, n)[seg, :, seg, :] = blocks
         return out
 
     def save(self, path):

@@ -32,6 +32,8 @@ preconditioner (2q(l+2) per segment) and CG (2 per iteration) spend
 several times over.  Past the budget it stays matrix-free for its whole
 life, the paper's route for systems whose matrices do not fit in
 memory.  Matrix and matrix-free products agree to round-off.
+segment_propagators hands the matrices out for dense study, kept or,
+past the budget, built for the caller alone.
 
 Segment indices are 0-based throughout: segment i spans
 [t_i, t_{i+1}] and its propagator/adjoint pair is charged to the cost
@@ -157,6 +159,16 @@ def build_matrices(traj):
     if traj._propagators is None and n * n * k <= _MATRIX_BUDGET:
         traj._propagators = _build_propagators(traj)
     return traj._propagators is not None
+
+
+def segment_propagators(traj):
+    """The (K, N, N) projected propagators: the kept matrices, built and
+    kept now if they fit _MATRIX_BUDGET, else built for the caller alone,
+    so a trajectory past the budget stays matrix-free for its products.
+    Charges nothing."""
+    if build_matrices(traj):
+        return traj._propagators
+    return _build_propagators(traj)
 
 
 def _matrix_rows(traj, segments, z, adjoint):

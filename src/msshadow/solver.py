@@ -45,7 +45,8 @@ class SolveReport:
     converged: bool = False
     # relative 2-norms per iteration, first entry 1.0
     residuals: list = field(default_factory=list)         # governing system
-    true_residuals: list = field(default_factory=list)    # unpreconditioned
+    # b - (S + gamma .) w of the regularized operator, without M
+    true_residuals: list = field(default_factory=list)
     ledger_delta: tuple = (0, 0)
 
     def to_csv(self, path):

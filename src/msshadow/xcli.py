@@ -26,7 +26,7 @@ import configparser
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -343,7 +343,7 @@ def prepare(cfg):
     return problem
 
 
-def solve(problem, cfg, spectrum_mode=None):
+def solve(problem, cfg):
     """The ledgered part of a request on a prepared trajectory: rhs,
     optional preconditioner, CG, checkpoint recovery, sensitivity and
     analysis, all redone on every call.  The sensitivity is s0 + <a, v>
@@ -392,10 +392,7 @@ def solve(problem, cfg, spectrum_mode=None):
         if need_dense:
             a = analysis.dense_constraint_matrix(traj, scratch, cap=cfg.dense_cap)
         if cfg.spectrum:
-            mode = spectrum_mode or (
-                "dense" if nk <= cfg.dense_cap else "lanczos-extremes"
-            )
-            if mode == "dense":
+            if nk <= cfg.dense_cap:
                 s_dense = a @ a.T
                 spectra["raw"] = analysis.spectrum(s_dense, nk, label="raw")
                 if pc is not None:
@@ -435,9 +432,9 @@ def solve(problem, cfg, spectrum_mode=None):
     )
 
 
-def run_pipeline(cfg, spectrum_mode=None):
+def run_pipeline(cfg):
     """Execute the full shadowing pipeline for one configuration."""
-    return solve(prepare(cfg), cfg, spectrum_mode)
+    return solve(prepare(cfg), cfg)
 
 
 def summarize(result):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import msshadow as ms
-from msshadow import analysis
+from msshadow import analysis, shadow, timestep
 from msshadow.errors import ShadowingError
 
 
@@ -27,7 +27,7 @@ class TestDenseAssembly:
         # identity blocks above the propagator blocks
         np.testing.assert_array_equal(a[0:3, 3:6], np.eye(3))
         np.testing.assert_array_equal(a[3:6, 6:9], np.eye(3))
-        assert led.forward == 9 * 2  # one propagation per column per segment
+        assert led.forward == 3 * 2  # one propagation per unit column per segment
 
     def test_matches_matrix_free_action(self, lorenz_dense):
         traj, a, _ = lorenz_dense
@@ -50,6 +50,37 @@ class TestDenseAssembly:
         mu = np.linalg.eigvalsh(a @ a.T)
         np.testing.assert_allclose(np.sort(sv**2), mu,
                                    rtol=1e-8, atol=1e-12 * mu[-1])
+
+    @pytest.mark.parametrize("budget", ["kept", "matrix_free"])
+    @pytest.mark.parametrize("model", ["lorenz", "ks"])
+    def test_placement_equals_column_probe(self, model, budget, lorenz28,
+                                           ks_small, monkeypatch):
+        # the placed blocks equal the constraint operator applied to each
+        # unit checkpoint stack, bit for bit, whether the trajectory keeps
+        # its propagator matrices or stays matrix-free past the budget
+        if model == "lorenz":
+            u0 = ms.advance(lorenz28, np.ones(3), -10.0, 0.0, 0.002)
+            traj = ms.integrate(lorenz28, u0, 0.0, 3.0, 0.002, stride=300)
+        else:
+            u0 = np.random.default_rng(3).uniform(0.0, 1.0, 31)
+            traj = ms.integrate(ks_small, u0, 0.0, 8.0, 0.02, stride=100)
+        if budget == "matrix_free":
+            monkeypatch.setattr(shadow, "_MATRIX_BUDGET", 0)
+        n, k = traj.system.dim, traj.n_segments
+        probe = np.empty((n * k, n * (k + 1)))
+        unit = np.zeros((k + 1, n))
+        for c in range(n * (k + 1)):
+            unit.flat[c] = 1.0
+            probe[:, c] = ms.constraint_apply(traj, ms.CostLedger(),
+                                              unit).reshape(-1)
+            unit.flat[c] = 0.0
+        fresh = timestep.Trajectory(traj.system, traj.t_start, traj.h,
+                                    traj.states, traj.fvals, traj.stride)
+        led = ms.CostLedger()
+        a = analysis.dense_constraint_matrix(fresh, led)
+        assert np.array_equal(a, probe)
+        assert led.snapshot() == (n * k, 0)
+        assert (fresh._propagators is None) == (budget == "matrix_free")
 
     def test_cap_enforced(self, lorenz_dense):
         traj, _, _ = lorenz_dense
@@ -121,15 +152,6 @@ class TestSpectrum:
         assert rep.kappa == 1.0
         np.testing.assert_array_equal(rep.eigenvalues, np.ones(7))
 
-    def test_callable_operator(self):
-        rng = np.random.default_rng(1)
-        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        mat = q @ np.diag(np.arange(1.0, 7.0)) @ q.T
-        rep = analysis.spectrum(lambda x: mat @ x, 6, mode="dense")
-        np.testing.assert_allclose(rep.eigenvalues, np.arange(1.0, 7.0),
-                                   rtol=1e-12)
-        assert rep.kappa == pytest.approx(6.0, rel=1e-12)
-
     def test_lanczos_extremes(self):
         rng = np.random.default_rng(2)
         q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
@@ -194,12 +216,9 @@ class TestSegmentSpectrumGap:
                 a = analysis.dense_constraint_matrix(traj, led)
                 sv = np.linalg.svd(a, compute_uv=False)
                 k = traj.n_segments
-                tops = np.sort([
-                    np.linalg.svd(
-                        analysis.dense_segment_propagator(traj, led, i),
-                        compute_uv=False)[0]
-                    for i in range(k)
-                ])[::-1]
+                tops = np.sort(np.linalg.svd(
+                    shadow.segment_propagators(traj),
+                    compute_uv=False)[:, 0])[::-1]
                 rel_gap = np.abs(tops - sv[:k]) / sv[:k]
                 per_rho.append(rel_gap.mean())
             gaps[dt] = np.mean(per_rho)

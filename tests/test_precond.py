@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import msshadow as ms
-from msshadow import analysis, precond
+from msshadow import analysis, precond, shadow
 
 
 class TestLanczosPartialSVD:
@@ -72,7 +72,7 @@ class TestLanczosPartialSVD:
         led = ms.CostLedger()
         blk = ms.partial_svd_segment(lorenz_traj, led, 2, retained=1, cycles=2,
                                      rng=np.random.default_rng(3))
-        phi = analysis.dense_segment_propagator(lorenz_traj, led, 2)
+        phi = shadow.segment_propagators(lorenz_traj)[2]
         ref = np.linalg.svd(phi, compute_uv=False)
         assert blk.values[0] == pytest.approx(ref[0], rel=1e-8)
 
@@ -101,7 +101,7 @@ class TestLanczosPartialSVD:
         led = ms.CostLedger()
         blk = ms.partial_svd_segment(ks_traj, led, 1, retained=3, cycles=6,
                                      rng=np.random.default_rng(6))
-        phi = analysis.dense_segment_propagator(ks_traj, led, 1)
+        phi = shadow.segment_propagators(ks_traj)[1]
         ref = np.linalg.svd(phi, compute_uv=False)
         assert blk.values[0] == pytest.approx(ref[0], rel=1e-8)
         np.testing.assert_allclose(blk.values, ref[:3], rtol=1e-3)
@@ -163,7 +163,8 @@ class TestBlockDiagPreconditioner:
         # narrower block's dot products are summed in another order than
         # the loop's (matrix product against padded columns, not BLAS
         # dot), so that preconditioner agrees to round-off, the
-        # unclamped one exactly
+        # unclamped one exactly; likewise for the dense matrix against
+        # blocks placed one at a time
         left, values, kept = pc._left.copy(), pc._values.copy(), pc.kept.copy()
         for i, keep in ((1, 1), (2, 0)):
             left[i, :, keep:], values[i, keep:], kept[i] = 0.0, 1.0, keep
@@ -181,6 +182,13 @@ class TestBlockDiagPreconditioner:
                                               * (blk.left.T @ z[i]))
                 np.testing.assert_allclose(getattr(p, name)(z), ref, rtol=0,
                                            atol=tol * np.abs(ref).max())
+            n, k = 31, ks_traj.n_segments
+            ref = np.zeros((n * k, n * k))
+            for i, blk in enumerate(p.blocks):
+                ref[i * n:(i + 1) * n, i * n:(i + 1) * n] = np.eye(n) + (
+                    blk.left @ np.diag(blk.values**-2 - 1.0) @ blk.left.T)
+            np.testing.assert_allclose(p.dense(), ref, rtol=0,
+                                       atol=tol * np.abs(ref).max())
         assert np.array_equal(clamped.apply(z)[2], z[2])
 
     def test_save_load_roundtrip(self, pc, tmp_path):
