@@ -1,12 +1,12 @@
 """Dense oracles and conditioning diagnostics for small instances.
 
-Everything here exists to *study* the matrix-free operators: place
-the constraint matrix from the segment propagator matrices, look at
-full spectra and singular value distributions, and evaluate
-truncated-SVD solutions.  Dense matrices are made under a size cap;
-large instances only get extreme eigenvalue estimates.  Those use
-SciPy's ARPACK, the one SciPy user in msshadow, imported on first use;
-everything else needs NumPy only.
+Everything here exists to *study* the matrix-free operators: place the
+constraint matrix A from the segment propagator matrices, and look at
+full spectra, singular values and truncated-SVD curves, the last two
+from one eigendecomposition of S = A A^T.  Dense matrices are made
+under a size cap; large instances only get extreme eigenvalue
+estimates.  Those use SciPy's ARPACK, the one SciPy user in msshadow,
+imported on first use; everything else needs NumPy only.
 """
 
 import csv
@@ -116,6 +116,19 @@ def preconditioned_spectrum(s_dense, pc, gamma=0.0, label=""):
     return rep
 
 
+def constraint_modes(a, s_dense=None):
+    """((U, sigma descending), ascending eigenvalues of S) of the dense
+    constraint matrix from one eigh of S = A A^T (``s_dense`` if given).
+    A has full row rank (its I blocks), so an eigenvalue <= 0 raises.
+    sigma_i's relative error is about eps (sigma_max / sigma_i)^2, the
+    kappa(S) floor of the CG solve on S that the analysis studies."""
+    s_dense = a @ a.T if s_dense is None else s_dense
+    eigs, vecs = np.linalg.eigh(0.5 * (s_dense + s_dense.T))
+    if eigs[0] <= 0.0:
+        raise ShadowingError(f"A A^T is not positive definite: {eigs[0]:.3g}")
+    return (vecs[:, ::-1], np.sqrt(eigs[::-1])), eigs
+
+
 @dataclass
 class PicardTable:
     """Discrete Picard data: singular values, right-hand-side
@@ -139,8 +152,8 @@ class PicardTable:
 
 
 def picard_data(a, b, svd=None):
-    """Picard table of the dense constraint matrix and right-hand side."""
-    u, s, _ = svd if svd is not None else np.linalg.svd(a, full_matrices=False)
+    """Picard table of A and b; ``svd``: any (U, sigma descending, ...)."""
+    u, s = (svd if svd is not None else constraint_modes(a)[0])[:2]
     proj = np.abs(u.T @ np.asarray(b).reshape(-1))
     with np.errstate(divide="ignore"):
         coef = np.where(s > 0, proj / np.where(s > 0, s, 1.0), np.inf)
@@ -167,25 +180,26 @@ def sensitivity_vs_rank(traj, objective, a, b, ranks, svd=None,
     """Sensitivity of the truncated-SVD solution as the rank grows.
 
     Returns a list of (rank, sensitivity) pairs, the data behind the
-    accuracy-vs-rank curve.  The sensitivity is affine in the
-    checkpoint stack, so every rank's value is s0 + <weights, v> / T.
-    ``functional`` is (weights, s0): the trajectory's
-    shadow.sensitivity_functional and the zero stack's sensitivity, as
-    the pipeline keeps them; without it both are computed here.
+    accuracy-vs-rank curve.  With V = A^T U / sigma, rank r's value is
+    s0 + sum_{i<=r} (u_i^T b)(u_i^T A weights) / sigma_i^2 / T, one
+    cumulative sum.  ``svd`` is as for picard_data; ``functional`` is
+    (weights, s0), shadow.sensitivity_functional and the zero stack's
+    sensitivity as the pipeline keeps them, else computed here.
     """
-    if svd is None:
-        svd = np.linalg.svd(a, full_matrices=False)
+    u, s = (svd if svd is not None else constraint_modes(a)[0])[:2]
     ranks = [int(rank) for rank in ranks]
+    if not all(0 <= rank <= s.size for rank in ranks):
+        raise ValueError(f"ranks must be in [0, {s.size}]")
     k, n = np.asarray(b).shape
-    stack = np.empty((len(ranks), k + 1, n))
-    for i, rank in enumerate(ranks):
-        stack[i] = truncated_svd_solution(a, b, rank, svd=svd)
     if functional is None:
         functional = (shadow.sensitivity_functional(traj, objective),
                       shadow.evaluate_sensitivity(traj, objective,
                                                   np.zeros((k + 1, n))))
     weights, s0 = functional
-    return list(zip(ranks, s0 + (stack * weights).sum(axis=(1, 2)) / traj.span))
+    terms = ((u.T @ np.asarray(b).reshape(-1))
+             * (u.T @ (a @ weights.reshape(-1))) / s**2)
+    partial = np.concatenate(([0.0], np.cumsum(terms)))
+    return [(rank, s0 + partial[rank] / traj.span) for rank in ranks]
 
 
 def write_csv(path, header, rows):

@@ -47,6 +47,8 @@ class SolveReport:
     residuals: list = field(default_factory=list)         # governing system
     # b - (S + gamma .) w of the regularized operator, without M
     true_residuals: list = field(default_factory=list)
+    # ||b - S w|| / ||b|| of the raw system at the returned w
+    unregularized_residual: float = 0.0
     ledger_delta: tuple = (0, 0)
 
     def to_csv(self, path):
@@ -77,7 +79,9 @@ def cg_solve(apply_s, rhs, config, ledger=None):
     raw (unregularized, unpreconditioned) SPD action.  Convergence is
     measured on the preconditioned residual when a preconditioner is
     active, on the true residual otherwise; both histories are kept.
-    Non-convergence at max_iter is reported, not raised.
+    Non-convergence at max_iter is reported, not raised.  The raw
+    system's residual b - S w at the end is read off the final r with
+    no product: r + gamma w in pre mode, r + gamma M^{-1} w in post mode.
     """
     operator = _build_operator(apply_s, config)
     pc = config.preconditioner
@@ -123,11 +127,16 @@ def cg_solve(apply_s, rhs, config, ledger=None):
         p = z + beta * p
         rz = rz_new
 
+    if config.mode != "none" and config.gamma != 0.0:
+        shift = (pc.apply_inv(x) if config.mode == "post" and pc is not None
+                 else x)
+        r = r + config.gamma * shift
     report = SolveReport(
         iterations=m,
         converged=converged,
         residuals=governing,
         true_residuals=true_hist,
+        unregularized_residual=float(np.linalg.norm(r)) / r0,
         ledger_delta=ledger.delta(before) if ledger is not None else (0, 0),
     )
     return x, report

@@ -18,7 +18,9 @@ On a key miss the kept Problem is dropped before the next one is
 prepared, so at most one lives at a time.  Like a CostLedger, the keep
 belongs to one process and one thread; worker processes keep their own.
 
-Exit codes: 0 ok, 2 config error, 3 divergence, 4 non-convergence.
+Exit codes: 0 ok, 2 config error, 3 divergence, 4 non-convergence or
+any other library error (a ShadowingError or ValueError), reported as
+one line on stderr.
 """
 
 import argparse
@@ -386,15 +388,17 @@ def solve(problem, cfg):
     nk = system.dim * traj.n_segments
     if cfg.spectrum or cfg.picard or cfg.truncated_sweep:
         scratch = shadow.CostLedger()
-        need_dense = (cfg.picard or cfg.truncated_sweep
-                      or (cfg.spectrum and nk <= cfg.dense_cap))
-        a = None
-        if need_dense:
+        modal = cfg.picard or cfg.truncated_sweep
+        if modal or (cfg.spectrum and nk <= cfg.dense_cap):
             a = analysis.dense_constraint_matrix(traj, scratch, cap=cfg.dense_cap)
+            s_dense = a @ a.T
+        if modal:
+            modes, eigs = analysis.constraint_modes(a, s_dense)
         if cfg.spectrum:
             if nk <= cfg.dense_cap:
-                s_dense = a @ a.T
-                spectra["raw"] = analysis.spectrum(s_dense, nk, label="raw")
+                spectra["raw"] = (analysis.SpectrumReport(
+                    "raw", eigs, float(eigs[-1] / eigs[0])) if modal else
+                    analysis.spectrum(s_dense, nk, label="raw"))
                 if pc is not None:
                     spectra["preconditioned"] = analysis.preconditioned_spectrum(
                         s_dense, pc, label="preconditioned")
@@ -409,17 +413,15 @@ def solve(problem, cfg):
                     spectra["preconditioned"] = analysis.spectrum(
                         lambda x: pc.apply(schur(x)).reshape(-1),
                         nk, mode="lanczos-extremes", label="preconditioned")
-        if cfg.picard or cfg.truncated_sweep:
-            svd = np.linalg.svd(a, full_matrices=False)
-            if cfg.picard:
-                picard_table = analysis.picard_data(a, b, svd=svd)
-            if cfg.truncated_sweep:
-                ranks = sorted(set(
-                    np.linspace(1, nk, min(nk, 40)).astype(int).tolist()
-                ))
-                truncated = analysis.sensitivity_vs_rank(
-                    traj, objective, a, b, ranks, svd=svd,
-                    functional=(problem.functional, s0))
+        if cfg.picard:
+            picard_table = analysis.picard_data(a, b, svd=modes)
+        if cfg.truncated_sweep:
+            ranks = sorted(set(
+                np.linspace(1, nk, min(nk, 40)).astype(int).tolist()
+            ))
+            truncated = analysis.sensitivity_vs_rank(
+                traj, objective, a, b, ranks, svd=modes,
+                functional=(problem.functional, s0))
 
     return RunResult(
         config=cfg, trajectory=traj, rhs=b, multipliers=w, checkpoints=v,
@@ -460,6 +462,8 @@ def summarize(result):
         ("iterations", result.report.iterations),
         ("converged", result.report.converged),
         ("final_residual", f"{result.report.residuals[-1]:.17g}"),
+        ("unregularized_residual",
+         f"{result.report.unregularized_residual:.17g}"),
         ("sensitivity", f"{result.sensitivity:.17g}"),
         ("objective_average", f"{result.j_bar:.17g}"),
         ("forward_products", result.ledger.forward),
@@ -750,7 +754,7 @@ def main(argv=None):
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except ShadowingError as exc:
+    except (ShadowingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK

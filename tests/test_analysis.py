@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import msshadow as ms
-from msshadow import analysis, shadow, timestep
+from msshadow import analysis, shadow, timestep, xcli
 from msshadow.errors import ShadowingError
 
 
@@ -144,6 +144,107 @@ class TestPicard:
         table.to_csv(path)
         header = path.read_text().splitlines()[0]
         assert header == "index,sigma,projection,coefficient"
+
+
+def _groups(sigma, width=1e-8):
+    """Index ranges of the descending sigma that lie within ``width`` of
+    their neighbours: inside one, any orthonormal basis is an SVD."""
+    cuts = np.flatnonzero(np.abs(np.diff(sigma)) > width) + 1
+    return list(zip(np.r_[0, cuts], np.r_[cuts, sigma.size]))
+
+
+@pytest.fixture(scope="module", params=["lorenz", "ks"])
+def modal_case(request, lorenz_dense, ks_traj, ks_small):
+    """(traj, objective, a, b) on the Lorenz fixture and on ks_traj."""
+    if request.param == "lorenz":
+        traj, a, b = lorenz_dense
+        return traj, ms.LorenzZ(), a, b
+    a = analysis.dense_constraint_matrix(ks_traj, ms.CostLedger())
+    return ks_traj, ms.SpatialMean(ks_small), a, ms.assemble_rhs(
+        ks_traj, ms.CostLedger())
+
+
+class TestConstraintModes:
+    def test_sigma_matches_svd(self, modal_case):
+        _, _, a, _ = modal_case
+        (u, sigma), eigs = analysis.constraint_modes(a)
+        sv = np.linalg.svd(a, compute_uv=False)
+        np.testing.assert_allclose(sigma, sv, rtol=1e-11)
+        assert np.array_equal(sigma, np.sqrt(eigs[::-1]))
+        # U holds orthonormal left singular vectors: A^T u_i has norm sigma_i
+        np.testing.assert_allclose(u.T @ u, np.eye(a.shape[0]), atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(a.T @ u, axis=0), sigma,
+                                   rtol=1e-11)
+
+    def test_picard_projections_agree_per_cluster(self, modal_case):
+        # inside a cluster of equal sigma only the projections' sum of
+        # squares is basis-free, so compare that per cluster
+        _, _, a, b = modal_case
+        svd = np.linalg.svd(a, full_matrices=False)
+        ref = analysis.picard_data(a, b, svd=svd)
+        table = analysis.picard_data(a, b,
+                                     svd=analysis.constraint_modes(a)[0])
+        np.testing.assert_allclose(table.sigma, ref.sigma, rtol=1e-11)
+        scale = np.linalg.norm(b) ** 2
+        for lo, hi in _groups(ref.sigma):
+            got = (table.projections[lo:hi] ** 2).sum()
+            want = (ref.projections[lo:hi] ** 2).sum()
+            assert abs(got - want) <= 1e-10 * scale, (lo, hi)
+
+    def test_curve_matches_truncated_solutions(self, modal_case):
+        # the cumulative-sum curve against s0 + <weights, v_r> / T of
+        # each rank's truncated-SVD solution, at ranks that split no
+        # cluster of equal sigma and at full rank
+        traj, objective, a, b = modal_case
+        svd = np.linalg.svd(a, full_matrices=False)
+        ends = [hi for _, hi in _groups(svd[1])]
+        ranks = [0, *ends]
+        assert ranks[-1] == a.shape[0]
+        curve = analysis.sensitivity_vs_rank(traj, objective, a, b, ranks)
+        for rank, value in curve:
+            v = analysis.truncated_svd_solution(a, b, rank, svd=svd)
+            want = shadow.evaluate_sensitivity(traj, objective, v)
+            assert abs(value - want) <= 1e-10 * abs(want), rank
+
+    def test_rank_deficient_raises(self):
+        a = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(ShadowingError):
+            analysis.constraint_modes(a)
+
+    def test_ranks_out_of_range_raise(self, lorenz_dense):
+        traj, a, b = lorenz_dense
+        with pytest.raises(ValueError):
+            analysis.sensitivity_vs_rank(traj, ms.LorenzZ(), a, b,
+                                         [a.shape[0] + 1])
+
+
+def test_pipeline_runs_no_svd_of_the_constraint_matrix(monkeypatch):
+    # the Picard table, the truncated curve and the raw spectrum come from
+    # one eigendecomposition of S; the preconditioner's small batched
+    # SVDs of (K, N, l + 2) stacks still run
+    cfg = xcli.ExperimentConfig(
+        model="lorenz", name="modes", seed=3, rho=28.0, spin_up=5.0,
+        window=6.0, segment=1.0, step=0.002, gamma=0.05, mode="pre",
+        tol=1e-6, spectrum=True, picard=True, truncated_sweep=True)
+    nk, cols = 3 * cfg.n_segments, 3 * (cfg.n_segments + 1)
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    result = xcli.run_pipeline(cfg)
+    assert shapes and (nk, cols) not in shapes
+    monkeypatch.undo()
+    a = analysis.dense_constraint_matrix(result.trajectory, ms.CostLedger())
+    sv = np.linalg.svd(a, compute_uv=False)
+    np.testing.assert_allclose(result.picard.sigma, sv, rtol=1e-11)
+    raw = analysis.spectrum(a @ a.T, nk, label="raw")
+    np.testing.assert_allclose(result.spectra["raw"].eigenvalues,
+                               raw.eigenvalues, rtol=1e-11)
+    assert [r for r, _ in result.truncated][-1] == nk
 
 
 class TestSpectrum:

@@ -278,6 +278,42 @@ class TestRunExperiment:
         assert (tmp_path / "an" / "tiny_truncated.csv").exists()
         assert result.spectra["raw"].kappa > 1.0
 
+    @pytest.mark.parametrize("overrides", [
+        ["solver.mode=pre"],
+        ["solver.mode=post"],
+        ["solver.mode=post", "preconditioner.enabled=false"],
+        ["solver.mode=none"],
+        ["solver.mode=pre", "solver.gamma=0"],
+    ])
+    def test_summary_reports_unregularized_residual(self, lorenz_ini,
+                                                    overrides):
+        # read off CG's final residual with no product, it equals
+        # ||b - S w|| / ||b|| applied afresh on a scratch ledger, and the
+        # request ledger still reads K + the cost model + K
+        cfg = xcli.load_config(lorenz_ini, overrides)
+        result = xcli.run_pipeline(cfg)
+        traj, b, w = result.trajectory, result.rhs, result.multipliers
+        direct = (np.linalg.norm(b - ms.schur_apply(traj, ms.CostLedger(), w))
+                  / np.linalg.norm(b))
+        got = float(dict(xcli.summarize(result))["unregularized_residual"])
+        assert got == result.report.unregularized_residual
+        assert abs(got - direct) <= 1e-10
+        k = cfg.n_segments
+        predicted = ms.predict_costs(k, cfg.cycles if cfg.pc_enabled else 0,
+                                     cfg.rank, result.report.iterations)
+        assert (result.ledger.forward + result.ledger.adjoint
+                == k + sum(predicted) + k)
+
+    def test_main_value_error_exits_4(self, lorenz_ini, monkeypatch, capsys):
+        def broken(cfg):
+            raise ValueError("operands could not be broadcast")
+
+        monkeypatch.setattr(xcli, "run_experiment", broken)
+        code = xcli.main(["run", "--config", str(lorenz_ini)])
+        assert code == xcli.EXIT_NO_CONVERGENCE
+        err = capsys.readouterr().err
+        assert err == "error: operands could not be broadcast\n"
+
     def test_main_run_exit_ok(self, lorenz_ini, capsys):
         code = xcli.main(["run", "--config", str(lorenz_ini)])
         assert code == xcli.EXIT_OK
