@@ -54,6 +54,11 @@ class SpectrumReport:
     mode: str = "dense"
     converged: bool = True
 
+    @classmethod
+    def dense(cls, label, eigs):
+        """The report of a full ascending spectrum."""
+        return cls(label, eigs, float(eigs[-1] / eigs[0]))
+
     def to_csv(self, path):
         write_labeled_csv(path, self.label, self.eigenvalues)
 
@@ -73,8 +78,7 @@ def spectrum(operator, size, mode="dense", cap=DENSE_CAP, label="", tol=1e-8,
         _check_cap(size, cap)
         mat = np.asarray(operator)
         mat = 0.5 * (mat + mat.T)
-        eigs = np.linalg.eigvalsh(mat)
-        return SpectrumReport(label, eigs, float(eigs[-1] / eigs[0]), "dense")
+        return SpectrumReport.dense(label, np.linalg.eigvalsh(mat))
     if mode != "lanczos-extremes":
         raise ValueError(f"unknown spectrum mode {mode!r}")
     # imported here: SciPy adds 0.2 s and 30 MB to start-up; only this needs it
@@ -111,19 +115,17 @@ def preconditioned_spectrum(s_dense, pc, gamma=0.0, label=""):
     sym = msqrt @ s_dense @ msqrt
     rep = spectrum(sym, s_dense.shape[0], mode="dense", label=label)
     if gamma:
-        eigs = rep.eigenvalues + gamma
-        rep = SpectrumReport(label, eigs, float(eigs[-1] / eigs[0]), "dense")
+        rep = SpectrumReport.dense(label, rep.eigenvalues + gamma)
     return rep
 
 
-def constraint_modes(a, s_dense=None):
+def constraint_modes(s_dense):
     """((U, sigma descending), ascending eigenvalues of S) of the dense
-    constraint matrix from one eigh of S = A A^T (``s_dense`` if given).
+    constraint matrix A from one eigh of S = A A^T (its lower triangle).
     A has full row rank (its I blocks), so an eigenvalue <= 0 raises.
     sigma_i's relative error is about eps (sigma_max / sigma_i)^2, the
     kappa(S) floor of the CG solve on S that the analysis studies."""
-    s_dense = a @ a.T if s_dense is None else s_dense
-    eigs, vecs = np.linalg.eigh(0.5 * (s_dense + s_dense.T))
+    eigs, vecs = np.linalg.eigh(s_dense)
     if eigs[0] <= 0.0:
         raise ShadowingError(f"A A^T is not positive definite: {eigs[0]:.3g}")
     return (vecs[:, ::-1], np.sqrt(eigs[::-1])), eigs
@@ -153,7 +155,7 @@ class PicardTable:
 
 def picard_data(a, b, svd=None):
     """Picard table of A and b; ``svd``: any (U, sigma descending, ...)."""
-    u, s = (svd if svd is not None else constraint_modes(a)[0])[:2]
+    u, s = (svd if svd is not None else constraint_modes(a @ a.T)[0])[:2]
     proj = np.abs(u.T @ np.asarray(b).reshape(-1))
     with np.errstate(divide="ignore"):
         coef = np.where(s > 0, proj / np.where(s > 0, s, 1.0), np.inf)
@@ -186,7 +188,7 @@ def sensitivity_vs_rank(traj, objective, a, b, ranks, svd=None,
     (weights, s0), shadow.sensitivity_functional and the zero stack's
     sensitivity as the pipeline keeps them, else computed here.
     """
-    u, s = (svd if svd is not None else constraint_modes(a)[0])[:2]
+    u, s = (svd if svd is not None else constraint_modes(a @ a.T)[0])[:2]
     ranks = [int(rank) for rank in ranks]
     if not all(0 <= rank <= s.size for rank in ranks):
         raise ValueError(f"ranks must be in [0, {s.size}]")

@@ -47,7 +47,8 @@ class SolveReport:
     residuals: list = field(default_factory=list)         # governing system
     # b - (S + gamma .) w of the regularized operator, without M
     true_residuals: list = field(default_factory=list)
-    # ||b - S w|| / ||b|| of the raw system at the returned w
+    # CG's updated residual shifted by gamma, over ||b||: ||b - S w|| / ||b||
+    # of the raw system at the returned w up to CG's residual gap
     unregularized_residual: float = 0.0
     ledger_delta: tuple = (0, 0)
 
@@ -80,8 +81,12 @@ def cg_solve(apply_s, rhs, config, ledger=None):
     measured on the preconditioned residual when a preconditioner is
     active, on the true residual otherwise; both histories are kept.
     Non-convergence at max_iter is reported, not raised.  The raw
-    system's residual b - S w at the end is read off the final r with
-    no product: r + gamma w in pre mode, r + gamma M^{-1} w in post mode.
+    system's residual b - S w at the end is read off the final updated
+    r with no product: r + gamma w in pre mode, r + gamma M^{-1} w in
+    post mode.  It agrees with a directly applied b - S w up to the gap
+    between CG's updated and true residuals, which rounding opens and
+    kappa(S) widens: once the true residual stagnates at that floor the
+    updated one, and this value with it, keeps falling below it.
     """
     operator = _build_operator(apply_s, config)
     pc = config.preconditioner

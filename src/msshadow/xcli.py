@@ -388,17 +388,14 @@ def solve(problem, cfg):
     nk = system.dim * traj.n_segments
     if cfg.spectrum or cfg.picard or cfg.truncated_sweep:
         scratch = shadow.CostLedger()
-        modal = cfg.picard or cfg.truncated_sweep
-        if modal or (cfg.spectrum and nk <= cfg.dense_cap):
+        # the Picard table and the curve need A, which raises past the cap
+        if cfg.picard or cfg.truncated_sweep or nk <= cfg.dense_cap:
             a = analysis.dense_constraint_matrix(traj, scratch, cap=cfg.dense_cap)
             s_dense = a @ a.T
-        if modal:
-            modes, eigs = analysis.constraint_modes(a, s_dense)
+            modes, eigs = analysis.constraint_modes(s_dense)
         if cfg.spectrum:
             if nk <= cfg.dense_cap:
-                spectra["raw"] = (analysis.SpectrumReport(
-                    "raw", eigs, float(eigs[-1] / eigs[0])) if modal else
-                    analysis.spectrum(s_dense, nk, label="raw"))
+                spectra["raw"] = analysis.SpectrumReport.dense("raw", eigs)
                 if pc is not None:
                     spectra["preconditioned"] = analysis.preconditioned_spectrum(
                         s_dense, pc, label="preconditioned")

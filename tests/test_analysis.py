@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -167,7 +169,7 @@ def modal_case(request, lorenz_dense, ks_traj, ks_small):
 class TestConstraintModes:
     def test_sigma_matches_svd(self, modal_case):
         _, _, a, _ = modal_case
-        (u, sigma), eigs = analysis.constraint_modes(a)
+        (u, sigma), eigs = analysis.constraint_modes(a @ a.T)
         sv = np.linalg.svd(a, compute_uv=False)
         np.testing.assert_allclose(sigma, sv, rtol=1e-11)
         assert np.array_equal(sigma, np.sqrt(eigs[::-1]))
@@ -182,8 +184,8 @@ class TestConstraintModes:
         _, _, a, b = modal_case
         svd = np.linalg.svd(a, full_matrices=False)
         ref = analysis.picard_data(a, b, svd=svd)
-        table = analysis.picard_data(a, b,
-                                     svd=analysis.constraint_modes(a)[0])
+        modes = analysis.constraint_modes(a @ a.T)[0]
+        table = analysis.picard_data(a, b, svd=modes)
         np.testing.assert_allclose(table.sigma, ref.sigma, rtol=1e-11)
         scale = np.linalg.norm(b) ** 2
         for lo, hi in _groups(ref.sigma):
@@ -209,7 +211,7 @@ class TestConstraintModes:
     def test_rank_deficient_raises(self):
         a = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(ShadowingError):
-            analysis.constraint_modes(a)
+            analysis.constraint_modes(a @ a.T)
 
     def test_ranks_out_of_range_raise(self, lorenz_dense):
         traj, a, b = lorenz_dense
@@ -245,6 +247,12 @@ def test_pipeline_runs_no_svd_of_the_constraint_matrix(monkeypatch):
     np.testing.assert_allclose(result.spectra["raw"].eigenvalues,
                                raw.eigenvalues, rtol=1e-11)
     assert [r for r, _ in result.truncated][-1] == nk
+    # a spectrum-only run takes the raw spectrum from the same eigh
+    alone = xcli.run_pipeline(dataclasses.replace(
+        cfg, picard=False, truncated_sweep=False))
+    assert np.array_equal(alone.spectra["raw"].eigenvalues,
+                          result.spectra["raw"].eigenvalues)
+    assert alone.spectra["raw"].kappa == result.spectra["raw"].kappa
 
 
 class TestSpectrum:
