@@ -19,10 +19,8 @@ from .errors import (
 )
 from .precond import (
     BlockDiagPreconditioner,
-    SegmentSVD,
     build_preconditioner,
     exact_preconditioner,
-    partial_svd_segment,
     predict_costs,
 )
 from .shadow import (
@@ -63,7 +61,6 @@ __all__ = [
     "Objective",
     "Lorenz",
     "LorenzZ",
-    "SegmentSVD",
     "ShadowingError",
     "SolveConfig",
     "SolveReport",
@@ -81,7 +78,6 @@ __all__ = [
     "evaluate_sensitivity",
     "exact_preconditioner",
     "integrate",
-    "partial_svd_segment",
     "predict_costs",
     "project_off_flow",
     "propagate_segment",

@@ -109,14 +109,13 @@ def preconditioned_spectrum(s_dense, pc, gamma=0.0, label=""):
     """Dense spectrum of the preconditioned (optionally shifted) system.
 
     Uses the symmetric similarity M^1/2 S M^1/2, which shares the
-    spectrum of M S; the shift adds gamma exactly.
+    spectrum of M S; the shift adds gamma exactly.  The caller's S is
+    already dense, so no size cap applies here.
     """
     msqrt = pc.dense_sqrt()
     sym = msqrt @ s_dense @ msqrt
-    rep = spectrum(sym, s_dense.shape[0], mode="dense", label=label)
-    if gamma:
-        rep = SpectrumReport.dense(label, rep.eigenvalues + gamma)
-    return rep
+    eigs = np.linalg.eigvalsh(0.5 * (sym + sym.T))
+    return SpectrumReport.dense(label, eigs + gamma if gamma else eigs)
 
 
 def constraint_modes(s_dense):

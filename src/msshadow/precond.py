@@ -24,15 +24,10 @@ per segment, so the build cost charged to the ledger is exactly
 they are executed in lockstep as one batched sweep here.
 """
 
-import struct
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import BreakdownError, DimensionMismatch, ShadowingError
+from .errors import BreakdownError, DimensionMismatch
 from .shadow import _propagate_rows, _propagate_rows_adjoint
-
-_MAGIC = b"MSSBDP1\x00"
 
 # singular values below this fraction of the per-segment maximum are
 # treated as not converged and dropped from the inverse-square term
@@ -184,8 +179,9 @@ def lanczos_partial_svd(op, op_t, dim, retained, cycles, rng):
 
 
 def _check_modes(left, values, kept):
-    """SegmentSVD's checks on m blocks at once: (m, N, l) left vectors
-    and (m, l) values of which row i keeps its first kept[i]."""
+    """Validate m blocks of (m, N, l) left vectors and (m, l) values, of
+    which row i keeps its first kept[i]: orthonormal kept columns and
+    positive descending kept values."""
     if left.shape[::2] != values.shape or kept.shape != values.shape[:1]:
         raise DimensionMismatch("left vectors and values disagree")
     live = np.arange(values.shape[1]) < kept[:, None]
@@ -198,23 +194,30 @@ def _check_modes(left, values, kept):
         raise ValueError("singular values must be positive descending")
 
 
-@dataclass
-class SegmentSVD:
-    """Leading left singular pairs of one projected segment propagator."""
+class BlockDiagPreconditioner:
+    """Block-diagonal deflation I + U_i (S_i^-2 - 1) U_i^T.
 
-    segment: int
-    left: np.ndarray      # (N, l_i), orthonormal columns
-    values: np.ndarray    # (l_i,), positive, descending
-    cycles: int
+    Block i keeps the first kept[i] columns of left[i], of the (K, N, l)
+    left vectors, and of values[i], of the (K, l) singular values; its
+    other columns are zero with value 1, whose coefficient is 0 in every
+    apply.  ``apply`` is the preconditioner itself; ``apply_inv`` and
+    ``apply_sqrt`` use the closed forms obtained by replacing the
+    inverse-square coefficients.  All three take any stack of K*N
+    entries, a (K, N) stack or a flat vector, return its shape, are
+    symmetric positive definite and cost no propagator products.
+    ``restarts`` is the build's count of Lanczos random restarts, None
+    when not known (the exact deflation).
+    """
 
-    def __post_init__(self):
-        _check_modes(self.left[None], self.values[None],
-                     np.array([self.values.size]))
+    def __init__(self, left, values, kept, retained, cycles, restarts=None):
+        _check_modes(left, values, kept)
+        self.left, self.values, self.kept = left, values, kept
+        self.retained, self.cycles, self.restarts = retained, cycles, restarts
 
-
-class _Deflation:
-    """The operators of a deflation preconditioner I + U (c(S) - 1) U^T
-    from its _apply_coeff(z, c) and, for validation, _dense(c)."""
+    @property
+    def clamped_modes(self):
+        """Retained modes dropped by CLAMP_RATIO, summed over blocks."""
+        return int(self.retained * self.kept.size - self.kept.sum())
 
     def apply(self, z):
         return self._apply_coeff(z, lambda s: s**-2 - 1.0)
@@ -231,90 +234,27 @@ class _Deflation:
     def dense_sqrt(self):
         return self._dense(lambda s: 1.0 / s)
 
-
-class BlockDiagPreconditioner(_Deflation):
-    """Per-segment deflation blocks applied to (K, N) stacks.
-
-    Block i keeps the first kept[i] columns of left[i], of the (K, N, l)
-    left vectors, and of values[i], of the (K, l) singular values; its
-    other columns are zero with value 1, whose coefficient is 0 in every
-    apply.  ``apply`` is the preconditioner itself; ``apply_inv`` and
-    ``apply_sqrt`` use the closed forms obtained by replacing the
-    inverse-square coefficients.  All three are symmetric positive
-    definite and cost no propagator products.  ``restarts`` is the
-    build's count of Lanczos random restarts, None when not known (a
-    loaded preconditioner).
-    """
-
-    def __init__(self, left, values, kept, retained, cycles, restarts=None):
-        _check_modes(left, values, kept)
-        self._left, self._values, self.kept = left, values, kept
-        self.retained, self.cycles, self.restarts = retained, cycles, restarts
-
-    @property
-    def blocks(self):
-        """One SegmentSVD per segment, viewing the arrays."""
-        return [SegmentSVD(i, self._left[i, :, :k], self._values[i, :k], self.cycles)
-                for i, k in enumerate(self.kept)]
-
-    @property
-    def n_segments(self):
-        return self.kept.size
-
-    @property
-    def clamped_modes(self):
-        """Retained modes dropped by CLAMP_RATIO, summed over blocks."""
-        return int(self.retained * self.kept.size - self.kept.sum())
-
     def _apply_coeff(self, z, coeff):
-        if z.shape[0] != self.n_segments:
+        k, n = self.left.shape[:2]
+        if z.size != k * n:
             raise DimensionMismatch(
-                f"stack has {z.shape[0]} rows, expected {self.n_segments}"
+                f"stack has {z.size} entries, expected {k * n}"
             )
-        c = np.matmul(z[:, None, :], self._left)[:, 0, :]
-        d = coeff(self._values) * c
-        return z + np.matmul(self._left, d[:, :, None])[:, :, 0]
+        blocks = z.reshape(k, n)
+        c = np.matmul(blocks[:, None, :], self.left)[:, 0, :]
+        d = coeff(self.values) * c
+        out = blocks + np.matmul(self.left, d[:, :, None])[:, :, 0]
+        return out.reshape(z.shape)
 
     def _dense(self, diag):
-        n = self._left.shape[1]
-        k = self.n_segments
-        left = self._left
-        scaled = left * (diag(self._values) - 1.0)[:, None, :]
+        k, n = self.left.shape[:2]
+        left = self.left
+        scaled = left * (diag(self.values) - 1.0)[:, None, :]
         blocks = np.eye(n) + np.matmul(scaled, left.transpose(0, 2, 1))
         out = np.zeros((n * k, n * k))
         seg = np.arange(k)
         out.reshape(k, n, k, n)[seg, :, seg, :] = blocks
         return out
-
-    def save(self, path):
-        """Little-endian binary dump: magic, <q K> <q N> <q retained>
-        <q cycles>, then per segment <q l_i>, values, left row-major."""
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<qqqq", self.n_segments, self._left.shape[1],
-                                 self.retained, self.cycles))
-            for blk in self.blocks:
-                fh.write(struct.pack("<q", blk.values.size))
-                fh.write(blk.values.astype("<f8").tobytes())
-                fh.write(blk.left.astype("<f8").tobytes())
-
-    @classmethod
-    def load(cls, path):
-        with open(path, "rb") as fh:
-            if fh.read(8) != _MAGIC:
-                raise ShadowingError(f"{path} is not a preconditioner dump")
-            k, n, retained, cycles = struct.unpack("<qqqq", fh.read(32))
-            blocks = []
-            for _ in range(k):
-                (li,) = struct.unpack("<q", fh.read(8))
-                blocks.append((np.frombuffer(fh.read(8 * li), dtype="<f8"),
-                               np.frombuffer(fh.read(8 * li * n), dtype="<f8")))
-        kept = np.array([vals.size for vals, _ in blocks])
-        left, values = np.zeros((k, n, kept.max())), np.ones((k, kept.max()))
-        for i, (vals, vecs) in enumerate(blocks):
-            left[i, :, : vals.size] = vecs.reshape(n, vals.size)
-            values[i, : vals.size] = vals
-        return cls(left, values, kept, retained, cycles)
 
 
 def _clamp(left, values, retained):
@@ -328,10 +268,12 @@ def _clamp(left, values, retained):
             np.where(live, values[:, : kept.max()], 1.0), kept)
 
 
-def _segment_svds(traj, ledger, segments, retained, cycles, rng):
-    """Clamped partial SVDs of the given segments' propagators, run in
-    lockstep: the arrays (left, values, kept) of _clamp and the build's
-    count of Lanczos random restarts."""
+def build_preconditioner(traj, ledger, retained, cycles, rng=None):
+    """Clamped partial SVDs of all segment propagators, run in lockstep.
+
+    Charges the ledger exactly K*cycles*min(retained+2, N) products of
+    each kind.  ``retained`` must not exceed the state dimension.
+    """
     dim = traj.system.dim
     if not 1 <= retained <= dim:
         raise ValueError(f"retained modes must be in [1, {dim}]")
@@ -342,57 +284,15 @@ def _segment_svds(traj, ledger, segments, retained, cycles, rng):
     values, left, restarts = _batched_partial_svd(
         lambda x, segs: _propagate_rows(traj, ledger, segs, x),
         lambda x, segs: _propagate_rows_adjoint(traj, ledger, segs, x),
-        segments, dim, min(retained + 2, dim), cycles, rng,
+        np.arange(traj.n_segments), dim, min(retained + 2, dim), cycles, rng,
     )
-    return (*_clamp(left, values, retained), restarts)
+    return BlockDiagPreconditioner(*_clamp(left, values, retained), retained,
+                                   cycles, restarts)
 
 
-def partial_svd_segment(traj, ledger, segment, retained, cycles, rng=None):
-    """Leading singular pairs of one segment's projected propagator.
-
-    Charges the ledger exactly cycles*(retained+2) products of each
-    kind.  ``retained`` must not exceed the state dimension.
-    """
-    left, values, (k,), _ = _segment_svds(
-        traj, ledger, np.asarray([segment], dtype=int), retained, cycles, rng)
-    return SegmentSVD(int(segment), left[0, :, :k], values[0, :k], cycles)
-
-
-def build_preconditioner(traj, ledger, retained, cycles, rng=None):
-    """Partial SVDs of all segment propagators, run in lockstep."""
-    *arrays, restarts = _segment_svds(
-        traj, ledger, np.arange(traj.n_segments), retained, cycles, rng)
-    return BlockDiagPreconditioner(*arrays, retained, cycles, restarts)
-
-
-class DeflationPreconditioner(_Deflation):
-    """Exact deflation operator from the top-l SVD of the dense
-    constraint matrix (validation at small scale).
-
-    Acts on (K, N) stacks through the same apply/apply_inv/apply_sqrt
-    interface as the block-diagonal preconditioner.
-    """
-
-    def __init__(self, left, values, stack_shape):
-        self.left = left          # (N*K, l)
-        self.values = values      # (l,)
-        self.stack_shape = stack_shape
-
-    def _apply_coeff(self, z, coeff):
-        flat = z.reshape(-1)
-        out = flat.copy()
-        if self.values.size:
-            c = self.left.T @ flat
-            out += self.left @ (coeff(self.values) * c)
-        return out.reshape(self.stack_shape)
-
-    def _dense(self, diag):
-        n = self.left.shape[0]
-        return np.eye(n) + self.left @ np.diag(diag(self.values) - 1.0) @ self.left.T
-
-
-def exact_preconditioner(a_dense, retained, stack_shape=None):
-    """Deflation preconditioner from the exact top-l SVD of dense A.
+def exact_preconditioner(a_dense, retained):
+    """Deflation preconditioner from the exact top-l SVD of dense A, as
+    one block of the block-diagonal operator (validation at small scale).
 
     ``retained`` may be 0 (identity) up to the full row count, at which
     point the product with the normal operator is the identity.
@@ -400,9 +300,7 @@ def exact_preconditioner(a_dense, retained, stack_shape=None):
     rows = a_dense.shape[0]
     if not 0 <= retained <= rows:
         raise ValueError(f"retained modes must be in [0, {rows}]")
-    if stack_shape is None:
-        stack_shape = (rows,)
     u, s, _ = np.linalg.svd(a_dense, full_matrices=False)
-    return DeflationPreconditioner(
-        u[:, :retained].copy(), s[:retained].copy(), stack_shape
-    )
+    return BlockDiagPreconditioner(u[None, :, :retained].copy(),
+                                   s[None, :retained].copy(),
+                                   np.array([retained]), retained, 0)

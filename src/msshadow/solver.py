@@ -50,7 +50,6 @@ class SolveReport:
     # CG's updated residual shifted by gamma, over ||b||: ||b - S w|| / ||b||
     # of the raw system at the returned w up to CG's residual gap
     unregularized_residual: float = 0.0
-    ledger_delta: tuple = (0, 0)
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -73,7 +72,7 @@ def _build_operator(apply_s, config):
     return lambda w: gamma * pc.apply_inv(w) + apply_s(w)
 
 
-def cg_solve(apply_s, rhs, config, ledger=None):
+def cg_solve(apply_s, rhs, config):
     """PCG on the mode-built operator; returns (solution, SolveReport).
 
     ``apply_s`` maps a segment stack to a segment stack and must be the
@@ -91,8 +90,6 @@ def cg_solve(apply_s, rhs, config, ledger=None):
     operator = _build_operator(apply_s, config)
     pc = config.preconditioner
     apply_m = pc.apply if pc is not None else (lambda z: z)
-
-    before = ledger.snapshot() if ledger is not None else (0, 0)
 
     x = np.zeros_like(rhs)
     r = rhs.copy()
@@ -142,7 +139,6 @@ def cg_solve(apply_s, rhs, config, ledger=None):
         residuals=governing,
         true_residuals=true_hist,
         unregularized_residual=float(np.linalg.norm(r)) / r0,
-        ledger_delta=ledger.delta(before) if ledger is not None else (0, 0),
     )
     return x, report
 

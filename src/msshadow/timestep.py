@@ -14,13 +14,9 @@ stored trajectory.  This is the serial-machine equivalent of the
 per-segment parallelism of the method.
 """
 
-import struct
-
 import numpy as np
 
-from .errors import DimensionMismatch, DivergenceError, ShadowingError
-
-_MAGIC = b"MSSTRAJ1"
+from .errors import DimensionMismatch, DivergenceError
 
 
 def _n_steps(t_start, t_end, h):
@@ -158,49 +154,6 @@ class Trajectory:
         if not 0 <= i <= self.n_segments:
             raise IndexError(f"checkpoint {i} out of range")
         return self.fvals[i * self.stride]
-
-    def dump(self, path):
-        """Write a little-endian binary snapshot.
-
-        Layout: 8-byte magic "MSSTRAJ1"; then <q n_dim> <q n_steps>
-        <q stride> <d h> <d s> <d t_start>; then the (n_steps+1) x n_dim
-        state array, row-major float64.  Cached rhs values are not
-        stored; they are recomputed on load.
-        """
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(
-                struct.pack(
-                    "<qqqddd",
-                    self.system.dim,
-                    self.n_steps,
-                    self.stride,
-                    self.h,
-                    self.system.param,
-                    self.t_start,
-                )
-            )
-            fh.write(self.states.astype("<f8").tobytes())
-
-    @classmethod
-    def load(cls, path, system):
-        with open(path, "rb") as fh:
-            if fh.read(8) != _MAGIC:
-                raise ShadowingError(f"{path} is not a trajectory dump")
-            dim, n_steps, stride, h, s, t_start = struct.unpack(
-                "<qqqddd", fh.read(3 * 8 + 3 * 8)
-            )
-            if dim != system.dim:
-                raise DimensionMismatch(
-                    f"dump has dimension {dim}, system has {system.dim}"
-                )
-            if abs(s - system.param) > 1e-12 * max(1.0, abs(s)):
-                raise ShadowingError(
-                    f"dump was made at parameter {s}, system has {system.param}"
-                )
-            data = np.frombuffer(fh.read(), dtype="<f8")
-        states = data.reshape(n_steps + 1, dim).astype(float)
-        return cls(system, t_start, h, states, system.rhs(states), stride)
 
 
 def integrate(system, u0, t_start, t_end, h, stride=1):

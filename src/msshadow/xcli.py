@@ -373,9 +373,7 @@ def solve(problem, cfg):
                                    preconditioner=pc)
     before = ledger.snapshot()
     w, report = solver.cg_solve(
-        lambda z: shadow.schur_apply(traj, ledger, z), b, cfg_solve,
-        ledger=ledger,
-    )
+        lambda z: shadow.schur_apply(traj, ledger, z), b, cfg_solve)
     solve_cost = sum(ledger.delta(before))
 
     v = shadow.recover_checkpoints(traj, ledger, w)

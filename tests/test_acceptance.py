@@ -164,7 +164,7 @@ def test_criterion_04_exact_deflation():
     np.testing.assert_allclose(rep.eigenvalues, expected, rtol=1e-8, atol=1e-8)
 
     # full retention: the preconditioned system is the identity
-    pc_full = ms.exact_preconditioner(a, nk, stack_shape=b.shape)
+    pc_full = ms.exact_preconditioner(a, nk)
     cfg = solver.SolveConfig(tol=1e-5, max_iter=10, gamma=0.0, mode="none",
                              preconditioner=pc_full)
     _, rep_cg = solver.cg_solve(

@@ -51,7 +51,7 @@ class TestCgSolve:
         rng = np.random.default_rng(3)
         mat, _ = random_spd(9, rng)
         a_small = rng.standard_normal((9, 12))
-        pc = ms.exact_preconditioner(a_small, 4, stack_shape=(3, 3))
+        pc = ms.exact_preconditioner(a_small, 4)
         rhs = rng.standard_normal((3, 3))
         gamma = 0.3
         cfg = ms.SolveConfig(tol=1e-13, max_iter=200, gamma=gamma, mode="post",

@@ -3,7 +3,7 @@ import pytest
 
 import msshadow as ms
 from msshadow import timestep
-from msshadow.errors import DimensionMismatch, DivergenceError
+from msshadow.errors import DivergenceError
 
 
 class LinearDecay(ms.DynamicalSystem):
@@ -195,26 +195,3 @@ class TestTangentAdjoint:
         rate = log_growth / traj.span
         assert 0.8 <= rate <= 1.7
 
-
-class TestTrajectoryIO:
-    def test_dump_load_roundtrip(self, lorenz_traj, lorenz28, tmp_path):
-        path = tmp_path / "traj.bin"
-        lorenz_traj.dump(path)
-        loaded = ms.Trajectory.load(path, lorenz28)
-        assert np.array_equal(loaded.states, lorenz_traj.states)
-        assert np.array_equal(loaded.fvals, lorenz_traj.fvals)
-        assert loaded.stride == lorenz_traj.stride
-        assert loaded.h == lorenz_traj.h
-        assert loaded.t_start == lorenz_traj.t_start
-
-    def test_load_rejects_wrong_dimension(self, lorenz_traj, tmp_path):
-        path = tmp_path / "traj.bin"
-        lorenz_traj.dump(path)
-        with pytest.raises(DimensionMismatch):
-            ms.Trajectory.load(path, ms.KuramotoSivashinsky(n=7, length=8.0))
-
-    def test_load_rejects_wrong_param(self, lorenz_traj, tmp_path):
-        path = tmp_path / "traj.bin"
-        lorenz_traj.dump(path)
-        with pytest.raises(ms.ShadowingError):
-            ms.Trajectory.load(path, ms.Lorenz(rho=99.0))

@@ -296,6 +296,19 @@ class TestRunExperiment:
         assert (tmp_path / "an" / "tiny_truncated.csv").exists()
         assert result.spectra["raw"].kappa > 1.0
 
+    def test_preconditioned_spectrum_honours_dense_cap(self, lorenz_ini):
+        # N*K = 2100 lies past the default cap of 2000 but under the
+        # configured one, so both dense spectra are computed in full
+        cfg = xcli.load_config(
+            lorenz_ini,
+            ["analysis.spectrum=true", "analysis.dense_cap=3000",
+             "time.window=7", "time.segment=0.01"])
+        assert cfg.n_segments == 700
+        result = xcli.run_pipeline(cfg)
+        for label in ("raw", "preconditioned"):
+            assert result.spectra[label].mode == "dense"
+            assert result.spectra[label].eigenvalues.size == 3 * 700
+
     @pytest.mark.parametrize("overrides", [
         ["solver.mode=pre"],
         ["solver.mode=post"],
