@@ -1,10 +1,12 @@
 """Dense oracles and conditioning diagnostics for small instances.
 
-Everything here exists to *study* the matrix-free operators: place the
-constraint matrix A from the segment propagator matrices, and look at
-full spectra, singular values and truncated-SVD curves, the last two
-from one eigendecomposition of S = A A^T.  Dense matrices are made
-under a size cap; large instances only get extreme eigenvalue
+Everything here exists to *study* the matrix-free operators.  S = A A^T
+and M^1/2 S M^1/2 are placed from (N, N) blocks; the dense A is the
+tests' oracle.  One eigh of S gives the raw spectrum and A's singular
+values and left singular vectors, hence the Picard table and the
+truncated-SVD curve; there a request holds about four (N K)^2 float64
+arrays: S, LAPACK's copy, its workspace and the vectors.  Dense matrices
+are made under a size cap; large instances only get extreme eigenvalue
 estimates.  Those use SciPy's ARPACK, the one SciPy user in msshadow,
 imported on first use; everything else needs NumPy only.
 """
@@ -27,20 +29,31 @@ def _check_cap(size, cap):
         )
 
 
-def dense_constraint_matrix(traj, ledger, cap=DENSE_CAP):
-    """The constraint operator as a dense (N*K, N*(K+1)) matrix: row
-    block i is [-Phi_i, I] at column blocks i and i+1, placed from
-    shadow.segment_propagators.  Charged N*K forward products, one per
-    unit column per segment, what a build past the memory budget sweeps.
+def dense_constraint_matrix(traj, ledger, cap=DENSE_CAP, normal=False):
+    """The constraint operator as a dense (N*K, N*(K+1)) matrix, or with
+    ``normal`` S = A A^T as a dense, exactly symmetric (N*K, N*K) one,
+    placed from the (K, N, N) stack of shadow.segment_propagators.  Row
+    block i of A is [-Phi_i, I] at column blocks i and i+1; S has
+    Phi_i Phi_i^T + I (symmetrized) on the diagonal, -Phi_{i+1} below it
+    and its transpose above.  Charged N*K forward products, one per unit
+    column per segment, what a build past the memory budget sweeps.
     """
     n = traj.system.dim
     k = traj.n_segments
     _check_cap(n * k, cap)
     mats = shadow.segment_propagators(traj)
     ledger.charge_forward(n * k)
+    seg = np.arange(k)
+    if normal:
+        diag = np.matmul(mats, mats.transpose(0, 2, 1)) + np.eye(n)
+        s = np.zeros((n * k, n * k))
+        blocks = s.reshape(k, n, k, n)
+        blocks[seg, :, seg, :] = 0.5 * (diag + diag.transpose(0, 2, 1))
+        blocks[seg[1:], :, seg[:-1], :] = -mats[1:]
+        blocks[seg[:-1], :, seg[1:], :] = -mats[1:].transpose(0, 2, 1)
+        return s
     a = np.zeros((n * k, n * (k + 1)))
     blocks = a.reshape(k, n, k + 1, n)
-    seg = np.arange(k)
     blocks[seg, :, seg, :] = -mats
     blocks[seg, :, seg + 1, :] = np.eye(n)
     return a
@@ -108,12 +121,15 @@ def spectrum(operator, size, mode="dense", cap=DENSE_CAP, label="", tol=1e-8,
 def preconditioned_spectrum(s_dense, pc, gamma=0.0, label=""):
     """Dense spectrum of the preconditioned (optionally shifted) system.
 
-    Uses the symmetric similarity M^1/2 S M^1/2, which shares the
-    spectrum of M S; the shift adds gamma exactly.  The caller's S is
-    already dense, so no size cap applies here.
+    The symmetric similarity M^1/2 S M^1/2 shares the spectrum of M S;
+    it is formed as M^1/2 (M^1/2 S)^T, two batched products of N-row
+    blocks with M^1/2's blocks I + U_i (sigma_i^-1 - 1) U_i^T, and
+    symmetrized.  The shift adds gamma exactly; no size cap applies.
     """
-    msqrt = pc.dense_sqrt()
-    sym = msqrt @ s_dense @ msqrt
+    root = pc.blocks(sqrt=True)
+    k, n, _ = root.shape
+    sym = np.matmul(root, s_dense.reshape(k, n, -1)).reshape(k * n, -1)
+    sym = np.matmul(root, sym.T.reshape(k, n, -1)).reshape(k * n, -1)
     eigs = np.linalg.eigvalsh(0.5 * (sym + sym.T))
     return SpectrumReport.dense(label, eigs + gamma if gamma else eigs)
 
@@ -161,21 +177,6 @@ def picard_data(a, b, svd=None):
     return PicardTable(s.copy(), proj, coef)
 
 
-def truncated_svd_solution(a, b, rank, svd=None):
-    """Minimal-norm solution restricted to the top ``rank`` singular modes.
-
-    Returns a (K+1, N) checkpoint stack; rank may be 0 (zero stack) up
-    to the full row count of the dense constraint matrix.
-    """
-    if not 0 <= rank <= a.shape[0]:
-        raise ValueError(f"rank must be in [0, {a.shape[0]}]")
-    k, n = np.asarray(b).shape
-    u, s, vt = svd if svd is not None else np.linalg.svd(a, full_matrices=False)
-    flat = np.asarray(b).reshape(-1)
-    coef = (u[:, :rank].T @ flat) / s[:rank]
-    return (vt[:rank].T @ coef).reshape(k + 1, n)
-
-
 def sensitivity_vs_rank(traj, objective, a, b, ranks, svd=None,
                         functional=None):
     """Sensitivity of the truncated-SVD solution as the rank grows.
@@ -185,7 +186,8 @@ def sensitivity_vs_rank(traj, objective, a, b, ranks, svd=None,
     s0 + sum_{i<=r} (u_i^T b)(u_i^T A weights) / sigma_i^2 / T, one
     cumulative sum.  ``svd`` is as for picard_data; ``functional`` is
     (weights, s0), shadow.sensitivity_functional and the zero stack's
-    sensitivity as the pipeline keeps them, else computed here.
+    sensitivity as the pipeline keeps them, else computed here.  A
+    weights is shadow.constraint_apply's; ``a`` is unused given ``svd``.
     """
     u, s = (svd if svd is not None else constraint_modes(a @ a.T)[0])[:2]
     ranks = [int(rank) for rank in ranks]
@@ -197,8 +199,8 @@ def sensitivity_vs_rank(traj, objective, a, b, ranks, svd=None,
                       shadow.evaluate_sensitivity(traj, objective,
                                                   np.zeros((k + 1, n))))
     weights, s0 = functional
-    terms = ((u.T @ np.asarray(b).reshape(-1))
-             * (u.T @ (a @ weights.reshape(-1))) / s**2)
+    aw = shadow.constraint_apply(traj, shadow.CostLedger(), weights)
+    terms = (u.T @ np.asarray(b).reshape(-1)) * (u.T @ aw.reshape(-1)) / s**2
     partial = np.concatenate(([0.0], np.cumsum(terms)))
     return [(rank, s0 + partial[rank] / traj.span) for rank in ranks]
 

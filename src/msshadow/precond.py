@@ -228,11 +228,20 @@ class BlockDiagPreconditioner:
     def apply_sqrt(self, z):
         return self._apply_coeff(z, lambda s: 1.0 / s - 1.0)
 
-    def dense(self):
-        return self._dense(lambda s: s**-2)
+    def blocks(self, sqrt=False):
+        """The (K, N, N) diagonal blocks of M, or of M^1/2 with ``sqrt``:
+        I + U_i (S_i^-2 - 1) U_i^T, or I + U_i (S_i^-1 - 1) U_i^T."""
+        coeff = 1.0 / self.values - 1.0 if sqrt else self.values**-2 - 1.0
+        scaled = self.left * coeff[:, None, :]
+        return (np.eye(self.left.shape[1])
+                + np.matmul(scaled, self.left.transpose(0, 2, 1)))
 
-    def dense_sqrt(self):
-        return self._dense(lambda s: 1.0 / s)
+    def dense(self):
+        k, n = self.left.shape[:2]
+        out = np.zeros((n * k, n * k))
+        seg = np.arange(k)
+        out.reshape(k, n, k, n)[seg, :, seg, :] = self.blocks()
+        return out
 
     def _apply_coeff(self, z, coeff):
         k, n = self.left.shape[:2]
@@ -245,16 +254,6 @@ class BlockDiagPreconditioner:
         d = coeff(self.values) * c
         out = blocks + np.matmul(self.left, d[:, :, None])[:, :, 0]
         return out.reshape(z.shape)
-
-    def _dense(self, diag):
-        k, n = self.left.shape[:2]
-        left = self.left
-        scaled = left * (diag(self.values) - 1.0)[:, None, :]
-        blocks = np.eye(n) + np.matmul(scaled, left.transpose(0, 2, 1))
-        out = np.zeros((n * k, n * k))
-        seg = np.arange(k)
-        out.reshape(k, n, k, n)[seg, :, seg, :] = blocks
-        return out
 
 
 def _clamp(left, values, retained):

@@ -13,7 +13,7 @@ The continuity constraint of the shooting system reads, row by row,
 where Phi_i projects the discrete tangent propagated across segment i
 onto the complement of the flow direction at the segment end.  The
 normal equations use S = A A^T, which is symmetric positive definite
-and is never assembled.
+and is never assembled for the solve.
 
 A product with Phi_i or its transpose is a tangent or adjoint sweep
 across the segment.  A trajectory may instead keep its projected

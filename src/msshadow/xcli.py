@@ -120,6 +120,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"preconditioner rank {self.rank} is outside [1, {system.dim}]"
             )
+        # a spectrum past the cap takes the Lanczos route; these need S
+        if ((self.picard or self.truncated_sweep)
+                and system.dim * self.n_segments > self.dense_cap):
+            raise ConfigError("Picard table and truncated sweep need N*K <= "
+                              f"analysis.dense_cap {self.dense_cap}")
 
     @property
     def n_segments(self):
@@ -384,39 +389,39 @@ def solve(problem, cfg):
     picard_table = None
     truncated = None
     nk = system.dim * traj.n_segments
-    if cfg.spectrum or cfg.picard or cfg.truncated_sweep:
-        scratch = shadow.CostLedger()
-        # the Picard table and the curve need A, which raises past the cap
-        if cfg.picard or cfg.truncated_sweep or nk <= cfg.dense_cap:
-            a = analysis.dense_constraint_matrix(traj, scratch, cap=cfg.dense_cap)
-            s_dense = a @ a.T
-            modes, eigs = analysis.constraint_modes(s_dense)
-        if cfg.spectrum:
-            if nk <= cfg.dense_cap:
-                spectra["raw"] = analysis.SpectrumReport.dense("raw", eigs)
-                if pc is not None:
-                    spectra["preconditioned"] = analysis.preconditioned_spectrum(
-                        s_dense, pc, label="preconditioned")
-            else:
-                def schur(x):
-                    return shadow.schur_apply(traj, scratch,
-                                              x.reshape(traj.n_segments, -1))
-                spectra["raw"] = analysis.spectrum(
-                    lambda x: schur(x).reshape(-1),
-                    nk, mode="lanczos-extremes", label="raw")
-                if pc is not None:
-                    spectra["preconditioned"] = analysis.spectrum(
-                        lambda x: pc.apply(schur(x)).reshape(-1),
-                        nk, mode="lanczos-extremes", label="preconditioned")
+    scratch = shadow.CostLedger()
+    if (cfg.spectrum or cfg.picard or cfg.truncated_sweep) and nk <= cfg.dense_cap:
+        # the eigh of S is the analysis' peak: U goes once U^T b and
+        # U^T (A weights) are taken, before the preconditioned matrix
+        s_dense = analysis.dense_constraint_matrix(
+            traj, scratch, cap=cfg.dense_cap, normal=True)
+        modes, eigs = analysis.constraint_modes(s_dense)
         if cfg.picard:
-            picard_table = analysis.picard_data(a, b, svd=modes)
+            picard_table = analysis.picard_data(None, b, svd=modes)
         if cfg.truncated_sweep:
             ranks = sorted(set(
                 np.linspace(1, nk, min(nk, 40)).astype(int).tolist()
             ))
             truncated = analysis.sensitivity_vs_rank(
-                traj, objective, a, b, ranks, svd=modes,
+                traj, objective, None, b, ranks, svd=modes,
                 functional=(problem.functional, s0))
+        del modes
+        if cfg.spectrum:
+            spectra["raw"] = analysis.SpectrumReport.dense("raw", eigs)
+            if pc is not None:
+                spectra["preconditioned"] = analysis.preconditioned_spectrum(
+                    s_dense, pc, label="preconditioned")
+    elif cfg.spectrum:
+        # M^1/2 S M^1/2, similar to M S, keeps the operator symmetric
+        def schur(x):
+            return shadow.schur_apply(traj, scratch,
+                                      x.reshape(traj.n_segments, -1)).reshape(-1)
+        spectra["raw"] = analysis.spectrum(schur, nk, mode="lanczos-extremes",
+                                           label="raw")
+        if pc is not None:
+            spectra["preconditioned"] = analysis.spectrum(
+                lambda x: pc.apply_sqrt(schur(pc.apply_sqrt(x))),
+                nk, mode="lanczos-extremes", label="preconditioned")
 
     return RunResult(
         config=cfg, trajectory=traj, rhs=b, multipliers=w, checkpoints=v,

@@ -8,6 +8,26 @@ from msshadow import analysis, shadow, timestep, xcli
 from msshadow.errors import ShadowingError
 
 
+def truncated_svd_solution(a, b, rank, svd=None):
+    """Minimal-norm solution restricted to the top ``rank`` singular
+    modes of the dense constraint matrix, from its SVD (the oracle of
+    the truncated-SVD curve).  Returns a (K+1, N) checkpoint stack; rank
+    may be 0 (zero stack) up to the row count of a."""
+    if not 0 <= rank <= a.shape[0]:
+        raise ValueError(f"rank must be in [0, {a.shape[0]}]")
+    k, n = np.asarray(b).shape
+    u, s, vt = svd if svd is not None else np.linalg.svd(a, full_matrices=False)
+    coef = (u[:, :rank].T @ np.asarray(b).reshape(-1)) / s[:rank]
+    return (vt[:rank].T @ coef).reshape(k + 1, n)
+
+
+def dense_sqrt(pc):
+    """M^1/2 of a block-diagonal preconditioner as a dense matrix, probed
+    column by column with its matrix-free apply_sqrt."""
+    cols = np.stack([pc.apply_sqrt(e) for e in np.eye(pc.left[..., 0].size)])
+    return 0.5 * (cols + cols.T)
+
+
 @pytest.fixture(scope="module")
 def lorenz_dense(lorenz28):
     u0 = ms.advance(lorenz28, np.ones(3), -10.0, 0.0, 0.002)
@@ -89,12 +109,44 @@ class TestDenseAssembly:
         led = ms.CostLedger()
         with pytest.raises(ShadowingError):
             analysis.dense_constraint_matrix(traj, led, cap=5)
+        with pytest.raises(ShadowingError):
+            analysis.dense_constraint_matrix(traj, led, cap=5, normal=True)
+        assert led.snapshot() == (0, 0)
+
+
+class TestNormalMatrix:
+    def test_equals_product_of_dense_constraint_matrix(self, modal_case):
+        traj, _, a, _ = modal_case
+        n, k = traj.system.dim, traj.n_segments
+        led = ms.CostLedger()
+        s = analysis.dense_constraint_matrix(traj, led, normal=True)
+        ref = a @ a.T
+        assert s.shape == ref.shape == (n * k, n * k)
+        assert np.abs(s - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.array_equal(s, s.T)
+        assert led.snapshot() == (n * k, 0)
+
+    def test_preconditioned_spectrum_matches_dense_square_root(
+            self, modal_case):
+        # Lorenz keeps its one expanding mode per segment: deflating the
+        # contracting one too gives kappa 2.5e8, past a 1e-12 comparison
+        traj = modal_case[0]
+        retained = 1 if traj.system.dim == 3 else 3
+        s_mat = analysis.dense_constraint_matrix(traj, ms.CostLedger(),
+                                                 normal=True)
+        pc = ms.build_preconditioner(traj, ms.CostLedger(), retained, 2,
+                                     rng=np.random.default_rng(5))
+        msqrt = dense_sqrt(pc)
+        sym = msqrt @ s_mat @ msqrt
+        want = np.linalg.eigvalsh(0.5 * (sym + sym.T))
+        got = analysis.preconditioned_spectrum(s_mat, pc).eigenvalues
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 class TestTruncatedSVD:
     def test_zero_rank(self, lorenz_dense):
         _, a, b = lorenz_dense
-        v = analysis.truncated_svd_solution(a, b, 0)
+        v = truncated_svd_solution(a, b, 0)
         assert np.array_equal(v, np.zeros_like(v))
 
     def test_full_rank_matches_cg(self, lorenz_dense):
@@ -104,14 +156,14 @@ class TestTruncatedSVD:
         w, rep = ms.cg_solve(lambda z: ms.schur_apply(traj, led, z), b, cfg)
         assert rep.converged
         v_cg = ms.recover_checkpoints(traj, led, w)
-        v_svd = analysis.truncated_svd_solution(a, b, a.shape[0])
+        v_svd = truncated_svd_solution(a, b, a.shape[0])
         assert (np.linalg.norm(v_svd - v_cg)
                 <= 1e-6 * np.linalg.norm(v_cg))
 
     def test_rank_bounds(self, lorenz_dense):
         _, a, b = lorenz_dense
         with pytest.raises(ValueError):
-            analysis.truncated_svd_solution(a, b, a.shape[0] + 1)
+            truncated_svd_solution(a, b, a.shape[0] + 1)
 
     def test_sensitivity_vs_rank_runs(self, lorenz_dense):
         traj, a, b = lorenz_dense
@@ -204,7 +256,7 @@ class TestConstraintModes:
         assert ranks[-1] == a.shape[0]
         curve = analysis.sensitivity_vs_rank(traj, objective, a, b, ranks)
         for rank, value in curve:
-            v = analysis.truncated_svd_solution(a, b, rank, svd=svd)
+            v = truncated_svd_solution(a, b, rank, svd=svd)
             want = shadow.evaluate_sensitivity(traj, objective, v)
             assert abs(value - want) <= 1e-10 * abs(want), rank
 
@@ -223,7 +275,8 @@ class TestConstraintModes:
 def test_pipeline_runs_no_svd_of_the_constraint_matrix(monkeypatch):
     # the Picard table, the truncated curve and the raw spectrum come from
     # one eigendecomposition of S; the preconditioner's small batched
-    # SVDs of (K, N, l + 2) stacks still run
+    # SVDs of (K, N, l + 2) stacks still run.  S and M^1/2 S M^1/2 come
+    # from N x N blocks, so neither the dense A nor the dense M is placed
     cfg = xcli.ExperimentConfig(
         model="lorenz", name="modes", seed=3, rho=28.0, spin_up=5.0,
         window=6.0, segment=1.0, step=0.002, gamma=0.05, mode="pre",
@@ -236,7 +289,17 @@ def test_pipeline_runs_no_svd_of_the_constraint_matrix(monkeypatch):
         shapes.append(np.shape(m))
         return svd(m, *args, **kwargs)
 
+    def placed(*args, **kwargs):
+        raise AssertionError("dense matrix placed")
+
+    place = analysis.dense_constraint_matrix
+
+    def normal_only(*args, normal=False, **kwargs):
+        return (place if normal else placed)(*args, normal=normal, **kwargs)
+
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(analysis, "dense_constraint_matrix", normal_only)
+    monkeypatch.setattr(ms.BlockDiagPreconditioner, "dense", placed)
     result = xcli.run_pipeline(cfg)
     assert shapes and (nk, cols) not in shapes
     monkeypatch.undo()
@@ -246,6 +309,11 @@ def test_pipeline_runs_no_svd_of_the_constraint_matrix(monkeypatch):
     raw = analysis.spectrum(a @ a.T, nk, label="raw")
     np.testing.assert_allclose(result.spectra["raw"].eigenvalues,
                                raw.eigenvalues, rtol=1e-11)
+    m_half = dense_sqrt(result.preconditioner)
+    sym = m_half @ (a @ a.T) @ m_half
+    np.testing.assert_allclose(result.spectra["preconditioned"].eigenvalues,
+                               np.linalg.eigvalsh(0.5 * (sym + sym.T)),
+                               rtol=1e-12)
     assert [r for r, _ in result.truncated][-1] == nk
     # a spectrum-only run takes the raw spectrum from the same eigh
     alone = xcli.run_pipeline(dataclasses.replace(

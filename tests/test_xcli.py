@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import msshadow as ms
-from msshadow import shadow, timestep, xcli
+from msshadow import analysis, shadow, timestep, xcli
 from msshadow.errors import ConfigError, DivergenceError
 
 LORENZ_INI = """\
@@ -309,6 +309,26 @@ class TestRunExperiment:
             assert result.spectra[label].mode == "dense"
             assert result.spectra[label].eigenvalues.size == 3 * 700
 
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_lanczos_extremes_match_dense_spectra(self, seed):
+        # past the cap both spectra take the Lanczos route; the
+        # preconditioned one runs on the symmetric M^1/2 S M^1/2, whose
+        # extremes are those of the dense spectrum
+        cfg = xcli.ExperimentConfig(
+            model="lorenz", seed=seed, rho=40.0, spin_up=100.0, window=40.0,
+            step=0.01, gamma=0.1, mode="pre", spectrum=True, dense_cap=10)
+        result = xcli.run_pipeline(cfg)
+        s_mat = analysis.dense_constraint_matrix(
+            result.trajectory, ms.CostLedger(), normal=True)
+        dense = {"raw": np.linalg.eigvalsh(s_mat),
+                 "preconditioned": analysis.preconditioned_spectrum(
+                     s_mat, result.preconditioner).eigenvalues}
+        for label, eigs in dense.items():
+            rep = result.spectra[label]
+            assert rep.mode == "lanczos-extremes" and rep.converged
+            np.testing.assert_allclose(rep.eigenvalues, eigs[[0, -1]],
+                                       rtol=1e-6)
+
     @pytest.mark.parametrize("overrides", [
         ["solver.mode=pre"],
         ["solver.mode=post"],
@@ -384,6 +404,20 @@ class TestRunExperiment:
             path.write_text("[experiment]\nmodel = ks\n[model]\nn = 31\n"
                             "length = 32.0\n[time]\nwindow = 4.0\n")
         code = xcli.main(["run", "--config", str(path), "--set", override])
+        assert code == xcli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("command, extra", [
+        ("picard", []),
+        ("run", ["--set", "analysis.truncated_sweep=true"]),
+    ])
+    def test_main_rejects_dense_analysis_past_cap_before_integration(
+            self, lorenz_ini, monkeypatch, command, extra):
+        # N*K = 15 > cap 5: the Picard table and the curve need the dense
+        # S, so the config fails at load, before the spin-up
+        _forbid_integration(monkeypatch)
+        code = xcli.main([command, "--config", str(lorenz_ini),
+                          "--set", "analysis.dense_cap=5",
+                          "--set", "time.window=5.0", *extra])
         assert code == xcli.EXIT_CONFIG
 
     def test_main_non_convergence(self, lorenz_ini):
