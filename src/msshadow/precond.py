@@ -11,16 +11,16 @@ untouched.  The factors are computed matrix-free with a restarted
 Lanczos bidiagonalization:
 
   cycle 1   Golub-Kahan-Lanczos recursion with full reorthogonalization,
-            subspace dimension l+2, Ritz pairs from the SVD of the
+            subspace dimension min(l+2, N), Ritz pairs from the SVD of the
             projected bidiagonal matrix;
   cycle 2+  thick restart: the whole Ritz block is refreshed by one
             two-sided subspace iteration (orthonormalize the forward
             image, then the adjoint image) followed by Rayleigh-Ritz
             on the projected cross matrix.
 
-Every cycle applies the propagator and its adjoint exactly l+2 times
-per segment, so the build cost charged to the ledger is exactly
-2 K q (l+2) products.  Builds for distinct segments are independent;
+Every cycle applies the propagator and its adjoint exactly min(l+2, N)
+times per segment, so the build cost charged to the ledger is exactly
+2 K q min(l+2, N) products.  Builds for distinct segments are independent;
 they are executed in lockstep as one batched sweep here.
 """
 
@@ -34,12 +34,14 @@ from .shadow import _propagate_rows, _propagate_rows_adjoint
 CLAMP_RATIO = 1e-10
 
 
-def predict_costs(n_segments, cycles, retained, iterations):
-    """(preconditioner cost, solve cost) in propagator products."""
+def predict_costs(n_segments, cycles, retained, iterations, dim=None):
+    """(preconditioner cost, solve cost) in propagator products; the
+    Lanczos subspace l+2 is capped at the state dimension ``dim``."""
     if min(n_segments, cycles, retained, iterations) < 0:
         raise ValueError("cost model arguments must be non-negative")
+    subspace = retained + 2 if dim is None else min(retained + 2, dim)
     return (
-        2 * n_segments * cycles * (retained + 2),
+        2 * n_segments * cycles * subspace,
         2 * n_segments * iterations,
     )
 

@@ -58,8 +58,7 @@ class CostLedger:
 
     ``forward`` counts tangent-side products (including forced
     right-hand-side sweeps), ``adjoint`` counts transpose products.
-    A ledger belongs to one process; parallel work here runs in worker
-    processes, each with its own ledger.
+    A ledger belongs to one process and one thread.
     """
 
     def __init__(self):

@@ -16,7 +16,7 @@ in TRAJECTORY_FIELDS, so requests that differ only in solver settings
 (a sweep over gamma or the preconditioner rank) share one trajectory.
 On a key miss the kept Problem is dropped before the next one is
 prepared, so at most one lives at a time.  Like a CostLedger, the keep
-belongs to one process and one thread; worker processes keep their own.
+belongs to one process and one thread.
 
 Exit codes: 0 ok, 2 config error, 3 divergence, 4 non-convergence or
 any other library error (a ShadowingError or ValueError), reported as
@@ -25,7 +25,6 @@ one line on stderr.
 
 import argparse
 import configparser
-import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -48,8 +47,6 @@ EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 EXIT_NO_CONVERGENCE = 4
 
-WORKERS_ENV = "MSSHADOW_WORKERS"
-
 
 @dataclass
 class ExperimentConfig:
@@ -57,7 +54,6 @@ class ExperimentConfig:
     name: str = ""
     seed: int = 0
     output_dir: str = "runs/out"
-    workers: int = 1
     # model constants
     sigma: float = 10.0
     rho: float = 28.0
@@ -145,7 +141,7 @@ class ExperimentConfig:
 
 _SCHEMA = {
     "experiment": {"model": str, "name": str, "seed": int,
-                   "output_dir": str, "workers": int},
+                   "output_dir": str},
     "model": {"sigma": float, "rho": float, "beta": float, "n": int,
               "length": float, "c": float, "objective": str},
     "time": {"spin_up": float, "window": float, "segment": float,
@@ -198,13 +194,9 @@ def load_config(path, overrides=()):
         dest = _KEY_RENAMES.get((section, key), key)
         values[dest] = _convert(raw, _SCHEMA[section][key], address)
     try:
-        cfg = ExperimentConfig(**values)
+        return ExperimentConfig(**values)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-    env_workers = os.environ.get(WORKERS_ENV)
-    if env_workers:
-        cfg = replace(cfg, workers=_convert(env_workers, int, WORKERS_ENV))
-    return cfg
 
 
 def build_system(cfg, param=None):
@@ -443,7 +435,7 @@ def summarize(result):
     cfg = result.config
     predicted = precond.predict_costs(
         cfg.n_segments, cfg.cycles if cfg.pc_enabled else 0,
-        cfg.rank, result.report.iterations)
+        cfg.rank, result.report.iterations, result.trajectory.system.dim)
     pc = result.preconditioner
     rows = [
         ("model", cfg.model),
@@ -452,7 +444,7 @@ def summarize(result):
         ("parameter", f"{cfg.param:.17g}"),
         ("window", f"{cfg.window:.17g}"),
         ("segments", cfg.n_segments),
-        ("dimension", 3 if cfg.model == "lorenz" else cfg.n),
+        ("dimension", result.trajectory.system.dim),
         ("step", f"{cfg.step:.17g}"),
         ("gamma", f"{cfg.gamma:.17g}"),
         ("mode", cfg.mode),
@@ -560,23 +552,9 @@ def fd_sample(make_system, make_objective, u0, param, delta, spin_up,
     return (averages[0] - averages[1]) / (2.0 * delta)
 
 
-def _fd_samples_from_config(args):
-    cfg, delta, horizon, seeds = args
-    u0 = np.array([initial_state(cfg, np.random.default_rng(seed))
-                   for seed in seeds])
-    return fd_sample(
-        lambda value: build_system(cfg, param=value),
-        lambda system: build_objective(cfg, system),
-        u0, cfg.param, delta, cfg.spin_up, horizon, cfg.step,
-    )
-
-
 def finite_difference_reference(cfg, delta, n_samples, horizon):
     """Mean and standard error of the central-difference sensitivity
-    over seeded random initial conditions.
-
-    The samples are integrated as one batch, or as one batch per worker.
-    """
+    over seeded random initial conditions, integrated as one batch."""
     if delta <= 0:
         raise ConfigError("finite-difference delta must be positive")
     if n_samples < 1:
@@ -585,16 +563,13 @@ def finite_difference_reference(cfg, delta, n_samples, horizon):
         timestep._n_steps(0.0, horizon, cfg.step)
     except ValueError as exc:
         raise ConfigError(f"finite-difference horizon: {exc}") from exc
-    seeds = np.random.SeedSequence(cfg.seed).spawn(n_samples)
-    n_jobs = min(max(cfg.workers, 1), n_samples)
-    jobs = [(cfg, delta, horizon, [seeds[i] for i in chunk])
-            for chunk in np.array_split(np.arange(n_samples), n_jobs)]
-    if n_jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            samples = np.concatenate(list(pool.map(_fd_samples_from_config, jobs)))
-    else:
-        samples = _fd_samples_from_config(jobs[0])
+    u0 = np.array([initial_state(cfg, np.random.default_rng(seed))
+                   for seed in np.random.SeedSequence(cfg.seed).spawn(n_samples)])
+    samples = fd_sample(
+        lambda value: build_system(cfg, param=value),
+        lambda system: build_objective(cfg, system),
+        u0, cfg.param, delta, cfg.spin_up, horizon, cfg.step,
+    )
     mean = float(samples.mean())
     se = float(samples.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
     return mean, se, samples
@@ -615,33 +590,6 @@ _SWEEP_COLUMNS = ("sensitivity", "iterations", "converged", "precond_cost",
                   "solve_cost", "error")
 
 
-def _sweep_point(args):
-    cfg, axis, value = args
-    key, kind = _AXES[axis]
-    point = replace(cfg, **{key: kind(value)},
-                    name=f"{cfg.name}_{axis}_{value:g}")
-    sub = Path(cfg.output_dir) / f"{axis}_{value:g}"
-    result = run_experiment(point, out_dir=sub)
-    return {
-        "value": value,
-        "sensitivity": result.sensitivity,
-        "iterations": result.report.iterations,
-        "converged": result.report.converged,
-        "precond_cost": result.precond_cost,
-        "solve_cost": result.solve_cost,
-        "error": "",
-    }
-
-
-def _sweep_row(value, outcome):
-    """The row of one sweep point: outcome(), or the error it raises."""
-    try:
-        return outcome()
-    except ShadowingError as exc:
-        return {"value": value, **dict.fromkeys(_SWEEP_COLUMNS, ""),
-                "error": str(exc)}
-
-
 def sweep(cfg, axis, values):
     """Run the pipeline once per axis value and merge the summaries.
 
@@ -654,16 +602,27 @@ def sweep(cfg, axis, values):
     model = {"c": "ks", "N": "ks", "rho": "lorenz"}.get(axis, cfg.model)
     if cfg.model != model:
         raise ConfigError(f"axis {axis!r} applies to the {model} model only")
-    jobs = [(cfg, axis, float(v)) for v in values]
-    if cfg.workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(_sweep_point, job) for job in jobs]
-            rows = [_sweep_row(job[2], fut.result)
-                    for job, fut in zip(jobs, futures)]
-    else:
-        rows = [_sweep_row(job[2], lambda job=job: _sweep_point(job))
-                for job in jobs]
+    key, kind = _AXES[axis]
+    rows = []
+    for value in map(float, values):
+        # replace is inside the try: a point's ConfigError is its row
+        try:
+            point = replace(cfg, **{key: kind(value)},
+                            name=f"{cfg.name}_{axis}_{value:g}")
+            result = run_experiment(
+                point, out_dir=Path(cfg.output_dir) / f"{axis}_{value:g}")
+            rows.append({
+                "value": value,
+                "sensitivity": result.sensitivity,
+                "iterations": result.report.iterations,
+                "converged": result.report.converged,
+                "precond_cost": result.precond_cost,
+                "solve_cost": result.solve_cost,
+                "error": "",
+            })
+        except ShadowingError as exc:
+            rows.append({"value": value, **dict.fromkeys(_SWEEP_COLUMNS, ""),
+                         "error": str(exc)})
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     analysis.write_csv(

@@ -63,9 +63,12 @@ class TestConfig:
         assert cfg.gamma == 0.2
         assert cfg.rho == 40.0
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text", ["[model]\nwhatever = 3\n",
+                                      "[experiment]\nworkers = 2\n"],
+                             ids=["model", "workers"])
+    def test_unknown_key_rejected(self, tmp_path, text):
         path = tmp_path / "bad.ini"
-        path.write_text("[model]\nwhatever = 3\n")
+        path.write_text(text)
         with pytest.raises(ConfigError):
             xcli.load_config(path)
 
@@ -86,11 +89,6 @@ class TestConfig:
     def test_bad_override_shape(self, lorenz_ini):
         with pytest.raises(ConfigError):
             xcli.load_config(lorenz_ini, ["gamma:0.2"])
-
-    def test_env_worker_override(self, lorenz_ini, monkeypatch):
-        monkeypatch.setenv(xcli.WORKERS_ENV, "3")
-        cfg = xcli.load_config(lorenz_ini)
-        assert cfg.workers == 3
 
     def test_bad_model(self):
         with pytest.raises(ConfigError):
@@ -182,15 +180,6 @@ class TestFiniteDifferenceReference:
             xcli.finite_difference_reference(cfg, delta=0.0, n_samples=2,
                                              horizon=5.0)
 
-    def test_worker_pool_matches_one_process(self, lorenz_ini):
-        cfg = dataclasses.replace(xcli.load_config(lorenz_ini), workers=1)
-        _, _, serial = xcli.finite_difference_reference(
-            cfg, delta=1.0, n_samples=3, horizon=10.0)
-        _, _, pooled = xcli.finite_difference_reference(
-            dataclasses.replace(cfg, workers=2), delta=1.0, n_samples=3,
-            horizon=10.0)
-        assert np.array_equal(pooled, serial)
-
 
 def _forbid_integration(monkeypatch):
     def integration_started(*args, **kwargs):
@@ -236,6 +225,17 @@ class TestRunExperiment:
             summary["predicted_precond_cost"])
         assert int(summary["solve_cost"]) == int(summary["predicted_solve_cost"])
         assert summary["converged"] == "True"
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_summary_predicts_charged_precond_cost(self, lorenz_ini, rank):
+        # the Lanczos subspace l + 2 is capped at N = 3, so every rank
+        # charges 2 K q N = 2 * 4 * 2 * 3 products
+        result = xcli.run_pipeline(xcli.load_config(
+            lorenz_ini, [f"preconditioner.rank={rank}"]))
+        summary = dict(xcli.summarize(result))
+        assert summary["dimension"] == 3
+        assert result.precond_cost == 48
+        assert summary["predicted_precond_cost"] == 48
 
     def test_summary_reports_propagator_matrices(self, lorenz_ini,
                                                  monkeypatch):
@@ -437,7 +437,7 @@ class TestRunExperiment:
 # every ExperimentConfig field that does not fix the trajectory; a new
 # field must join this set or xcli.TRAJECTORY_FIELDS
 SOLVE_ONLY_FIELDS = {
-    "name", "output_dir", "workers", "gamma", "mode", "tol",
+    "name", "output_dir", "gamma", "mode", "tol",
     "max_iter", "pc_enabled", "rank", "cycles", "spectrum", "picard",
     "truncated_sweep", "dense_cap",
 }
@@ -602,13 +602,6 @@ class TestSweep:
         assert all(row["converged"] for row in rows)
         merged = (tmp_path / "out" / "tiny_sweep_gamma.csv").read_text()
         assert len(merged.strip().splitlines()) == 3
-
-    def test_worker_pool_matches_one_process(self, lorenz_ini):
-        cfg = dataclasses.replace(xcli.load_config(lorenz_ini), workers=1)
-        serial = xcli.sweep(cfg, "gamma", [0.05, 0.5])
-        pooled = xcli.sweep(dataclasses.replace(cfg, workers=2), "gamma",
-                            [0.05, 0.5])
-        assert pooled == serial
 
     def test_failure_recorded_and_continues(self, lorenz_ini):
         cfg = xcli.load_config(lorenz_ini)
