@@ -12,6 +12,7 @@ imported on first use; everything else needs NumPy only.
 """
 
 import csv
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,9 +84,10 @@ def spectrum(operator, size, mode="dense", cap=DENSE_CAP, label="", tol=1e-8,
     ``operator`` is a dense matrix, or in lanczos-extremes mode also a
     callable on flat vectors.  Dense mode symmetrizes ((B + B^T)/2)
     before the eigensolve and returns the full set.  lanczos-extremes
-    mode estimates (mu_min, mu_max) with matrix-vector products and
-    flags non-convergence instead of raising; ``extremes="max"`` skips
-    the (much slower) smallest-eigenvalue search and reports only mu_max.
+    mode estimates (mu_min, mu_max) with matrix-vector products from
+    random vectors fixed by ``size``, and flags non-convergence instead
+    of raising; ``extremes="max"`` skips the (much slower)
+    smallest-eigenvalue search and reports only mu_max.
     """
     if mode == "dense":
         _check_cap(size, cap)
@@ -101,11 +103,16 @@ def spectrum(operator, size, mode="dense", cap=DENSE_CAP, label="", tol=1e-8,
     converged = True
     sides = {"both": ("SA", "LA"), "min": ("SA",), "max": ("LA",)}[extremes]
     found = []
+    # ARPACK starts and restarts from random vectors: draw them from a fixed
+    # generator (a SciPy without rng restarts from a per-process seed)
+    seeded = "rng" in inspect.signature(spla.eigsh).parameters
     for which in sides:
+        rng = np.random.default_rng(size)
         try:
             vals = spla.eigsh(
                 linop, k=1, which=which, tol=tol, maxiter=size * 50,
-                return_eigenvectors=False,
+                v0=rng.uniform(-1.0, 1.0, size), return_eigenvectors=False,
+                **({"rng": rng} if seeded else {}),
             )
             found.append(float(vals[0]))
         except spla.ArpackNoConvergence as exc:

@@ -4,10 +4,12 @@ Every system exposes the right-hand side f(u, s) of du/dt = f(u, s),
 its Jacobian action and exact transpose, and the derivative of f with
 respect to the single control parameter s.  All operations accept
 arrays of shape (..., N) and act on the last axis, so they can be
-applied to a whole batch of states at once.  The exception is the
+applied to a whole batch of states at once.  The exceptions are the
 Kuramoto-Sivashinsky kernel behind ``rk4_stepper`` and
 ``tangent_columns``, which works on axis 0 of preallocated buffers so
-that every stencil shift is one contiguous block.
+that every stencil shift is one contiguous block, and Lorenz's
+``tangent_kernel``, which steps tangent batches held component-major
+as (3, m) buffers, so that each component is one contiguous row.
 """
 
 import math
@@ -103,6 +105,44 @@ class Lorenz(DynamicalSystem):
         out = np.zeros_like(u)
         out[..., 1] = u[..., 0]
         return out
+
+    def tangent_kernel(self, h, m, forcing):
+        """step(v, u, s2, s3, s4): one discrete tangent RK4 step, in place,
+        of the component-major batch v (3, m), stage states as (m, 3) rows:
+        the element operations of timestep.tangent_step_at over
+        jacobian_apply and param_deriv, in their order (dropping the
+        forcing's + 0.0 on components 0 and 2 can change only the sign of
+        an exact zero).  None for a subclass that redefines either."""
+        cls = type(self)
+        if (cls.jacobian_apply is not Lorenz.jacobian_apply
+                or cls.param_deriv is not Lorenz.param_deriv):
+            return None
+        s, r, b, hh, hf, h6, two = map(np.array, (
+            self.sigma, self.rho, self.beta, 0.5 * h, h, h / 6.0, 2.0))
+        acc, k, w = (np.empty((3, m)) for _ in range(3))
+        t = np.empty(m)
+        add, mul, sub = np.add, np.multiply, np.subtract
+
+        def deriv(u, v, out):
+            x, y, z = u.T
+            (va, vb, vc), (o0, o1, o2) = v, out
+            mul(sub(vb, va, o0), s, o0)
+            sub(sub(mul(sub(r, z, o1), va, o1), vb, o1), mul(x, vc, t), o1)
+            if forcing:
+                add(o1, x, o1)
+            sub(add(mul(y, va, o2), mul(x, vb, t), o2), mul(b, vc, t), o2)
+
+        def step(v, u, s2, s3, s4):
+            deriv(u, v, acc)
+            add(v, mul(acc, hh, w), w)
+            deriv(s2, w, k)
+            for st, c in ((s3, hh), (s4, hf)):
+                add(v, mul(k, c, w), w)
+                add(acc, mul(k, two, k), acc)
+                deriv(st, w, k)
+            add(v, mul(add(acc, k, acc), h6, acc), v)
+
+        return step
 
     def rk4_scalar(self, u, h, n, states=None, check_every=1):
         """n RK4 steps of one state in plain floats (the fast path of

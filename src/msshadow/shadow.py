@@ -308,11 +308,12 @@ def _forced_sweep(traj, v, objective=None):
     h, grad = traj.h, objective.gradient
     offs = segments * traj.stride
     acc = 0.5 * h * (grad(traj.states[offs]) * v).sum(axis=-1)
+    after = traj.states[1:].reshape(traj.n_segments, traj.stride, -1)
 
     def accumulate(j, vv):
         nonlocal acc
         wq = h if j < traj.stride - 1 else 0.5 * h
-        acc += wq * (grad(traj.states[offs + j + 1]) * vv).sum(axis=-1)
+        acc += wq * (grad(after[:, j]) * vv).sum(axis=-1)
 
     end = timestep.tangent_sweep_many(traj, segments, v, forcing=True,
                                       on_step=accumulate)
@@ -342,15 +343,14 @@ def sensitivity_functional(traj, objective):
     k, n = traj.n_segments, traj.system.dim
     h = traj.h
     offs = np.arange(k) * traj.stride
-    s2, s3, s4 = traj.stages()
+    rows = timestep._stage_rows(traj, np.arange(k))
     f_end, ff, dj = _end_correction(traj, objective)
     grad = objective.gradient
     w = 0.5 * h * grad(traj.states[offs + traj.stride]) + (dj / ff)[:, None] * f_end
     for j in range(traj.stride - 1, -1, -1):
-        idx = offs + j
-        w = timestep.adjoint_step_at(
-            traj.system, h, traj.states[idx], s2[idx], s3[idx], s4[idx], w)
-        w += (h if j else 0.5 * h) * grad(traj.states[idx])
+        u, *stages = rows(j)
+        w = timestep.adjoint_step_at(traj.system, h, u, *stages, w)
+        w += (h if j else 0.5 * h) * grad(u)
     a = np.zeros((k + 1, n))
     a[:k] = w
     return a

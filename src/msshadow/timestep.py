@@ -11,7 +11,11 @@ is what keeps the shooting normal equations numerically symmetric.
 Sweeps are vectorised over segments: a batch of tangent vectors is
 advanced in lockstep, row i following segment ``segments[i]`` of the
 stored trajectory.  This is the serial-machine equivalent of the
-per-segment parallelism of the method.
+per-segment parallelism of the method.  A sweep over all segments in
+order reads each step's stage states as strided views of the stored
+arrays; other row patterns gather them.  A system with a
+``tangent_kernel`` (Lorenz) steps tangent batches in place on
+component-major buffers, with the arithmetic of ``tangent_step_at``.
 """
 
 import numpy as np
@@ -213,28 +217,46 @@ def _check_segments(traj, segments):
     return segments
 
 
+def _stage_rows(traj, segments):
+    """rows(j): the stored state and RK4 stages 2-4 at step j of each
+    row's segment, four (m, N) arrays.  Strided views when the rows are
+    the segments 0..K-1 in order, gathers otherwise."""
+    k, stride = traj.n_segments, traj.stride
+    arrays = (traj.states, *traj.stages())
+    if segments.size == k and (segments == np.arange(k)).all():
+        blocks = [a[:k * stride].reshape(k, stride, -1) for a in arrays]
+        return lambda j: [b[:, j] for b in blocks]
+    offs = segments * stride
+    return lambda j: [a[offs + j] for a in arrays]
+
+
 def tangent_sweep_many(traj, segments, v, forcing=False, on_step=None):
     """Propagate rows of v across their segments with the discrete tangent.
 
     v has shape (m, N); row i is advanced from the start to the end of
     segment segments[i].  Returns v at the segment ends (before any
     projection).  ``on_step``, when given, is called with (j, rows)
-    after step j of every segment.
+    after step j of every segment; the rows may be a view that the
+    next step overwrites.
     """
     segments = _check_segments(traj, segments)
     if v.shape != (segments.size, traj.system.dim):
         raise DimensionMismatch("tangent batch shape mismatch")
-    offs = segments * traj.stride
-    s2, s3, s4 = traj.stages()
-    sys = traj.system
-    h = traj.h
+    rows = _stage_rows(traj, segments)
+    sys, h = traj.system, traj.h
+    kernel = getattr(sys, "tangent_kernel", None)
+    step = kernel(h, segments.size, forcing) if kernel else None
+    if step is not None:
+        # a copy even when v.T is contiguous: the kernel steps in place
+        out = v.T.copy()
+        for j in range(traj.stride):
+            step(out, *rows(j))
+            if on_step is not None:
+                on_step(j, out.T)
+        return out.T.copy()
     out = v.copy()
     for j in range(traj.stride):
-        idx = offs + j
-        out = tangent_step_at(
-            sys, h, traj.states[idx], s2[idx], s3[idx], s4[idx], out,
-            forcing=forcing,
-        )
+        out = tangent_step_at(sys, h, *rows(j), out, forcing=forcing)
         if on_step is not None:
             on_step(j, out)
     return out
@@ -249,16 +271,10 @@ def adjoint_sweep_many(traj, segments, w):
     segments = _check_segments(traj, segments)
     if w.shape != (segments.size, traj.system.dim):
         raise DimensionMismatch("adjoint batch shape mismatch")
-    offs = segments * traj.stride
-    s2, s3, s4 = traj.stages()
-    sys = traj.system
-    h = traj.h
+    rows = _stage_rows(traj, segments)
     out = w.copy()
     for j in range(traj.stride - 1, -1, -1):
-        idx = offs + j
-        out = adjoint_step_at(
-            sys, h, traj.states[idx], s2[idx], s3[idx], s4[idx], out
-        )
+        out = adjoint_step_at(traj.system, traj.h, *rows(j), out)
     return out
 
 

@@ -49,6 +49,14 @@ class Quadratic(LinearDecay):
         return np.zeros_like(u)
 
 
+class GenericLorenz(ms.Lorenz):
+    """Lorenz through the generic tangent step: a subclass that redefines
+    jacobian_apply gets no tangent kernel."""
+
+    def jacobian_apply(self, u, v):
+        return super().jacobian_apply(u, v)
+
+
 class TestIntegrate:
     def test_linear_exact_solution(self):
         sys_ = LinearDecay()
@@ -195,3 +203,60 @@ class TestTangentAdjoint:
         rate = log_growth / traj.span
         assert 0.8 <= rate <= 1.7
 
+
+class TestLorenzTangentKernel:
+    ROWS = {
+        "all_in_order": np.arange(5),
+        "grouped": np.repeat(np.arange(5), 3),
+        "one": np.array([2]),
+        "subset": np.array([3, 0, 4]),
+        "all_reversed": np.arange(5)[::-1],
+    }
+
+    @staticmethod
+    def _generic(traj):
+        return ms.Trajectory(GenericLorenz(rho=traj.system.rho), traj.t_start,
+                             traj.h, traj.states, traj.fvals, traj.stride)
+
+    def test_kernel_only_for_lorenz_methods(self, lorenz28):
+        assert lorenz28.tangent_kernel(0.01, 4, True) is not None
+        assert GenericLorenz().tangent_kernel(0.01, 4, True) is None
+
+        class OwnForcing(ms.Lorenz):
+            def param_deriv(self, u):
+                return super().param_deriv(u)
+
+        assert OwnForcing().tangent_kernel(0.01, 4, False) is None
+
+    @pytest.mark.parametrize("forcing", [False, True])
+    @pytest.mark.parametrize("kind", sorted(ROWS))
+    def test_matches_generic_step(self, lorenz_traj, kind, forcing):
+        # the kernel (Lorenz) and the generic step (GenericLorenz) agree bit
+        # for bit at the segment ends and in the rows handed to on_step,
+        # and with each row swept alone (gathered stage states)
+        segments = self.ROWS[kind]
+        v = np.random.default_rng(6).standard_normal((segments.size, 3))
+        ends, seen = [], []
+        for traj in (lorenz_traj, self._generic(lorenz_traj)):
+            rows = []
+            ends.append(timestep.tangent_sweep_many(
+                traj, segments, v, forcing=forcing,
+                on_step=lambda j, r, rows=rows: rows.append((j, r.copy()))))
+            seen.append(rows)
+        assert np.array_equal(ends[0], ends[1])
+        alone = [timestep.tangent_sweep_many(lorenz_traj, [seg], v[i:i + 1],
+                                             forcing=forcing)
+                 for i, seg in enumerate(segments)]
+        assert np.array_equal(ends[0], np.concatenate(alone))
+        assert len(seen[0]) == len(seen[1]) == lorenz_traj.stride
+        for (j0, r0), (j1, r1) in zip(*seen):
+            assert j0 == j1 and r0.shape == (segments.size, 3)
+            assert np.array_equal(r0, r1)
+
+    def test_input_left_unchanged(self, lorenz_traj):
+        # v.T of a (1, N) batch is contiguous; the kernel must not step it
+        v = np.random.default_rng(7).standard_normal((1, 3))
+        keep = v.copy()
+        out = timestep.tangent_sweep_many(lorenz_traj, [1], v, forcing=True)
+        assert np.array_equal(v, keep)
+        assert not np.array_equal(out, v)

@@ -494,21 +494,31 @@ class TestKeptProblem:
         # zero stack's sensitivity comes with the rhs: a cold request
         # sweeps for the matrices, the functional (adjoint) and the rhs
         # (forced), a warm one for the rhs alone; both agree with the
-        # forward-sweep reference to round-off
+        # forward-sweep reference to round-off.  Steps are counted where
+        # every sweep reads its stage states, whichever step it runs;
+        # sweeps outside tangent_sweep_many are adjoint
         steps = {}
-        tangent, adjoint = timestep.tangent_step_at, timestep.adjoint_step_at
+        tangent, stage_rows = timestep.tangent_sweep_many, timestep._stage_rows
+        sweeping = []
 
-        def tangent_spy(*args, forcing=False):
-            kind = "forced" if forcing else "tangent"
-            steps[kind] = steps.get(kind, 0) + 1
-            return tangent(*args, forcing=forcing)
+        def tangent_spy(*args, forcing=False, **kw):
+            sweeping.append("forced" if forcing else "tangent")
+            try:
+                return tangent(*args, forcing=forcing, **kw)
+            finally:
+                sweeping.pop()
 
-        def adjoint_spy(*args):
-            steps["adjoint"] = steps.get("adjoint", 0) + 1
-            return adjoint(*args)
+        def rows_spy(traj, segments):
+            rows = stage_rows(traj, segments)
+            kind = sweeping[-1] if sweeping else "adjoint"
 
-        monkeypatch.setattr(timestep, "tangent_step_at", tangent_spy)
-        monkeypatch.setattr(timestep, "adjoint_step_at", adjoint_spy)
+            def counted(j):
+                steps[kind] = steps.get(kind, 0) + 1
+                return rows(j)
+            return counted
+
+        monkeypatch.setattr(timestep, "tangent_sweep_many", tangent_spy)
+        monkeypatch.setattr(timestep, "_stage_rows", rows_spy)
         cfg = xcli.load_config(lorenz_ini)
         stride = cfg.stride
         for reused, expected in ((False, {"tangent": stride, "adjoint": stride,
@@ -705,3 +715,26 @@ def test_scipy_and_process_pool_load_on_first_use(lorenz_ini):
     assert "scipy.sparse.linalg" in got["after_lanczos"]
     assert got["converged"]
     assert got["lanczos"] == pytest.approx(got["exact"], rel=1e-5)
+
+
+def test_lanczos_spectrum_runs_are_byte_identical(tmp_path):
+    # past the dense cap both spectra come from ARPACK, whose start and
+    # restart vectors are fixed by the call: two runs of the command, each
+    # in its own interpreter, write the same files
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    for run in ("a", "b"):
+        subprocess.run(
+            [sys.executable, "-m", "msshadow.xcli", "spectrum",
+             "--config", str(root / "configs" / "lorenz_rho40.ini"),
+             "--set", "time.window=20", "--set", "analysis.dense_cap=30",
+             "--set", f"experiment.output_dir={tmp_path / run}"],
+            env=env, capture_output=True, check=True, timeout=300)
+    names = sorted(p.name for p in (tmp_path / "a").glob("*.csv"))
+    assert "lorenz_rho40_spectrum_raw.csv" in names
+    assert "lorenz_rho40_spectrum_preconditioned.csv" in names
+    for name in names:
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes()), name
