@@ -46,10 +46,10 @@ scratch = ms.CostLedger()
 t0 = time.perf_counter()
 rep_s = analysis.spectrum(
     lambda x: ms.schur_apply(traj, scratch, x.reshape(10, 127)).reshape(-1),
-    1270, mode='lanczos-extremes', label='raw', extremes='max')
+    1270, label='raw', extremes='max')
 rep_m = analysis.spectrum(
     lambda x: pc.apply(ms.schur_apply(traj, scratch, x.reshape(10, 127))).reshape(-1),
-    1270, mode='lanczos-extremes', label='pre', extremes='max')
+    1270, label='pre', extremes='max')
 out['mu_S'] = [rep_s.eigenvalues[0], rep_s.eigenvalues[-1], rep_s.converged]
 out['mu_MS'] = [rep_m.eigenvalues[0], rep_m.eigenvalues[-1], rep_m.converged]
 out['spectrum_wall'] = time.perf_counter() - t0

@@ -49,7 +49,9 @@ ranks = sorted(set([plateau_end, plateau_zone]
                    + list(np.linspace(noise, len(sv), 6).astype(int))
                    + list(np.linspace(1, plateau_end, 8).astype(int))))
 t0 = time.perf_counter()
-curve = analysis.sensitivity_vs_rank(traj, obj, a, b, ranks, svd=svd)
+functional = (ms.sensitivity_functional(traj, obj),
+              ms.evaluate_sensitivity(traj, obj, np.zeros((b.shape[0] + 1, 127))))
+curve = analysis.sensitivity_vs_rank(traj, b, ranks, svd, functional)
 out['t_curve'] = time.perf_counter() - t0
 out['curve'] = curve
 out['sigma_at'] = {str(r): float(sv[min(r, len(sv)) - 1]) for r in ranks}

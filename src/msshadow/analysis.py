@@ -23,13 +23,6 @@ from .errors import ShadowingError
 DENSE_CAP = 2000
 
 
-def _check_cap(size, cap):
-    if size > cap:
-        raise ShadowingError(
-            f"dense oracle requested for size {size} > cap {cap}"
-        )
-
-
 def dense_constraint_matrix(traj, ledger, cap=DENSE_CAP, normal=False):
     """The constraint operator as a dense (N*K, N*(K+1)) matrix, or with
     ``normal`` S = A A^T as a dense, exactly symmetric (N*K, N*K) one,
@@ -41,7 +34,8 @@ def dense_constraint_matrix(traj, ledger, cap=DENSE_CAP, normal=False):
     """
     n = traj.system.dim
     k = traj.n_segments
-    _check_cap(n * k, cap)
+    if n * k > cap:
+        raise ShadowingError(f"dense oracle requested for size {n * k} > cap {cap}")
     mats = shadow.segment_propagators(traj)
     ledger.charge_forward(n * k)
     seg = np.arange(k)
@@ -77,25 +71,15 @@ class SpectrumReport:
         write_labeled_csv(path, self.label, self.eigenvalues)
 
 
-def spectrum(operator, size, mode="dense", cap=DENSE_CAP, label="", tol=1e-8,
-             extremes="both"):
-    """Eigenvalues of a symmetric positive definite operator.
+def spectrum(operator, size, label="", extremes="both"):
+    """Extreme eigenvalues of a symmetric positive definite operator.
 
-    ``operator`` is a dense matrix, or in lanczos-extremes mode also a
-    callable on flat vectors.  Dense mode symmetrizes ((B + B^T)/2)
-    before the eigensolve and returns the full set.  lanczos-extremes
-    mode estimates (mu_min, mu_max) with matrix-vector products from
-    random vectors fixed by ``size``, and flags non-convergence instead
-    of raising; ``extremes="max"`` skips the (much slower)
+    ``operator`` is a dense matrix or a callable on flat vectors.  The
+    estimates (mu_min, mu_max) come from matrix-vector products started
+    from random vectors fixed by ``size``; non-convergence is flagged
+    instead of raised.  ``extremes="max"`` skips the (much slower)
     smallest-eigenvalue search and reports only mu_max.
     """
-    if mode == "dense":
-        _check_cap(size, cap)
-        mat = np.asarray(operator)
-        mat = 0.5 * (mat + mat.T)
-        return SpectrumReport.dense(label, np.linalg.eigvalsh(mat))
-    if mode != "lanczos-extremes":
-        raise ValueError(f"unknown spectrum mode {mode!r}")
     # imported here: SciPy adds 0.2 s and 30 MB to start-up; only this needs it
     import scipy.sparse.linalg as spla
     op = operator if callable(operator) else (lambda v: operator @ v)
@@ -110,7 +94,7 @@ def spectrum(operator, size, mode="dense", cap=DENSE_CAP, label="", tol=1e-8,
         rng = np.random.default_rng(size)
         try:
             vals = spla.eigsh(
-                linop, k=1, which=which, tol=tol, maxiter=size * 50,
+                linop, k=1, which=which, tol=1e-8, maxiter=size * 50,
                 v0=rng.uniform(-1.0, 1.0, size), return_eigenvectors=False,
                 **({"rng": rng} if seeded else {}),
             )
@@ -175,36 +159,30 @@ class PicardTable:
         )
 
 
-def picard_data(a, b, svd=None):
-    """Picard table of A and b; ``svd``: any (U, sigma descending, ...)."""
-    u, s = (svd if svd is not None else constraint_modes(a @ a.T)[0])[:2]
+def picard_data(b, modes):
+    """Picard table of A and b; ``modes``: any (U, sigma descending, ...)
+    of A, such as constraint_modes' first item."""
+    u, s = modes[:2]
     proj = np.abs(u.T @ np.asarray(b).reshape(-1))
     with np.errstate(divide="ignore"):
         coef = np.where(s > 0, proj / np.where(s > 0, s, 1.0), np.inf)
     return PicardTable(s.copy(), proj, coef)
 
 
-def sensitivity_vs_rank(traj, objective, a, b, ranks, svd=None,
-                        functional=None):
+def sensitivity_vs_rank(traj, b, ranks, modes, functional):
     """Sensitivity of the truncated-SVD solution as the rank grows.
 
     Returns a list of (rank, sensitivity) pairs, the data behind the
     accuracy-vs-rank curve.  With V = A^T U / sigma, rank r's value is
     s0 + sum_{i<=r} (u_i^T b)(u_i^T A weights) / sigma_i^2 / T, one
-    cumulative sum.  ``svd`` is as for picard_data; ``functional`` is
-    (weights, s0), shadow.sensitivity_functional and the zero stack's
-    sensitivity as the pipeline keeps them, else computed here.  A
-    weights is shadow.constraint_apply's; ``a`` is unused given ``svd``.
+    cumulative sum.  ``modes`` is as for picard_data; ``functional`` is
+    (weights, s0): shadow.sensitivity_functional and the zero stack's
+    sensitivity.  A weights is shadow.constraint_apply's.
     """
-    u, s = (svd if svd is not None else constraint_modes(a @ a.T)[0])[:2]
+    u, s = modes[:2]
     ranks = [int(rank) for rank in ranks]
     if not all(0 <= rank <= s.size for rank in ranks):
         raise ValueError(f"ranks must be in [0, {s.size}]")
-    k, n = np.asarray(b).shape
-    if functional is None:
-        functional = (shadow.sensitivity_functional(traj, objective),
-                      shadow.evaluate_sensitivity(traj, objective,
-                                                  np.zeros((k + 1, n))))
     weights, s0 = functional
     aw = shadow.constraint_apply(traj, shadow.CostLedger(), weights)
     terms = (u.T @ np.asarray(b).reshape(-1)) * (u.T @ aw.reshape(-1)) / s**2

@@ -49,10 +49,6 @@ class DynamicalSystem:
     def param_deriv(self, u):
         raise NotImplementedError
 
-    def with_param(self, value):
-        """Return a copy of the system with the control parameter replaced."""
-        raise NotImplementedError
-
 
 class Lorenz(DynamicalSystem):
     """The Lorenz system; the control parameter is rho."""
@@ -67,9 +63,6 @@ class Lorenz(DynamicalSystem):
     @property
     def param(self):
         return self.rho
-
-    def with_param(self, value):
-        return Lorenz(self.sigma, value, self.beta)
 
     def rhs(self, u):
         _check_dim(self, u)
@@ -223,9 +216,6 @@ class KuramotoSivashinsky(DynamicalSystem):
     @property
     def param(self):
         return self.c
-
-    def with_param(self, value):
-        return KuramotoSivashinsky(self.dim, self.length, value)
 
     def _pad(self, u):
         """Extend (..., N) with boundary zeros and mirrored ghost nodes."""

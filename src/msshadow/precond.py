@@ -238,13 +238,6 @@ class BlockDiagPreconditioner:
         return (np.eye(self.left.shape[1])
                 + np.matmul(scaled, self.left.transpose(0, 2, 1)))
 
-    def dense(self):
-        k, n = self.left.shape[:2]
-        out = np.zeros((n * k, n * k))
-        seg = np.arange(k)
-        out.reshape(k, n, k, n)[seg, :, seg, :] = self.blocks()
-        return out
-
     def _apply_coeff(self, z, coeff):
         k, n = self.left.shape[:2]
         if z.size != k * n:

@@ -33,6 +33,8 @@ class SolveConfig:
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
         if self.gamma < 0:
             raise ValueError("gamma must be non-negative")
         if self.mode not in ("none", "pre", "post"):
@@ -64,12 +66,10 @@ def _build_operator(apply_s, config):
     pc = config.preconditioner
     if config.mode == "none" or gamma == 0.0:
         return apply_s
-    if config.mode == "pre":
-        return lambda w: gamma * w + apply_s(w)
-    # post: S + gamma * M^{-1}
-    if pc is None:
-        return lambda w: gamma * w + apply_s(w)
-    return lambda w: gamma * pc.apply_inv(w) + apply_s(w)
+    if config.mode == "post" and pc is not None:
+        # S + gamma * M^{-1}
+        return lambda w: gamma * pc.apply_inv(w) + apply_s(w)
+    return lambda w: gamma * w + apply_s(w)
 
 
 def cg_solve(apply_s, rhs, config):

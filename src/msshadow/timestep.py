@@ -143,21 +143,12 @@ class Trajectory:
         return self.states.shape[0] - 1
 
     @property
-    def t_end(self):
-        return self.t_start + self.n_steps * self.h
-
-    @property
     def span(self):
         return self.n_steps * self.h
 
     @property
     def n_segments(self):
         return self.n_steps // self.stride
-
-    def checkpoint_f(self, i):
-        if not 0 <= i <= self.n_segments:
-            raise IndexError(f"checkpoint {i} out of range")
-        return self.fvals[i * self.stride]
 
 
 def integrate(system, u0, t_start, t_end, h, stride=1):

@@ -27,7 +27,7 @@ import argparse
 import configparser
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -92,8 +92,10 @@ class ExperimentConfig:
         for field_name in ("window", "segment", "step"):
             if getattr(self, field_name) <= 0:
                 raise ConfigError(f"{field_name} must be positive")
-        if self.spin_up < 0:
-            raise ConfigError("spin_up must be non-negative")
+        # not through SeedSequence, which would import numpy.random here
+        for field_name in ("spin_up", "seed"):
+            if getattr(self, field_name) < 0:
+                raise ConfigError(f"{field_name} must be non-negative")
         for whole, part, unit in (("window", "segment", "segments of length"),
                                   ("segment", "step", "steps of size")):
             ratio = getattr(self, whole) / getattr(self, part)
@@ -106,7 +108,8 @@ class ExperimentConfig:
         try:
             if self.spin_up > 0:
                 timestep._n_steps(-self.spin_up, 0.0, self.step)
-            solver.SolveConfig(tol=self.tol, gamma=self.gamma, mode=self.mode)
+            solver.SolveConfig(tol=self.tol, max_iter=self.max_iter,
+                               gamma=self.gamma, mode=self.mode)
             system = build_system(self)
             timestep._check_stable(system, self.step)
         except ValueError as exc:
@@ -116,6 +119,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"preconditioner rank {self.rank} is outside [1, {system.dim}]"
             )
+        if self.cycles < 1:
+            raise ConfigError("preconditioner cycles must be at least 1")
         # a spectrum past the cap takes the Lanczos route; these need S
         if ((self.picard or self.truncated_sweep)
                 and system.dim * self.n_segments > self.dense_cap):
@@ -134,39 +139,38 @@ class ExperimentConfig:
     def param(self):
         return self.rho if self.model == "lorenz" else self.c
 
-    def with_param(self, value):
-        key = "rho" if self.model == "lorenz" else "c"
-        return replace(self, **{key: float(value)})
 
-
+# the keys of each config section; a key sets the ExperimentConfig field
+# of its name, or of its _KEY_RENAMES entry, parsed to that field's type
 _SCHEMA = {
-    "experiment": {"model": str, "name": str, "seed": int,
-                   "output_dir": str},
-    "model": {"sigma": float, "rho": float, "beta": float, "n": int,
-              "length": float, "c": float, "objective": str},
-    "time": {"spin_up": float, "window": float, "segment": float,
-             "step": float},
-    "solver": {"gamma": float, "mode": str, "tol": float, "max_iter": int},
-    "preconditioner": {"enabled": bool, "rank": int, "cycles": int},
-    "analysis": {"spectrum": bool, "picard": bool, "truncated_sweep": bool,
-                 "dense_cap": int},
+    "experiment": ("model", "name", "seed", "output_dir"),
+    "model": ("sigma", "rho", "beta", "n", "length", "c", "objective"),
+    "time": ("spin_up", "window", "segment", "step"),
+    "solver": ("gamma", "mode", "tol", "max_iter"),
+    "preconditioner": ("enabled", "rank", "cycles"),
+    "analysis": ("spectrum", "picard", "truncated_sweep", "dense_cap"),
 }
 
 _KEY_RENAMES = {("preconditioner", "enabled"): "pc_enabled"}
 
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
-def _convert(raw, kind, where):
+
+def _convert(section, key, raw):
+    """(field name, value) of the entry section.key = raw."""
+    dest = _KEY_RENAMES.get((section, key), key)
+    kind = _FIELD_TYPES[dest]
     try:
         if kind is bool:
             lowered = raw.strip().lower()
             if lowered in ("1", "true", "yes", "on"):
-                return True
+                return dest, True
             if lowered in ("0", "false", "no", "off"):
-                return False
+                return dest, False
             raise ValueError(raw)
-        return kind(raw)
+        return dest, kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"bad value for {where}: {raw!r}") from exc
+        raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
 
 
 def load_config(path, overrides=()):
@@ -175,15 +179,14 @@ def load_config(path, overrides=()):
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    values = {}
+    entries = []
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser[section].items():
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
-            dest = _KEY_RENAMES.get((section, key), key)
-            values[dest] = _convert(raw, _SCHEMA[section][key], f"{section}.{key}")
+            entries.append((section, key, raw))
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override must look like section.key=value: {item!r}")
@@ -191,8 +194,8 @@ def load_config(path, overrides=()):
         section, key = address.split(".", 1)
         if section not in _SCHEMA or key not in _SCHEMA[section]:
             raise ConfigError(f"unknown override target {address!r}")
-        dest = _KEY_RENAMES.get((section, key), key)
-        values[dest] = _convert(raw, _SCHEMA[section][key], address)
+        entries.append((section, key, raw))
+    values = dict(_convert(*entry) for entry in entries)
     try:
         return ExperimentConfig(**values)
     except TypeError as exc:
@@ -389,14 +392,13 @@ def solve(problem, cfg):
             traj, scratch, cap=cfg.dense_cap, normal=True)
         modes, eigs = analysis.constraint_modes(s_dense)
         if cfg.picard:
-            picard_table = analysis.picard_data(None, b, svd=modes)
+            picard_table = analysis.picard_data(b, modes)
         if cfg.truncated_sweep:
             ranks = sorted(set(
                 np.linspace(1, nk, min(nk, 40)).astype(int).tolist()
             ))
             truncated = analysis.sensitivity_vs_rank(
-                traj, objective, None, b, ranks, svd=modes,
-                functional=(problem.functional, s0))
+                traj, b, ranks, modes, (problem.functional, s0))
         del modes
         if cfg.spectrum:
             spectra["raw"] = analysis.SpectrumReport.dense("raw", eigs)
@@ -408,12 +410,11 @@ def solve(problem, cfg):
         def schur(x):
             return shadow.schur_apply(traj, scratch,
                                       x.reshape(traj.n_segments, -1)).reshape(-1)
-        spectra["raw"] = analysis.spectrum(schur, nk, mode="lanczos-extremes",
-                                           label="raw")
+        spectra["raw"] = analysis.spectrum(schur, nk, label="raw")
         if pc is not None:
             spectra["preconditioned"] = analysis.spectrum(
                 lambda x: pc.apply_sqrt(schur(pc.apply_sqrt(x))),
-                nk, mode="lanczos-extremes", label="preconditioned")
+                nk, label="preconditioned")
 
     return RunResult(
         config=cfg, trajectory=traj, rhs=b, multipliers=w, checkpoints=v,

@@ -21,6 +21,19 @@ def truncated_svd_solution(a, b, rank, svd=None):
     return (vt[:rank].T @ coef).reshape(k + 1, n)
 
 
+def functional(traj, objective):
+    """(weights, s0): the objective's sensitivity functional and the zero
+    stack's sensitivity, the pair the pipeline keeps."""
+    zero = np.zeros((traj.n_segments + 1, traj.system.dim))
+    return (ms.sensitivity_functional(traj, objective),
+            ms.evaluate_sensitivity(traj, objective, zero))
+
+
+def modes(a):
+    """(U, sigma descending) of the dense constraint matrix a."""
+    return analysis.constraint_modes(a @ a.T)[0]
+
+
 def dense_sqrt(pc):
     """M^1/2 of a block-diagonal preconditioner as a dense matrix, probed
     column by column with its matrix-free apply_sqrt."""
@@ -167,8 +180,9 @@ class TestTruncatedSVD:
 
     def test_sensitivity_vs_rank_runs(self, lorenz_dense):
         traj, a, b = lorenz_dense
-        out = analysis.sensitivity_vs_rank(traj, ms.LorenzZ(), a, b,
-                                           [1, 5, a.shape[0]])
+        out = analysis.sensitivity_vs_rank(traj, b, [1, 5, a.shape[0]],
+                                           modes(a),
+                                           functional(traj, ms.LorenzZ()))
         assert [r for r, _ in out] == [1, 5, a.shape[0]]
         assert all(np.isfinite(s) for _, s in out)
 
@@ -178,14 +192,14 @@ class TestPicard:
         _, a, _ = lorenz_dense
         u, s, vt = np.linalg.svd(a, full_matrices=False)
         b = (u[:, 0] * s[0]).reshape(-1, 3)
-        table = analysis.picard_data(a, b)
+        table = analysis.picard_data(b, modes(a))
         assert table.projections[0] == pytest.approx(s[0], rel=1e-12)
         assert table.coefficients[0] == pytest.approx(1.0, rel=1e-12)
         assert np.abs(table.projections[1:]).max() <= 1e-10 * s[0]
 
     def test_sigma_descending_and_rows(self, lorenz_dense):
         _, a, b = lorenz_dense
-        table = analysis.picard_data(a, b)
+        table = analysis.picard_data(b, modes(a))
         assert (np.diff(table.sigma) <= 0).all()
         rows = list(table.rows())
         assert len(rows) == a.shape[0]
@@ -193,7 +207,7 @@ class TestPicard:
 
     def test_csv(self, lorenz_dense, tmp_path):
         _, a, b = lorenz_dense
-        table = analysis.picard_data(a, b)
+        table = analysis.picard_data(b, modes(a))
         path = tmp_path / "picard.csv"
         table.to_csv(path)
         header = path.read_text().splitlines()[0]
@@ -235,9 +249,8 @@ class TestConstraintModes:
         # squares is basis-free, so compare that per cluster
         _, _, a, b = modal_case
         svd = np.linalg.svd(a, full_matrices=False)
-        ref = analysis.picard_data(a, b, svd=svd)
-        modes = analysis.constraint_modes(a @ a.T)[0]
-        table = analysis.picard_data(a, b, svd=modes)
+        ref = analysis.picard_data(b, svd)
+        table = analysis.picard_data(b, modes(a))
         np.testing.assert_allclose(table.sigma, ref.sigma, rtol=1e-11)
         scale = np.linalg.norm(b) ** 2
         for lo, hi in _groups(ref.sigma):
@@ -254,7 +267,8 @@ class TestConstraintModes:
         ends = [hi for _, hi in _groups(svd[1])]
         ranks = [0, *ends]
         assert ranks[-1] == a.shape[0]
-        curve = analysis.sensitivity_vs_rank(traj, objective, a, b, ranks)
+        curve = analysis.sensitivity_vs_rank(traj, b, ranks, modes(a),
+                                             functional(traj, objective))
         for rank, value in curve:
             v = truncated_svd_solution(a, b, rank, svd=svd)
             want = shadow.evaluate_sensitivity(traj, objective, v)
@@ -268,15 +282,15 @@ class TestConstraintModes:
     def test_ranks_out_of_range_raise(self, lorenz_dense):
         traj, a, b = lorenz_dense
         with pytest.raises(ValueError):
-            analysis.sensitivity_vs_rank(traj, ms.LorenzZ(), a, b,
-                                         [a.shape[0] + 1])
+            analysis.sensitivity_vs_rank(traj, b, [a.shape[0] + 1], modes(a),
+                                         functional(traj, ms.LorenzZ()))
 
 
 def test_pipeline_runs_no_svd_of_the_constraint_matrix(monkeypatch):
     # the Picard table, the truncated curve and the raw spectrum come from
     # one eigendecomposition of S; the preconditioner's small batched
     # SVDs of (K, N, l + 2) stacks still run.  S and M^1/2 S M^1/2 come
-    # from N x N blocks, so neither the dense A nor the dense M is placed
+    # from N x N blocks, so the dense A is not placed
     cfg = xcli.ExperimentConfig(
         model="lorenz", name="modes", seed=3, rho=28.0, spin_up=5.0,
         window=6.0, segment=1.0, step=0.002, gamma=0.05, mode="pre",
@@ -299,16 +313,14 @@ def test_pipeline_runs_no_svd_of_the_constraint_matrix(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     monkeypatch.setattr(analysis, "dense_constraint_matrix", normal_only)
-    monkeypatch.setattr(ms.BlockDiagPreconditioner, "dense", placed)
     result = xcli.run_pipeline(cfg)
     assert shapes and (nk, cols) not in shapes
     monkeypatch.undo()
     a = analysis.dense_constraint_matrix(result.trajectory, ms.CostLedger())
     sv = np.linalg.svd(a, compute_uv=False)
     np.testing.assert_allclose(result.picard.sigma, sv, rtol=1e-11)
-    raw = analysis.spectrum(a @ a.T, nk, label="raw")
     np.testing.assert_allclose(result.spectra["raw"].eigenvalues,
-                               raw.eigenvalues, rtol=1e-11)
+                               np.linalg.eigvalsh(a @ a.T), rtol=1e-11)
     m_half = dense_sqrt(result.preconditioner)
     sym = m_half @ (a @ a.T) @ m_half
     np.testing.assert_allclose(result.spectra["preconditioned"].eigenvalues,
@@ -325,7 +337,8 @@ def test_pipeline_runs_no_svd_of_the_constraint_matrix(monkeypatch):
 
 class TestSpectrum:
     def test_identity(self):
-        rep = analysis.spectrum(np.eye(7), 7, mode="dense", label="eye")
+        rep = analysis.SpectrumReport.dense("eye",
+                                            np.linalg.eigvalsh(np.eye(7)))
         assert rep.kappa == 1.0
         np.testing.assert_array_equal(rep.eigenvalues, np.ones(7))
 
@@ -334,15 +347,11 @@ class TestSpectrum:
         q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
         vals = np.geomspace(0.01, 10.0, 40)
         mat = q @ np.diag(vals) @ q.T
-        rep = analysis.spectrum(mat, 40, mode="lanczos-extremes")
+        rep = analysis.spectrum(mat, 40)
         assert rep.converged
         assert rep.eigenvalues[0] == pytest.approx(0.01, rel=1e-5)
         assert rep.eigenvalues[-1] == pytest.approx(10.0, rel=1e-5)
         assert rep.kappa == pytest.approx(1000.0, rel=1e-4)
-
-    def test_dense_cap(self):
-        with pytest.raises(ShadowingError):
-            analysis.spectrum(np.eye(10), 10, mode="dense", cap=5)
 
     def test_shift_is_exact(self, lorenz_dense):
         traj, a, _ = lorenz_dense

@@ -46,10 +46,10 @@ class TestSegmentPropagator:
         # along-flow input is (nearly) annihilated, so scale the check by
         # the unprojected sweep magnitude
         led = ms.CostLedger()
-        z = 0.7 * lorenz_traj.checkpoint_f(1)
+        z = 0.7 * lorenz_traj.fvals[lorenz_traj.stride]
         out = ms.propagate_segment(lorenz_traj, led, 1, z)
         raw = ms.tangent_sweep(lorenz_traj, 1, z)
-        f_end = lorenz_traj.checkpoint_f(2)
+        f_end = lorenz_traj.fvals[2 * lorenz_traj.stride]
         scale = np.linalg.norm(raw) * np.linalg.norm(f_end)
         assert abs(out @ f_end) <= 1e-12 * scale
         assert np.linalg.norm(out) <= 1e-5 * np.linalg.norm(raw)
@@ -150,7 +150,7 @@ class TestRhsAssembly:
         led = ms.CostLedger()
         b = ms.assemble_rhs(lorenz_traj, led)
         for i in range(lorenz_traj.n_segments):
-            f = lorenz_traj.checkpoint_f(i + 1)
+            f = lorenz_traj.fvals[(i + 1) * lorenz_traj.stride]
             assert abs(b[i] @ f) <= 1e-12 * np.linalg.norm(b[i]) * np.linalg.norm(f)
         assert led.snapshot() == (lorenz_traj.n_segments, 0)
 
@@ -345,7 +345,7 @@ class TestPropagatorMatrices:
             bty = ms.propagate_segment_adjoint(t, led, 1, y)
             assert fz @ y == pytest.approx(z @ bty, rel=1e-12)
             np.testing.assert_allclose(
-                fz, ms.project_off_flow(t.checkpoint_f(2),
+                fz, ms.project_off_flow(t.fvals[2 * t.stride],
                                         ms.tangent_sweep(t, 1, z)),
                 rtol=0, atol=1e-12 * np.linalg.norm(fz))
         assert traj._propagators is None

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import msshadow as ms
 from msshadow import solver
@@ -57,7 +58,7 @@ class TestCgSolve:
         cfg = ms.SolveConfig(tol=1e-13, max_iter=200, gamma=gamma, mode="post",
                              preconditioner=pc)
         x, rep = ms.cg_solve(dense_op(mat, (3, 3)), rhs, cfg)
-        m_dense = pc.dense()
+        m_dense = scipy.linalg.block_diag(*pc.blocks())
         lhs = gamma * np.eye(9) + m_dense @ mat
         expected = np.linalg.solve(lhs, m_dense @ rhs.reshape(-1)).reshape(3, 3)
         np.testing.assert_allclose(x, expected, rtol=1e-8, atol=1e-11)
@@ -110,6 +111,8 @@ class TestCgSolve:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ms.SolveConfig(tol=0.0)
+        with pytest.raises(ValueError):
+            ms.SolveConfig(max_iter=0)
         with pytest.raises(ValueError):
             ms.SolveConfig(gamma=-1.0)
         with pytest.raises(ValueError):

@@ -17,9 +17,6 @@ class LinearDecay(ms.DynamicalSystem):
     def param(self):
         return self._s
 
-    def with_param(self, value):
-        return LinearDecay(self.dim, value)
-
     def rhs(self, u):
         return -u + self._s
 

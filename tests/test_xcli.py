@@ -98,7 +98,7 @@ class TestConfig:
         cfg = xcli.ExperimentConfig(model="ks", c=0.4, window=100.0,
                                     segment=10.0, step=0.02)
         assert cfg.param == 0.4
-        assert cfg.with_param(0.9).c == 0.9
+        assert xcli.build_system(cfg, param=0.9).c == 0.9
 
 
 class LinearRelax(ms.DynamicalSystem):
@@ -111,9 +111,6 @@ class LinearRelax(ms.DynamicalSystem):
     @property
     def param(self):
         return self._s
-
-    def with_param(self, value):
-        return LinearRelax(value)
 
     def rhs(self, u):
         return self._s - u
@@ -393,6 +390,10 @@ class TestRunExperiment:
         ("lorenz", "solver.tol=0"),
         ("lorenz", "solver.gamma=-0.1"),
         ("lorenz", "time.spin_up=5.0001"),
+        ("lorenz", "preconditioner.cycles=0"),
+        ("lorenz", "preconditioner.cycles=-1"),
+        ("lorenz", "solver.max_iter=0"),
+        ("lorenz", "experiment.seed=-1"),
     ])
     def test_main_rejects_bad_input_before_integration(
             self, lorenz_ini, tmp_path, monkeypatch, model, override):
@@ -443,6 +444,43 @@ SOLVE_ONLY_FIELDS = {
 }
 
 
+# (section.key, raw value, the field it sets, the value it parses to),
+# each valid on its own on the default config
+KEY_SAMPLES = [
+    ("experiment.model", "ks", "model", "ks"),
+    ("experiment.name", "other", "name", "other"),
+    ("experiment.seed", "3", "seed", 3),
+    ("experiment.output_dir", "elsewhere", "output_dir", "elsewhere"),
+    ("model.sigma", "9.5", "sigma", 9.5),
+    ("model.rho", "40", "rho", 40.0),
+    ("model.beta", "2.5", "beta", 2.5),
+    ("model.n", "63", "n", 63),
+    ("model.length", "64", "length", 64.0),
+    ("model.c", "0.8", "c", 0.8),
+    ("model.objective", "z", "objective", "z"),
+    ("time.spin_up", "50", "spin_up", 50.0),
+    ("time.window", "100", "window", 100.0),
+    ("time.segment", "2", "segment", 2.0),
+    ("time.step", "0.004", "step", 0.004),
+    ("solver.gamma", "0.2", "gamma", 0.2),
+    ("solver.mode", "none", "mode", "none"),
+    ("solver.tol", "1e-4", "tol", 1e-4),
+    ("solver.max_iter", "7", "max_iter", 7),
+    ("preconditioner.rank", "2", "rank", 2),
+    ("preconditioner.cycles", "3", "cycles", 3),
+    ("analysis.dense_cap", "10", "dense_cap", 10),
+] + [
+    (address, raw, field, value)
+    for address, field in (("preconditioner.enabled", "pc_enabled"),
+                           ("analysis.spectrum", "spectrum"),
+                           ("analysis.picard", "picard"),
+                           ("analysis.truncated_sweep", "truncated_sweep"))
+    for raw, value in (("1", True), ("true", True), ("yes", True),
+                       ("on", True), ("0", False), ("false", False),
+                       ("no", False), ("off", False))
+]
+
+
 def _outputs(result):
     summary = dict(xcli.summarize(result))
     del summary["trajectory_reused"]
@@ -459,6 +497,31 @@ class TestKeptProblem:
         key = set(xcli.TRAJECTORY_FIELDS)
         assert not key & SOLVE_ONLY_FIELDS
         assert names == key | SOLVE_ONLY_FIELDS
+
+    def test_every_config_field_has_one_typed_key(self, tmp_path):
+        # each field is set by exactly one section.key, from a file and
+        # from --set alike, parsed to the field's type
+        types = {f.name: f.type for f in dataclasses.fields(xcli.ExperimentConfig)}
+        sets = {address: field for address, _, field, _ in KEY_SAMPLES}
+        assert sorted(sets.values()) == sorted(types)
+        assert set(sets) == {f"{section}.{key}"
+                             for section, keys in xcli._SCHEMA.items()
+                             for key in keys}
+        default = xcli.ExperimentConfig()
+        empty, one = tmp_path / "empty.ini", tmp_path / "one.ini"
+        empty.write_text("")
+        for address, raw, field, value in KEY_SAMPLES:
+            section, key = address.split(".")
+            one.write_text(f"[{section}]\n{key} = {raw}\n")
+            for cfg in (xcli.load_config(one),
+                        xcli.load_config(empty, [f"{address}={raw}"])):
+                got = getattr(cfg, field)
+                assert got == value and type(got) is types[field], address
+                changed = {name for name in types
+                           if getattr(cfg, name) != getattr(default, name)}
+                assert changed <= {field, "name", "objective"}, address
+        with pytest.raises(ConfigError):
+            xcli.load_config(empty, ["analysis.picard=maybe"])
 
     @pytest.mark.parametrize("overrides", [
         ["solver.gamma=0.2"],
@@ -686,7 +749,7 @@ after_run = heavy()
 rng = np.random.default_rng(4)
 q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
 mat = q @ np.diag(np.geomspace(0.1, 5.0, 30)) @ q.T
-rep = analysis.spectrum(mat, 30, mode="lanczos-extremes")
+rep = analysis.spectrum(mat, 30)
 exact = np.linalg.eigvalsh(mat)
 print(json.dumps({
     "raw_mode": result.spectra["raw"].mode,
