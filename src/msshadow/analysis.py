@@ -85,7 +85,7 @@ def spectrum(operator, size, label="", extremes="both"):
     op = operator if callable(operator) else (lambda v: operator @ v)
     linop = spla.LinearOperator((size, size), matvec=op)
     converged = True
-    sides = {"both": ("SA", "LA"), "min": ("SA",), "max": ("LA",)}[extremes]
+    sides = {"both": ("SA", "LA"), "max": ("LA",)}[extremes]
     found = []
     # ARPACK starts and restarts from random vectors: draw them from a fixed
     # generator (a SciPy without rng restarts from a per-process seed)

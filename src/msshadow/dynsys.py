@@ -144,8 +144,11 @@ class Lorenz(DynamicalSystem):
         _check_dim(self, u)
         s, r, b = self.sigma, self.rho, self.beta
         hh, h6 = 0.5 * h, h / 6.0
+        from array import array  # loaded at first use, not at import
         x, y, z = (float(c) for c in u)
         finite = math.isfinite
+        path = array("d")
+        push = path.append
         for j in range(n):
             ax = s * (y - x)
             ay = x * (r - z) - y
@@ -166,11 +169,15 @@ class Lorenz(DynamicalSystem):
             y += h6 * (ay + 2.0 * by + 2.0 * cy + dy)
             z += h6 * (az + 2.0 * bz + 2.0 * cz + dz)
             if states is not None:
-                states[j + 1] = (x, y, z)
+                push(x)
+                push(y)
+                push(z)
             if j % check_every == 0 and not (finite(x) and finite(y) and finite(z)):
                 raise DivergenceError(j + 1)
         if not (finite(x) and finite(y) and finite(z)):
             raise DivergenceError(n)
+        if states is not None:
+            states[1:n + 1] = np.frombuffer(path).reshape(n, 3)
         return np.array([x, y, z])
 
 
@@ -351,7 +358,8 @@ class KuramotoSivashinsky(DynamicalSystem):
 class Objective:
     """Pointwise objective J(u, s); time averaging happens elsewhere.
 
-    ``value`` maps (..., N) -> (...); ``gradient`` maps (..., N) -> (..., N).
+    ``value`` maps (..., N) -> (...); ``gradient`` maps (..., N) -> (..., N);
+    ``gradient_dot(u, v)`` is <dJ/du, v> over the last axis.
     ``param_deriv`` is dJ/ds at fixed u (zero for every objective here).
     """
 
@@ -362,6 +370,9 @@ class Objective:
 
     def gradient(self, u):
         raise NotImplementedError
+
+    def gradient_dot(self, u, v):
+        return (self.gradient(u) * v).sum(axis=-1)
 
 
 class LorenzZ(Objective):
@@ -374,6 +385,9 @@ class LorenzZ(Objective):
         g = np.zeros_like(u)
         g[..., 2] = 1.0
         return g
+
+    def gradient_dot(self, u, v):
+        return v[..., 2]
 
 
 class SpatialMean(Objective):

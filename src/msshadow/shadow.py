@@ -20,20 +20,24 @@ across the segment.  A trajectory may instead keep its projected
 propagators as (N, N) matrices, built from sweeps of the unit
 directions, and serve products as matrix products.  A system with a
 ``tangent_columns`` kernel (Kuramoto-Sivashinsky) builds them one
-segment at a time: the segment's N unit columns are swept as one
-block, the segment's stage states broadcast across it, and the
-propagator is then projected off the flow.  Any other system sweeps the
-unit rows of all segments together, in batches.  The segments are
-independent, as in the paper's time-parallel preconditioner; the two
-builds give the same matrices bit for bit.  A trajectory builds them at
-its first product when all N * N * K entries fit _MATRIX_BUDGET (2 MB):
-the build costs under N products per segment of wall time, which the
-preconditioner (2q(l+2) per segment) and CG (2 per iteration) spend
+segment at a time: the segment's N unit columns are swept as one block,
+the segment's stage states broadcast across it, and the propagator is
+then projected off the flow.  Any other system cuts each segment into p
+sub-segments (10 of 10 steps at a stride of 100) and sweeps the unit
+rows of all of them together, one direction per batch.  The tangent
+equation is linear, so the kept sub-segment propagators chain into Phi_i
+and join the rhs, swept from zero across all sub-segments in one batch.
+The segments are independent, as in the paper's time-parallel
+preconditioner; the two builds agree bit for bit at p = 1, and
+sub-segments reorder the arithmetic at round-off.  A trajectory builds
+them at its first product when all N * N * K entries fit _MATRIX_BUDGET
+(2 MB): the build costs under N products per segment of wall time, which
+the preconditioner (2q(l+2) per segment) and CG (2 per iteration) spend
 several times over.  Past the budget it stays matrix-free for its whole
-life, the paper's route for systems whose matrices do not fit in
-memory.  Matrix and matrix-free products agree to round-off.
-segment_propagators hands the matrices out for dense study, kept or,
-past the budget, built for the caller alone.
+life, the paper's route for systems whose matrices do not fit in memory.
+Matrix and matrix-free products agree to round-off.  segment_propagators
+hands the matrices out for dense study, kept or, past the budget, built
+for the caller alone.
 
 Segment indices are 0-based throughout: segment i spans
 [t_i, t_{i+1}] and its propagator/adjoint pair is charged to the cost
@@ -47,10 +51,6 @@ from .errors import DegenerateProjectorError, DimensionMismatch
 
 # largest N * N * K, in float64 elements, kept as propagator matrices
 _MATRIX_BUDGET = 1 << 18
-
-# elements per row batch of the propagator-matrix build; larger batches
-# build no faster and raise peak memory
-_BUILD_BATCH = 1 << 14
 
 
 class CostLedger:
@@ -108,18 +108,23 @@ def _endpoint_f(traj, segments):
     return traj.fvals[idx]
 
 
-def _build_propagators(traj):
+def _build_propagators(traj, objective=None):
     """Projected propagators of all segments as a (K, N, N) array.
 
     Column c of matrix i is the projected sweep of the unit vector e_c
     across segment i.  A system with a ``tangent_columns`` kernel sweeps
-    each segment's N columns as one block; any other goes through
-    _row_propagators.
+    each segment's N columns as one block.  Any other goes through
+    _row_propagators by p sub-segments of L steps, L the least divisor of
+    the stride with L * L >= stride, with objective's weights; p = 1 for
+    a prime stride or p * K * N * N past _MATRIX_BUDGET.
     """
     columns = getattr(traj.system, "tangent_columns", None)
-    if columns is None:
-        return _row_propagators(traj)
     n, k, stride = traj.system.dim, traj.n_segments, traj.stride
+    if columns is None:
+        p = stride // next(d for d in range(1, stride + 1)
+                           if stride % d == 0 and d * d >= stride)
+        p = p if p * k * n * n <= _MATRIX_BUDGET else 1
+        return _row_propagators(traj, p, objective if p > 1 else None)
     s2, s3, s4 = traj.stages()
     f_end = _endpoint_f(traj, np.arange(k))
     mats = np.empty((k, n, n))
@@ -132,31 +137,45 @@ def _build_propagators(traj):
     return mats
 
 
-def _row_propagators(traj):
-    """_build_propagators for any system: the N * K unit rows swept by
-    timestep.tangent_sweep_many in batches of at most _BUILD_BATCH
-    elements."""
+def _row_propagators(traj, p=1, objective=None):
+    """_build_propagators for any system by p sub-segments per segment,
+    the unit rows swept one direction per batch, in order: their
+    propagators F and quadrature weights q_s give Phi_i = P_i F_{p-1} ...
+    F_0 and the boundary weights r_p = end correction, r_s = q_s + F_s^T
+    r_{s+1}.  With p > 1 it keeps (sub-trajectory, F^T, objective, r)."""
     n, k = traj.system.dim, traj.n_segments
-    mats = np.empty((k, n, n))
-    step = max(1, _BUILD_BATCH // (k * n))
-    eye = np.eye(n)
-    for c0 in range(0, n, step):
-        cols = np.arange(c0, min(c0 + step, n))
-        segments = np.repeat(np.arange(k), cols.size)
-        out = timestep.tangent_sweep_many(
-            traj, segments, np.tile(eye[cols], (k, 1)), forcing=False)
-        out = project_off_flow(_endpoint_f(traj, segments), out)
-        mats[:, :, cols] = out.reshape(k, cols.size, n).transpose(0, 2, 1)
-    return mats
+    sub = timestep.Trajectory(traj.system, traj.t_start, traj.h, traj.states,
+                              traj.fvals, traj.stride // p)
+    sub._stages = traj.stages()
+    ft, r = np.empty((k, p, n, n)), np.zeros((k, p + 1, n))
+    for c in range(n):
+        end, acc = _swept(sub, np.eye(n)[np.full(k * p, c)], objective, False)
+        ft[:, :, c] = end.reshape(k, p, n)
+        r[:, :p, c] = 0.0 if acc is None else acc.reshape(k, p)
+    if objective is not None:
+        f_end, ff, dj = _end_correction(traj, objective)
+        r[:, p] = (dj / ff)[:, None] * f_end
+        for s in range(p - 1, -1, -1):
+            r[:, s] += np.matmul(ft[:, s], r[:, s + 1, :, None])[..., 0]
+    if p > 1:
+        traj._subsegments = (sub, ft, objective, r)
+    prop = ft[:, 0]
+    for s in range(1, p):
+        prop = np.matmul(prop, ft[:, s])
+    f_end = np.broadcast_to(_endpoint_f(traj, np.arange(k))[:, None], (k, n, n))
+    return np.ascontiguousarray(project_off_flow(f_end, prop).transpose(0, 2, 1))
 
 
-def build_matrices(traj):
+def build_matrices(traj, objective=None):
     """Build the trajectory's propagator matrices now if they fit
-    _MATRIX_BUDGET and are not built yet; returns whether it has them.
-    Charges nothing: the matrices are a cache of the products."""
+    _MATRIX_BUDGET and are not built yet, or were built by sub-segments
+    without objective's weights; returns whether it has them.  Charges
+    nothing: the matrices are a cache of the products."""
     n, k = traj.system.dim, traj.n_segments
-    if traj._propagators is None and n * n * k <= _MATRIX_BUDGET:
-        traj._propagators = _build_propagators(traj)
+    kept = traj._subsegments
+    stale = kept is not None and objective not in (None, kept[2])
+    if (traj._propagators is None or stale) and n * n * k <= _MATRIX_BUDGET:
+        traj._propagators = _build_propagators(traj, objective)
     return traj._propagators is not None
 
 
@@ -266,9 +285,23 @@ def assemble_rhs(traj, ledger, objective=None):
     """Right-hand-side blocks: per segment, the forced tangent solution
     from a zero initial condition, projected at the segment end.  With
     an objective it returns (b, s0), s0 the zero stack's sensitivity
-    summed along the same sweep, == evaluate_sensitivity of zeros."""
-    k = traj.n_segments
-    forced, s0 = _forced_sweep(traj, np.zeros((k, traj.system.dim)), objective)
+    summed along the same sweep, == evaluate_sensitivity of zeros (to
+    round-off by sub-segments: pi_s swept from zero in one batch, V <-
+    F_s V + pi_s, s0 the sweep's quadrature + <r_{s+1}, pi_s>)."""
+    k, n = traj.n_segments, traj.system.dim
+    if traj._subsegments is None:
+        forced, s0 = _forced_sweep(traj, np.zeros((k, n)), objective)
+    else:
+        build_matrices(traj, objective)
+        sub, ft, _, r = traj._subsegments
+        pi, acc = _swept(sub, np.zeros((sub.n_segments, n)), objective, True)
+        pi = pi.reshape(k, -1, n)
+        forced = pi[:, 0]
+        for s in range(1, pi.shape[1]):
+            forced = np.matmul(forced[:, None], ft[:, s])[:, 0] + pi[:, s]
+        if objective is not None:
+            s0 = (acc.sum() + (r[:, 1:] * pi).sum()) / traj.span
+            s0 += objective.param_deriv
     ledger.charge_forward(k)
     b = project_off_flow(_endpoint_f(traj, np.arange(k)), forced)
     return b if objective is None else (b, s0)
@@ -295,28 +328,36 @@ def _end_correction(traj, objective):
     return f_end, (f_end * f_end).sum(axis=-1), j_bar - j_vals[end]
 
 
-def _forced_sweep(traj, v, objective=None):
-    """Forced tangent sweep of every segment from the rows of v (K, N)
-    at the segment starts.  Returns the rows at the segment ends and,
-    with an objective, the sensitivity of the checkpoint stack whose
-    first K rows are v (else None): the trapezoidal time integral of
-    <dJ/du, v'> plus the checkpoint correction <f, v'> / |f|^2 *
-    (Jbar - J) at each segment end, over T, plus dJ/ds."""
+def _swept(traj, v, objective, forcing):
+    """tangent_sweep_many of the rows of v (K, N) across segments 0..K-1
+    and, with an objective, each row's trapezoidal integral of
+    <dJ/du, v'> along its segment (else None)."""
     segments = np.arange(traj.n_segments)
     if objective is None:
-        return timestep.tangent_sweep_many(traj, segments, v, forcing=True), None
-    h, grad = traj.h, objective.gradient
-    offs = segments * traj.stride
-    acc = 0.5 * h * (grad(traj.states[offs]) * v).sum(axis=-1)
+        return timestep.tangent_sweep_many(traj, segments, v,
+                                           forcing=forcing), None
+    h, dot = traj.h, objective.gradient_dot
+    acc = 0.5 * h * dot(traj.states[segments * traj.stride], v)
     after = traj.states[1:].reshape(traj.n_segments, traj.stride, -1)
 
     def accumulate(j, vv):
         nonlocal acc
-        wq = h if j < traj.stride - 1 else 0.5 * h
-        acc += wq * (grad(after[:, j]) * vv).sum(axis=-1)
+        acc += (h if j < traj.stride - 1 else 0.5 * h) * dot(after[:, j], vv)
 
-    end = timestep.tangent_sweep_many(traj, segments, v, forcing=True,
+    end = timestep.tangent_sweep_many(traj, segments, v, forcing=forcing,
                                       on_step=accumulate)
+    return end, acc
+
+
+def _forced_sweep(traj, v, objective=None):
+    """Forced tangent sweep of every segment from the rows of v (K, N)
+    at the segment starts: the rows at the segment ends and, with an
+    objective, the sensitivity of the checkpoint stack whose first K rows
+    are v (else None), _swept's integrals plus the checkpoint correction
+    <f, v'> / |f|^2 * (Jbar - J) at each segment end, over T, + dJ/ds."""
+    end, acc = _swept(traj, v, objective, forcing=True)
+    if objective is None:
+        return end, None
     f_end, ff, dj = _end_correction(traj, objective)
     corr = (f_end * end).sum(axis=-1) / ff * dj
     return end, (acc.sum() + corr.sum()) / traj.span + objective.param_deriv
@@ -338,9 +379,14 @@ def sensitivity_functional(traj, objective):
     assemble_rhs.  a is the transpose of the forward quadrature, one
     adjoint sweep per segment seeded at its end with h/2 dJ/du +
     (Jbar - J_end) / |f_end|^2 f_end, adding after each step the
-    trapezoid weight (h, or h/2 at the segment start) times dJ/du.
+    trapezoid weight (h, or h/2 at the segment start) times dJ/du; on a
+    trajectory built by sub-segments, the build's weights r_0 instead.
     Charges no products."""
     k, n = traj.n_segments, traj.system.dim
+    a = np.zeros((k + 1, n))
+    if traj._subsegments is not None and build_matrices(traj, objective):
+        a[:k] = traj._subsegments[3][:, 0]
+        return a
     h = traj.h
     offs = np.arange(k) * traj.stride
     rows = timestep._stage_rows(traj, np.arange(k))
@@ -351,6 +397,5 @@ def sensitivity_functional(traj, objective):
         u, *stages = rows(j)
         w = timestep.adjoint_step_at(traj.system, h, u, *stages, w)
         w += (h if j else 0.5 * h) * grad(u)
-    a = np.zeros((k + 1, n))
     a[:k] = w
     return a

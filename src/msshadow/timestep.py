@@ -118,9 +118,10 @@ class Trajectory:
         self.fvals = fvals
         self.stride = int(stride)
         self._stages = None
-        # projected segment propagators as (K, N, N) matrices, built at
-        # the first product when they fit shadow's memory budget
+        # shadow's (K, N, N) projected segment propagators, built at the
+        # first product within its budget, and their sub-segment parts
         self._propagators = None
+        self._subsegments = None
 
     def stages(self):
         """RK4 stage states of every step, computed once and cached.

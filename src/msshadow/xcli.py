@@ -332,9 +332,9 @@ def prepare(cfg):
                               stride=cfg.stride)
     traj.stages()
     parts["integrate_s"], t = time.perf_counter() - t, time.perf_counter()
-    shadow.build_matrices(traj)
-    parts["matrices_s"], t = time.perf_counter() - t, time.perf_counter()
     objective = build_objective(cfg, system)
+    shadow.build_matrices(traj, objective)
+    parts["matrices_s"], t = time.perf_counter() - t, time.perf_counter()
     functional = shadow.sensitivity_functional(traj, objective)
     parts["functional_s"] = time.perf_counter() - t
     problem = Problem(trajectory=traj, objective=objective,

@@ -261,8 +261,11 @@ class TestBatchedSensitivity:
 
     def test_functional_matches_forward_sweep(self, case, monkeypatch):
         # KS runs with SpatialMeanSquare, whose gradient depends on the
-        # state, so a gradient taken at the wrong step shows
+        # state, so a gradient taken at the wrong step shows.  A fresh
+        # trajectory has no matrices, so Lorenz sweeps whole segments
+        # too (TestSubSegments covers its sub-segments)
         traj, objective, _ = case
+        traj = _fresh(traj)
         stacks = np.random.default_rng(13).standard_normal(
             (24, traj.n_segments + 1, traj.system.dim))
 
@@ -352,19 +355,18 @@ class TestPropagatorMatrices:
 
     def test_first_product_from_matrices_when_build_is_one_batch(
             self, lorenz_traj, monkeypatch):
-        # N * N * K = 45 fits one build batch: the first Schur product
-        # builds the matrices in one sweep of the N * K unit rows and
-        # multiplies by them, with no adjoint sweep; it agrees with the
-        # swept product to round-off and is charged K products of each
-        # kind
-        k, n = lorenz_traj.n_segments, 3
-        assert n * n * k <= shadow._BUILD_BATCH
+        # the first Schur product builds the matrices by p = 20
+        # sub-segments of 25 steps, one sweep of the p * K unit rows per
+        # direction, and multiplies by them, with no adjoint sweep; it
+        # agrees with the swept product to round-off and is charged K
+        # products of each kind
+        k, n, p = lorenz_traj.n_segments, 3, 20
         w = np.random.default_rng(2).standard_normal((k, n))
         traj = _fresh(lorenz_traj)
         sweeps = _spy_sweeps(monkeypatch)
         led = ms.CostLedger()
         dense = ms.schur_apply(traj, led, w)
-        assert sweeps == [("tangent", n * k)]
+        assert sweeps == [("tangent", p * k)] * n
         assert traj._propagators is not None
         assert led.snapshot() == (k, k)
 
@@ -383,7 +385,7 @@ class TestPropagatorMatrices:
         u0 = np.random.default_rng(4).uniform(0.0, 1.0, 63)
         traj = ms.integrate(ks, u0, 0.0, 2.0, 0.02, stride=10)
         k, n = traj.n_segments, ks.dim
-        assert shadow._BUILD_BATCH < n * n * k <= shadow._MATRIX_BUDGET
+        assert n * n * k <= shadow._MATRIX_BUDGET
         w = np.random.default_rng(5).standard_normal((k, n))
         with monkeypatch.context() as m:
             m.setattr(shadow, "_MATRIX_BUDGET", n * n * k - 1)
@@ -429,24 +431,130 @@ class TestPropagatorMatrices:
         np.testing.assert_array_equal(adj, np.matmul(z[:, None, :], mats)[:, 0, :])
         assert led.snapshot() == (2 * k * p, k * p)
 
-    def test_build_in_batches_is_exact(self, ks_traj, monkeypatch):
+    def test_build_in_batches_is_exact(self, ks_traj):
         # sweeping the unit directions one column per batch gives the
         # same matrices as one batch of all of them
-        whole = shadow._row_propagators(ks_traj)
-        monkeypatch.setattr(shadow, "_BUILD_BATCH", 1)
+        k, n = ks_traj.n_segments, ks_traj.system.dim
+        segments = np.repeat(np.arange(k), n)
+        out = timestep.tangent_sweep_many(ks_traj, segments,
+                                          np.tile(np.eye(n), (k, 1)))
+        out = ms.project_off_flow(shadow._endpoint_f(ks_traj, segments), out)
+        whole = out.reshape(k, n, n).transpose(0, 2, 1)
         assert np.array_equal(shadow._row_propagators(ks_traj), whole)
 
     def test_column_build_equals_row_build(self, ks_traj):
-        # the KS column kernel gives the row-batched build's matrices bit
-        # for bit, in one batch (ks_traj) and in several (N * N * K above
-        # _BUILD_BATCH)
+        # the KS column kernel gives the one-sub-segment row build's
+        # matrices bit for bit, at N = 31 and at N = 63
         ks = ms.KuramotoSivashinsky(n=63, length=64.0, c=0.5)
         u0 = np.random.default_rng(4).uniform(0.0, 1.0, 63)
         big = ms.integrate(ks, u0, 0.0, 2.0, 0.02, stride=10)
-        assert 63 * 63 * big.n_segments > shadow._BUILD_BATCH
         for traj in (ks_traj, big):
             assert np.array_equal(shadow._build_propagators(traj),
                                   shadow._row_propagators(traj))
+
+
+def _lorenz(lorenz28, segments, stride, h=0.01):
+    u0 = ms.advance(lorenz28, np.ones(3), -10.0, 0.0, h)
+    return ms.integrate(lorenz28, u0, 0.0, segments * stride * h, h,
+                        stride=stride)
+
+
+class TestSubSegments:
+    """Lorenz builds by sub-segments and sweeps its rhs across them."""
+
+    @pytest.fixture(scope="class")
+    def traj(self, lorenz28):
+        return _lorenz(lorenz28, 10, 100)
+
+    def test_rule_for_sub_segments(self, lorenz28, ks_traj, monkeypatch):
+        # L is the least divisor of the stride with L * L >= stride, so a
+        # stride of 100 gives 10 sub-segments of 10 steps and one of 500
+        # 20 of 25; a prime stride, p * K * N * N past the budget and a
+        # system with tangent_columns keep whole segments
+        for stride, p in ((100, 10), (500, 20), (7, 1)):
+            traj = _lorenz(lorenz28, 4, stride)
+            assert shadow.build_matrices(traj)
+            kept = traj._subsegments
+            assert (kept is None) == (p == 1)
+            if kept is not None:
+                assert kept[0].stride * p == stride
+                assert kept[1].shape == (4, p, 3, 3)
+        traj = _lorenz(lorenz28, 4, 100)
+        monkeypatch.setattr(shadow, "_MATRIX_BUDGET", 10 * 4 * 9 - 1)
+        assert shadow.build_matrices(traj) and traj._subsegments is None
+        monkeypatch.undo()
+        ks = _fresh(ks_traj)
+        assert shadow.build_matrices(ks, ms.SpatialMean(ks.system))
+        assert ks._subsegments is None
+
+    def test_chained_matrices(self, traj):
+        # Phi_i = P_i F_9 ... F_0 agrees with the one-sub-segment build
+        fresh = _fresh(traj)
+        assert shadow.build_matrices(fresh)
+        whole = shadow._row_propagators(traj)
+        assert np.abs(fresh._propagators - whole).max() <= (
+            1e-13 * np.abs(whole).max())
+
+    def test_chained_rhs_and_functional(self, traj):
+        # b, s0 and the functional from the sub-segments agree with the
+        # whole-segment forced sweep and adjoint functional; a build
+        # without the objective is redone with it, to the same matrices
+        k, objective = traj.n_segments, ms.LorenzZ()
+        forced, s0_ref = shadow._forced_sweep(traj, np.zeros((k, 3)), objective)
+        b_ref = ms.project_off_flow(shadow._endpoint_f(traj, np.arange(k)),
+                                    forced)
+        a_ref = shadow.sensitivity_functional(_fresh(traj), objective)
+        fresh = _fresh(traj)
+        assert shadow.build_matrices(fresh)
+        mats = fresh._propagators
+        led = ms.CostLedger()
+        b, s0 = ms.assemble_rhs(fresh, led, objective)
+        assert fresh._subsegments[2] is objective
+        assert np.array_equal(fresh._propagators, mats)
+        assert led.snapshot() == (k, 0)
+        assert np.abs(b - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
+        assert abs(s0 - s0_ref) <= 1e-13 * abs(s0_ref)
+        a = shadow.sensitivity_functional(fresh, objective)
+        assert (a[-1] == 0.0).all()
+        assert np.abs(a - a_ref).max() <= 1e-13 * np.abs(a_ref).max()
+        assert np.array_equal(b, ms.assemble_rhs(fresh, led))
+
+    def test_ks_keeps_whole_segments(self, ks_traj):
+        # KS builds through its column kernel and sweeps whole segments:
+        # its rhs, s0, matrices and functional are those of the
+        # whole-segment path bit for bit
+        k, n = ks_traj.n_segments, ks_traj.system.dim
+        objective = ms.SpatialMeanSquare(ks_traj.system)
+        forced, s0_ref = shadow._forced_sweep(ks_traj, np.zeros((k, n)),
+                                              objective)
+        a_ref = shadow.sensitivity_functional(_fresh(ks_traj), objective)
+        traj = _fresh(ks_traj)
+        assert shadow.build_matrices(traj, objective)
+        assert np.array_equal(traj._propagators,
+                              shadow._build_propagators(_fresh(ks_traj)))
+        b, s0 = ms.assemble_rhs(traj, ms.CostLedger(), objective)
+        assert np.array_equal(b, ms.project_off_flow(
+            shadow._endpoint_f(traj, np.arange(k)), forced))
+        assert s0 == s0_ref
+        assert np.array_equal(shadow.sensitivity_functional(traj, objective),
+                              a_ref)
+
+    def test_build_transient(self, lorenz28):
+        # the build sweeps one direction of the p * K sub-segment rows at
+        # a time: beyond what it keeps it holds about eight (p * K, N)
+        # arrays at once, where a batch of all N directions would hold
+        # about three times as many
+        traj = _lorenz(lorenz28, 200, 100)
+        traj.stages()
+        tracemalloc.start()
+        try:
+            shadow.build_matrices(traj, ms.LorenzZ())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sub, ft, _, r = traj._subsegments
+        rows = ft.shape[0] * ft.shape[1] * 3 * 8
+        assert peak - ft.nbytes - r.nbytes - traj._propagators.nbytes <= 12 * rows
 
 
 class TestCostLedger:

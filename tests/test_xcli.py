@@ -555,11 +555,13 @@ class TestKeptProblem:
     def test_warm_request_sweeps_only_the_rhs(self, lorenz_ini, monkeypatch):
         # the sensitivity functional is kept with the trajectory and the
         # zero stack's sensitivity comes with the rhs: a cold request
-        # sweeps for the matrices, the functional (adjoint) and the rhs
-        # (forced), a warm one for the rhs alone; both agree with the
-        # forward-sweep reference to round-off.  Steps are counted where
-        # every sweep reads its stage states, whichever step it runs;
-        # sweeps outside tangent_sweep_many are adjoint
+        # sweeps the unit rows of the L-step sub-segments, one direction
+        # at a time, for the matrices and the functional (no adjoint
+        # sweep) and the forced rhs across the sub-segments, a warm one
+        # the rhs alone; both agree with the forward-sweep reference to
+        # round-off.  Steps are counted where every sweep reads its stage
+        # states, whichever step it runs; sweeps outside
+        # tangent_sweep_many are adjoint
         steps = {}
         tangent, stage_rows = timestep.tangent_sweep_many, timestep._stage_rows
         sweeping = []
@@ -583,10 +585,10 @@ class TestKeptProblem:
         monkeypatch.setattr(timestep, "tangent_sweep_many", tangent_spy)
         monkeypatch.setattr(timestep, "_stage_rows", rows_spy)
         cfg = xcli.load_config(lorenz_ini)
-        stride = cfg.stride
-        for reused, expected in ((False, {"tangent": stride, "adjoint": stride,
-                                          "forced": stride}),
-                                 (True, {"forced": stride})):
+        sub = next(d for d in range(1, cfg.stride + 1)
+                   if cfg.stride % d == 0 and d * d >= cfg.stride)
+        for reused, expected in ((False, {"tangent": 3 * sub, "forced": sub}),
+                                 (True, {"forced": sub})):
             steps.clear()
             result = xcli.run_pipeline(cfg)
             assert result.trajectory_reused == reused
