@@ -7,9 +7,11 @@ arrays of shape (..., N) and act on the last axis, so they can be
 applied to a whole batch of states at once.  The exceptions are the
 Kuramoto-Sivashinsky kernel behind ``rk4_stepper`` and
 ``tangent_columns``, which works on axis 0 of preallocated buffers so
-that every stencil shift is one contiguous block, and Lorenz's
-``tangent_kernel``, which steps tangent batches held component-major
-as (3, m) buffers, so that each component is one contiguous row.
+that every stencil shift is one contiguous block (``tangent_columns``
+probes banded one-step maps with it and joins them by matrix products),
+and Lorenz's ``tangent_kernel``, which steps tangent batches held
+component-major as (3, m) buffers, so that each component is one
+contiguous row.
 """
 
 import math
@@ -338,20 +340,59 @@ class KuramotoSivashinsky(DynamicalSystem):
 
         return self._rk4_kernel(h, (), flux)
 
-    def tangent_columns(self, h, u, s2, s3, s4):
+    def tangent_columns(self, h, u, s2, s3, s4, on_step=None):
         """The discrete tangent propagator (N, N) across the steps whose
-        RK4 stage states are the rows of u, s2, s3, s4 (m, N): the N unit
-        columns swept through the kernel as one block, each stage state
-        broadcast across it.  Column c equals timestep.tangent_step_at's
-        sweep of the row e_c."""
-        n = self.dim
-        pc = self._pad(np.stack((u, s2, s3, s4), axis=1))[..., None]
-        pc += self.c
-        step = self._rk4_kernel(h, (n,),
+        RK4 stage states are the rows of u, s2, s3, s4 (m, N), as the
+        product V <- T_j V of the one-step maps.  Each stage's Jacobian
+        reaches two nodes, so T_j is banded with half-width 8, and w = 17
+        colour columns (column c the sum of e_k over k = c mod w) swept one
+        step through the kernel give every entry of its band exactly.  A
+        kernel call probes g = N // w steps, so its buffers hold no more
+        columns than N unit columns would; the product runs on row blocks
+        of w rows, each over the columns its band reaches.  Column c
+        equals timestep.tangent_step_at's sweep of the row e_c to
+        round-off.  on_step(j, V), when given, is called after step j;
+        the next step overwrites V."""
+        n, m, reach = self.dim, len(u), 4 * 2
+        w = min(n, 2 * reach + 1)
+        g, wide = n // w, w + 2 * reach
+        rows, cols = np.nonzero(abs(np.subtract.outer(np.arange(n),
+                                                      np.arange(n))) <= reach)
+        # T_j's band as row blocks (w, w + 2 reach): block b holds the
+        # rows from b w and the columns from max(b w - reach, 0)
+        tops = range(0, n, w)
+        starts = np.maximum(np.array(tops) - reach, 0)
+        dst = rows * wide + cols - starts[rows // w]
+        src = rows * (g * w) + cols % w
+        band, t = np.empty(len(dst)), np.zeros((len(tops), w, wide))
+        blocks = [(t[b, :min(w, n - r), :min(r + w + reach, n) - c],
+                   slice(c, r + w + reach), slice(r, r + w))
+                  for b, (r, c) in enumerate(zip(tops, starts))]
+        # stage states + c, zero-bordered with mirrored ghost rows as _pad
+        x = np.full((4, n + 4, g, 1), self.c)
+        step = self._rk4_kernel(h, (g, w),
                                 lambda x, i, p, q: np.multiply(x[i], p, q))
-        v = np.eye(n)
-        for x in pc:
-            step(v, x)
+        out, colour = np.empty((n, g, w)), (np.arange(n), slice(None),
+                                            np.arange(n) % w)
+        v, vt = np.eye(n), np.empty((n, n))
+        for j0 in range(0, m, g):
+            # a last group of r < g steps leaves earlier states in the
+            # other slots, whose probes go unread
+            r = min(g, m - j0)
+            for i, a in enumerate((u, s2, s3, s4)):
+                np.add(a[j0:j0 + r].T, self.c, x[i, 2:-2, :r, 0])
+            x[:, 0], x[:, -1] = x[:, 2], x[:, -3]
+            out.fill(0.0)
+            out[colour] = 1.0
+            step(out, x)
+            for j in range(r):
+                np.take(out, src + j * w, out=band)
+                np.put(t, dst, band)
+                for tb, cs, rs in blocks:
+                    np.matmul(tb, v[cs], vt[rs])
+                v, vt = vt, v
+                if on_step is not None:
+                    on_step(j0 + j, v)
         return v
 
 

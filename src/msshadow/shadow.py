@@ -20,20 +20,22 @@ across the segment.  A trajectory may instead keep its projected
 propagators as (N, N) matrices, built from sweeps of the unit
 directions, and serve products as matrix products.  A system with a
 ``tangent_columns`` kernel (Kuramoto-Sivashinsky) builds them one
-segment at a time: the segment's N unit columns are swept as one block,
-the segment's stage states broadcast across it, and the propagator is
-then projected off the flow.  Any other system cuts each segment into p
+segment at a time: the banded one-step maps of the segment's steps,
+read off colour-probe columns, are joined by matrix products, the
+sensitivity weights summed along the way, and the propagator is then
+projected off the flow.  Any other system cuts each segment into p
 sub-segments (10 of 10 steps at a stride of 100) and sweeps the unit
 rows of all of them together, one direction per batch.  The tangent
 equation is linear, so the kept sub-segment propagators chain into Phi_i
 and join the rhs, swept from zero across all sub-segments in one batch.
 The segments are independent, as in the paper's time-parallel
-preconditioner; the two builds agree bit for bit at p = 1, and
-sub-segments reorder the arithmetic at round-off.  A trajectory builds
-them at its first product when all N * N * K entries fit _MATRIX_BUDGET
-(2 MB): the build costs under N products per segment of wall time, which
-the preconditioner (2q(l+2) per segment) and CG (2 per iteration) spend
-several times over.  Past the budget it stays matrix-free for its whole
+preconditioner; the row build at p = 1 gives the swept products bit for
+bit, and the joined one-step maps and sub-segments reorder the
+arithmetic at round-off.  A trajectory builds them at its first product
+when all N * N * K entries fit _MATRIX_BUDGET (2 MB): the build costs
+under N products per segment of wall time, which the preconditioner
+(2q(l+2) per segment) and CG (2 per iteration) spend several times
+over.  Past the budget it stays matrix-free for its whole
 life, the paper's route for systems whose matrices do not fit in memory.
 Matrix and matrix-free products agree to round-off.  segment_propagators
 hands the matrices out for dense study, kept or, past the budget, built
@@ -112,14 +114,16 @@ def _build_propagators(traj, objective=None):
     """Projected propagators of all segments as a (K, N, N) array.
 
     Column c of matrix i is the projected sweep of the unit vector e_c
-    across segment i.  A system with a ``tangent_columns`` kernel sweeps
-    each segment's N columns as one block.  Any other goes through
-    _row_propagators by p sub-segments of L steps, L the least divisor of
-    the stride with L * L >= stride, with objective's weights; p = 1 for
-    a prime stride or p * K * N * N past _MATRIX_BUDGET.
+    across segment i.  A system with a ``tangent_columns`` kernel builds
+    each segment's propagator from its one-step maps.  Any other goes
+    through _row_propagators by p sub-segments of L steps, L the least
+    divisor of the stride with L * L >= stride, with objective's weights;
+    p = 1 for a prime stride or p * K * N * N past _MATRIX_BUDGET.  Given
+    an objective, the build keeps (objective, its weights) as
+    traj._functional, except a row build with p = 1.
     """
     columns = getattr(traj.system, "tangent_columns", None)
-    n, k, stride = traj.system.dim, traj.n_segments, traj.stride
+    n, k, stride, h = traj.system.dim, traj.n_segments, traj.stride, traj.h
     if columns is None:
         p = stride // next(d for d in range(1, stride + 1)
                            if stride % d == 0 and d * d >= stride)
@@ -127,13 +131,30 @@ def _build_propagators(traj, objective=None):
         return _row_propagators(traj, p, objective if p > 1 else None)
     s2, s3, s4 = traj.stages()
     f_end = _endpoint_f(traj, np.arange(k))
-    mats = np.empty((k, n, n))
+    mats, on_step = np.empty((k, n, n)), None
+    if objective is not None:
+        # sensitivity_functional's weights, its adjoint sweep transposed:
+        # a_i = sum_j c_j V_j^T dJ/du(u_j) + V_stride^T end correction
+        _, ff, dj = _end_correction(traj, objective)
+        weights = np.empty((k, n))
     for i in range(k):
         span = slice(i * stride, (i + 1) * stride)
-        prop = columns(traj.h, traj.states[span], s2[span], s3[span], s4[span])
+        if objective is not None:
+            weights[i] = 0.5 * h * objective.gradient(traj.states[span.start])
+
+            def on_step(j, v):
+                grad = objective.gradient(traj.states[span.start + j + 1])
+                weights[i] += (h if j < stride - 1 else 0.5 * h) * (grad @ v)
+
+        prop = columns(h, traj.states[span], s2[span], s3[span], s4[span],
+                       on_step)
+        if objective is not None:
+            weights[i] += (dj[i] / ff[i] * f_end[i]) @ prop
         # project each column as a contiguous row, as _row_propagators does
         mats[i] = project_off_flow(np.broadcast_to(f_end[i], (n, n)),
                                    prop.T.copy()).T
+    if objective is not None:
+        traj._functional = (objective, weights)
     return mats
 
 
@@ -142,7 +163,8 @@ def _row_propagators(traj, p=1, objective=None):
     the unit rows swept one direction per batch, in order: their
     propagators F and quadrature weights q_s give Phi_i = P_i F_{p-1} ...
     F_0 and the boundary weights r_p = end correction, r_s = q_s + F_s^T
-    r_{s+1}.  With p > 1 it keeps (sub-trajectory, F^T, objective, r)."""
+    r_{s+1}.  With p > 1 it keeps (sub-trajectory, F^T, r) and, given an
+    objective, the functional (objective, r_0)."""
     n, k = traj.system.dim, traj.n_segments
     sub = timestep.Trajectory(traj.system, traj.t_start, traj.h, traj.states,
                               traj.fvals, traj.stride // p)
@@ -158,7 +180,9 @@ def _row_propagators(traj, p=1, objective=None):
         for s in range(p - 1, -1, -1):
             r[:, s] += np.matmul(ft[:, s], r[:, s + 1, :, None])[..., 0]
     if p > 1:
-        traj._subsegments = (sub, ft, objective, r)
+        traj._subsegments = (sub, ft, r)
+        if objective is not None:
+            traj._functional = (objective, r[:, 0])
     prop = ft[:, 0]
     for s in range(1, p):
         prop = np.matmul(prop, ft[:, s])
@@ -172,8 +196,9 @@ def build_matrices(traj, objective=None):
     without objective's weights; returns whether it has them.  Charges
     nothing: the matrices are a cache of the products."""
     n, k = traj.system.dim, traj.n_segments
-    kept = traj._subsegments
-    stale = kept is not None and objective not in (None, kept[2])
+    kept = traj._functional
+    stale = (traj._subsegments is not None and objective is not None
+             and (kept is None or kept[0] is not objective))
     if (traj._propagators is None or stale) and n * n * k <= _MATRIX_BUDGET:
         traj._propagators = _build_propagators(traj, objective)
     return traj._propagators is not None
@@ -192,43 +217,53 @@ def segment_propagators(traj):
 def _matrix_rows(traj, segments, z, adjoint):
     """Rows of z times their segments' propagator matrices (transposed
     if adjoint), built at the first product; None past _MATRIX_BUDGET.
-    Rows grouped p per segment in order (repeat(arange(K), p)) multiply
-    a broadcast view of the matrices; other patterns gather a copy."""
+    Rows grouped p per segment in order (repeat(arange(K), p)), or
+    segments None for the K rows in order, multiply a broadcast view of
+    the matrices; other patterns gather a copy."""
     n, k = traj.system.dim, traj.n_segments
-    if z.shape != (segments.size, n):
+    m = len(z)
+    if segments is not None and z.shape != (segments.size, n):
         raise DimensionMismatch("propagation batch shape mismatch")
     if not build_matrices(traj):
         return None
-    p, rest = divmod(segments.size, k)
-    if p and not rest and (segments.reshape(k, p).T == np.arange(k)).all():
+    p, rest = divmod(m, k)
+    if segments is None or (
+            p and not rest and (segments.reshape(k, p).T == np.arange(k)).all()):
         mats, z = traj._propagators[:, None], z.reshape(k, p, n)
     else:
         mats = traj._propagators[segments]
     if adjoint:
-        return np.matmul(z[..., None, :], mats).reshape(segments.size, n)
-    return np.matmul(mats, z[..., None]).reshape(segments.size, n)
+        return np.matmul(z[..., None, :], mats).reshape(m, n)
+    return np.matmul(mats, z[..., None]).reshape(m, n)
 
 
 def _propagate_rows(traj, ledger, segments, z):
-    """Projected tangent propagation of each row across its segment."""
-    segments = timestep._check_segments(traj, segments)
+    """Projected tangent propagation of each row across its segment.
+    segments None stands for the K segments in order, which the
+    constraint operators pass with stacks they have checked, so no CG
+    product re-validates them."""
+    if segments is not None:
+        segments = timestep._check_segments(traj, segments)
     out = _matrix_rows(traj, segments, z, adjoint=False)
     if out is None:
+        segments = np.arange(len(z)) if segments is None else segments
         out = timestep.tangent_sweep_many(traj, segments, z, forcing=False)
         out = project_off_flow(_endpoint_f(traj, segments), out)
-    ledger.charge_forward(len(segments))
+    ledger.charge_forward(len(z))
     return out
 
 
 def _propagate_rows_adjoint(traj, ledger, segments, z):
     """Transpose of _propagate_rows: project at the segment end, then
     sweep the adjoint back to the segment start."""
-    segments = timestep._check_segments(traj, segments)
+    if segments is not None:
+        segments = timestep._check_segments(traj, segments)
     out = _matrix_rows(traj, segments, z, adjoint=True)
     if out is None:
+        segments = np.arange(len(z)) if segments is None else segments
         zp = project_off_flow(_endpoint_f(traj, segments), z)
         out = timestep.adjoint_sweep_many(traj, segments, zp)
-    ledger.charge_adjoint(len(segments))
+    ledger.charge_adjoint(len(z))
     return out
 
 
@@ -259,7 +294,7 @@ def constraint_apply(traj, ledger, v):
     """
     k = traj.n_segments
     _check_stack(traj, v, k + 1)
-    prop = _propagate_rows(traj, ledger, np.arange(k), v[:k])
+    prop = _propagate_rows(traj, ledger, None, v[:k])
     return v[1:] - prop
 
 
@@ -267,7 +302,7 @@ def constraint_transpose_apply(traj, ledger, w):
     """Transpose of constraint_apply: (K, N) -> (K+1, N)."""
     k = traj.n_segments
     _check_stack(traj, w, k)
-    back = _propagate_rows_adjoint(traj, ledger, np.arange(k), w)
+    back = _propagate_rows_adjoint(traj, ledger, None, w)
     out = np.empty((k + 1, traj.system.dim))
     out[0] = -back[0]
     out[1:k] = w[: k - 1] - back[1:]
@@ -293,7 +328,7 @@ def assemble_rhs(traj, ledger, objective=None):
         forced, s0 = _forced_sweep(traj, np.zeros((k, n)), objective)
     else:
         build_matrices(traj, objective)
-        sub, ft, _, r = traj._subsegments
+        sub, ft, r = traj._subsegments
         pi, acc = _swept(sub, np.zeros((sub.n_segments, n)), objective, True)
         pi = pi.reshape(k, -1, n)
         forced = pi[:, 0]
@@ -380,12 +415,16 @@ def sensitivity_functional(traj, objective):
     adjoint sweep per segment seeded at its end with h/2 dJ/du +
     (Jbar - J_end) / |f_end|^2 f_end, adding after each step the
     trapezoid weight (h, or h/2 at the segment start) times dJ/du; on a
-    trajectory built by sub-segments, the build's weights r_0 instead.
-    Charges no products."""
+    trajectory whose build kept objective's weights (a build by
+    sub-segments is redone for them), those weights instead.  Charges no
+    products."""
     k, n = traj.n_segments, traj.system.dim
     a = np.zeros((k + 1, n))
-    if traj._subsegments is not None and build_matrices(traj, objective):
-        a[:k] = traj._subsegments[3][:, 0]
+    if traj._subsegments is not None:
+        build_matrices(traj, objective)
+    kept = traj._functional
+    if kept is not None and kept[0] is objective:
+        a[:k] = kept[1]
         return a
     h = traj.h
     offs = np.arange(k) * traj.stride

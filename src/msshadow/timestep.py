@@ -119,9 +119,11 @@ class Trajectory:
         self.stride = int(stride)
         self._stages = None
         # shadow's (K, N, N) projected segment propagators, built at the
-        # first product within its budget, and their sub-segment parts
+        # first product within its budget, their sub-segment parts and
+        # the (objective, sensitivity weights) summed along their build
         self._propagators = None
         self._subsegments = None
+        self._functional = None
 
     def stages(self):
         """RK4 stage states of every step, computed once and cached.

@@ -92,7 +92,9 @@ class TestDenseAssembly:
                                            ks_small, monkeypatch):
         # the placed blocks equal the constraint operator applied to each
         # unit checkpoint stack, bit for bit, whether the trajectory keeps
-        # its propagator matrices or stays matrix-free past the budget
+        # its propagator matrices or stays matrix-free past the budget; KS
+        # past the budget places matrices joined from its one-step maps
+        # against swept products, which agree to round-off
         if model == "lorenz":
             u0 = ms.advance(lorenz28, np.ones(3), -10.0, 0.0, 0.002)
             traj = ms.integrate(lorenz28, u0, 0.0, 3.0, 0.002, stride=300)
@@ -113,7 +115,10 @@ class TestDenseAssembly:
                                     traj.states, traj.fvals, traj.stride)
         led = ms.CostLedger()
         a = analysis.dense_constraint_matrix(fresh, led)
-        assert np.array_equal(a, probe)
+        if (model, budget) == ("ks", "matrix_free"):
+            assert np.abs(a - probe).max() <= 1e-13 * np.abs(probe).max()
+        else:
+            assert np.array_equal(a, probe)
         assert led.snapshot() == (n * k, 0)
         assert (fresh._propagators is None) == (budget == "matrix_free")
 

@@ -443,14 +443,39 @@ class TestPropagatorMatrices:
         assert np.array_equal(shadow._row_propagators(ks_traj), whole)
 
     def test_column_build_equals_row_build(self, ks_traj):
-        # the KS column kernel gives the one-sub-segment row build's
-        # matrices bit for bit, at N = 31 and at N = 63
+        # the KS matrices joined from probed one-step maps agree with the
+        # one-sub-segment row build to round-off, at N = 31 and at N = 63,
+        # and a second build in the same process repeats them bit for bit
         ks = ms.KuramotoSivashinsky(n=63, length=64.0, c=0.5)
         u0 = np.random.default_rng(4).uniform(0.0, 1.0, 63)
         big = ms.integrate(ks, u0, 0.0, 2.0, 0.02, stride=10)
         for traj in (ks_traj, big):
-            assert np.array_equal(shadow._build_propagators(traj),
-                                  shadow._row_propagators(traj))
+            mats = shadow._build_propagators(traj)
+            rows = shadow._row_propagators(traj)
+            assert np.abs(mats - rows).max() <= 1e-13 * np.abs(rows).max()
+            assert np.array_equal(shadow._build_propagators(traj), mats)
+
+    def test_ks_build_transient(self):
+        # at the benchmark's KS size (N = 127, K = 10, 100 steps) the
+        # build holds beyond what it keeps no more than the unit column
+        # sweep did: its padded stage states (100, 4, N + 4), its kernel's
+        # buffers for N columns and three (N, N) blocks (the swept block
+        # and the projection's two copies)
+        ks = ms.KuramotoSivashinsky(n=127, length=128.0, c=0.8)
+        u0 = np.random.default_rng(5).uniform(0.0, 1.0, 127)
+        traj = ms.integrate(ks, u0, 0.0, 100.0, 0.1, stride=100)
+        traj.stages()
+        objective = ms.SpatialMean(ks)
+        tracemalloc.start()
+        try:
+            mats = shadow._build_propagators(traj, objective)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, stride = ks.dim, traj.stride
+        kernel = (2 * (n + 4) + 4 * n) * n
+        column_sweep = (stride * 4 * (n + 4) + kernel + 3 * n * n) * 8
+        assert peak - mats.nbytes - traj._functional[1].nbytes <= column_sweep
 
 
 def _lorenz(lorenz28, segments, stride, h=0.01):
@@ -509,7 +534,7 @@ class TestSubSegments:
         mats = fresh._propagators
         led = ms.CostLedger()
         b, s0 = ms.assemble_rhs(fresh, led, objective)
-        assert fresh._subsegments[2] is objective
+        assert fresh._functional[0] is objective
         assert np.array_equal(fresh._propagators, mats)
         assert led.snapshot() == (k, 0)
         assert np.abs(b - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
@@ -521,8 +546,9 @@ class TestSubSegments:
 
     def test_ks_keeps_whole_segments(self, ks_traj):
         # KS builds through its column kernel and sweeps whole segments:
-        # its rhs, s0, matrices and functional are those of the
-        # whole-segment path bit for bit
+        # its rhs, s0 and matrices are those of the whole-segment path bit
+        # for bit, and the functional summed along the build agrees with
+        # the adjoint sweep's to round-off
         k, n = ks_traj.n_segments, ks_traj.system.dim
         objective = ms.SpatialMeanSquare(ks_traj.system)
         forced, s0_ref = shadow._forced_sweep(ks_traj, np.zeros((k, n)),
@@ -536,8 +562,9 @@ class TestSubSegments:
         assert np.array_equal(b, ms.project_off_flow(
             shadow._endpoint_f(traj, np.arange(k)), forced))
         assert s0 == s0_ref
-        assert np.array_equal(shadow.sensitivity_functional(traj, objective),
-                              a_ref)
+        a = shadow.sensitivity_functional(traj, objective)
+        assert traj._functional[0] is objective and (a[-1] == 0.0).all()
+        assert np.abs(a - a_ref).max() <= 1e-13 * np.abs(a_ref).max()
 
     def test_build_transient(self, lorenz28):
         # the build sweeps one direction of the p * K sub-segment rows at
@@ -552,7 +579,7 @@ class TestSubSegments:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        sub, ft, _, r = traj._subsegments
+        sub, ft, r = traj._subsegments
         rows = ft.shape[0] * ft.shape[1] * 3 * 8
         assert peak - ft.nbytes - r.nbytes - traj._propagators.nbytes <= 12 * rows
 
