@@ -7,12 +7,10 @@ values and left singular vectors, hence the Picard table and the
 truncated-SVD curve; there a request holds about four (N K)^2 float64
 arrays: S, LAPACK's copy, its workspace and the vectors.  Dense matrices
 are made under a size cap; large instances only get extreme eigenvalue
-estimates.  Those use SciPy's ARPACK, the one SciPy user in msshadow,
-imported on first use; everything else needs NumPy only.
+estimates, from a Lanczos run on products.
 """
 
 import csv
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,42 +69,42 @@ class SpectrumReport:
         write_labeled_csv(path, self.label, self.eigenvalues)
 
 
-def spectrum(operator, size, label="", extremes="both"):
+def spectrum(operator, size, label=""):
     """Extreme eigenvalues of a symmetric positive definite operator.
 
-    ``operator`` is a dense matrix or a callable on flat vectors.  The
-    estimates (mu_min, mu_max) come from matrix-vector products started
-    from random vectors fixed by ``size``; non-convergence is flagged
-    instead of raised.  ``extremes="max"`` skips the (much slower)
-    smallest-eigenvalue search and reports only mu_max.
+    ``operator`` is a dense matrix or a callable on flat vectors.  One
+    Lanczos run from a random vector fixed by ``size`` keeps its m basis
+    vectors and orthogonalizes each new one against them twice.  Every
+    10 steps it stops once both extreme Ritz pairs (theta, y) of T_m pass
+    beta_m |y_m| <= tol |theta|, tol = 1e-8; it also stops at m = size or
+    when beta_m vanishes.  ``converged`` is the true residual test of both
+    pairs, |S x - theta x| <= tol |theta|, two more products.
     """
-    # imported here: SciPy adds 0.2 s and 30 MB to start-up; only this needs it
-    import scipy.sparse.linalg as spla
     op = operator if callable(operator) else (lambda v: operator @ v)
-    linop = spla.LinearOperator((size, size), matvec=op)
-    converged = True
-    sides = {"both": ("SA", "LA"), "max": ("LA",)}[extremes]
-    found = []
-    # ARPACK starts and restarts from random vectors: draw them from a fixed
-    # generator (a SciPy without rng restarts from a per-process seed)
-    seeded = "rng" in inspect.signature(spla.eigsh).parameters
-    for which in sides:
-        rng = np.random.default_rng(size)
-        try:
-            vals = spla.eigsh(
-                linop, k=1, which=which, tol=1e-8, maxiter=size * 50,
-                v0=rng.uniform(-1.0, 1.0, size), return_eigenvectors=False,
-                **({"rng": rng} if seeded else {}),
-            )
-            found.append(float(vals[0]))
-        except spla.ArpackNoConvergence as exc:
-            converged = False
-            got = exc.eigenvalues
-            found.append(float(got[0]) if len(got) else np.nan)
-    eigs = np.asarray(found)
-    kappa = (float(eigs[-1] / eigs[0])
-             if len(eigs) == 2 and np.isfinite(eigs).all() else np.nan)
-    return SpectrumReport(label, eigs, kappa, "lanczos-extremes", converged)
+    tol, ends = 1e-8, [0, -1]
+    w = np.random.default_rng(size).uniform(-1.0, 1.0, size)
+    basis, alpha, beta = np.empty((0, size)), [], [np.linalg.norm(w)]
+    for m in range(1, size + 1):
+        if m > len(basis):
+            basis = np.concatenate((basis, np.empty((10, size))))
+        q = basis[m - 1] = w / beta[-1]
+        w = op(q)
+        alpha.append(q @ w)
+        for _ in range(2):
+            w = w - (w @ basis[:m].T) @ basis[:m]
+        beta.append(np.linalg.norm(w))
+        if m % 10 and m < size and beta[-1] > tol * abs(alpha[-1]):
+            continue
+        off = np.diag(beta[1:-1], 1)
+        theta, y = np.linalg.eigh(np.diag(alpha) + off + off.T)
+        if m == size or np.all(
+                beta[-1] * np.abs(y[-1, ends]) <= tol * np.abs(theta[ends])):
+            break
+    eigs, ritz = theta[ends], y[:, ends].T @ basis[:m]
+    converged = all(np.linalg.norm(op(x) - mu * x) <= tol * abs(mu)
+                    for x, mu in zip(ritz, eigs))
+    return SpectrumReport(label, eigs, float(eigs[1] / eigs[0]),
+                          "lanczos-extremes", converged)
 
 
 def preconditioned_spectrum(s_dense, pc, gamma=0.0, label=""):

@@ -210,6 +210,8 @@ class KuramotoSivashinsky(DynamicalSystem):
     def __init__(self, n=127, length=128.0, c=0.0):
         if n < 1:
             raise ValueError("need at least one interior node")
+        if length <= 0:
+            raise ValueError(f"domain length must be positive, got {length}")
         self.dim = int(n)
         self.length = float(length)
         self.c = float(c)

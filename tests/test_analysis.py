@@ -358,6 +358,28 @@ class TestSpectrum:
         assert rep.eigenvalues[-1] == pytest.approx(10.0, rel=1e-5)
         assert rep.kappa == pytest.approx(1000.0, rel=1e-4)
 
+    def test_lanczos_stops_on_an_invariant_subspace(self):
+        # S q = q: beta_1 vanishes, so the run stops after one product;
+        # the residual test of the two Ritz pairs adds two more
+        calls = []
+
+        def identity(v):
+            calls.append(v)
+            return v.copy()
+
+        rep = analysis.spectrum(identity, 7)
+        assert rep.converged and len(calls) == 3
+        np.testing.assert_allclose(rep.eigenvalues, [1.0, 1.0], rtol=1e-14)
+
+    def test_lanczos_flags_unresolved_extremes(self):
+        # kappa = 1e17 is past double precision: the run stops at m = 99
+        # on its estimates with mu_min about 1.5e-3, and the true residual
+        # test flags it
+        rep = analysis.spectrum(np.diag(np.geomspace(1e-3, 1e14, 100)), 100)
+        assert not rep.converged
+        assert rep.eigenvalues[-1] == pytest.approx(1e14, rel=1e-8)
+        assert rep.eigenvalues[0] > 1.1e-3
+
     def test_shift_is_exact(self, lorenz_dense):
         traj, a, _ = lorenz_dense
         s_mat = a @ a.T

@@ -306,14 +306,22 @@ class TestRunExperiment:
             assert result.spectra[label].mode == "dense"
             assert result.spectra[label].eigenvalues.size == 3 * 700
 
-    @pytest.mark.parametrize("seed", [3, 7, 11])
-    def test_lanczos_extremes_match_dense_spectra(self, seed):
+    @pytest.mark.parametrize("cfg", [
+        *(pytest.param(xcli.ExperimentConfig(
+            model="lorenz", seed=seed, rho=40.0, spin_up=100.0, window=40.0,
+            step=0.01, gamma=0.1, mode="pre", spectrum=True, dense_cap=10),
+            id=str(seed)) for seed in (3, 7, 11)),
+        # the ks_c08 bench instance at seed 5: N K = 1270, kappa(S) about
+        # 1e7, about 540 products per spectrum
+        pytest.param(xcli.ExperimentConfig(
+            model="ks", seed=5, n=127, length=128.0, c=0.8, spin_up=1000.0,
+            window=100.0, segment=10.0, step=0.1, gamma=0.09, mode="pre",
+            rank=15, spectrum=True, dense_cap=1000), id="ks"),
+    ])
+    def test_lanczos_extremes_match_dense_spectra(self, cfg):
         # past the cap both spectra take the Lanczos route; the
         # preconditioned one runs on the symmetric M^1/2 S M^1/2, whose
         # extremes are those of the dense spectrum
-        cfg = xcli.ExperimentConfig(
-            model="lorenz", seed=seed, rho=40.0, spin_up=100.0, window=40.0,
-            step=0.01, gamma=0.1, mode="pre", spectrum=True, dense_cap=10)
         result = xcli.run_pipeline(cfg)
         s_mat = analysis.dense_constraint_matrix(
             result.trajectory, ms.CostLedger(), normal=True)
@@ -324,7 +332,7 @@ class TestRunExperiment:
             rep = result.spectra[label]
             assert rep.mode == "lanczos-extremes" and rep.converged
             np.testing.assert_allclose(rep.eigenvalues, eigs[[0, -1]],
-                                       rtol=1e-6)
+                                       rtol=1e-8)
 
     @pytest.mark.parametrize("overrides", [
         ["solver.mode=pre"],
@@ -384,6 +392,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("model, override", [
         ("ks", "time.step=0.5"),
+        ("ks", "model.length=0"),
+        ("ks", "model.length=-32"),
         ("lorenz", "preconditioner.rank=0"),
         ("lorenz", "preconditioner.rank=4"),
         ("lorenz", "solver.mode=bogus"),
@@ -735,28 +745,29 @@ def test_ks_iterations_stable_across_resolution(tmp_path):
 
 _FOOTPRINT = """\
 import json, sys
+sys.modules["scipy"] = None  # any SciPy import now raises ImportError
 import numpy as np
 import msshadow, msshadow.xcli as xcli
 from msshadow import analysis
 
 
 def heavy():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
-                  or m == "concurrent.futures.process")
+    return sorted(m for m, mod in sys.modules.items() if mod is not None
+                  and (m.split(".")[0] == "scipy"
+                       or m == "concurrent.futures.process"))
 
 
-cfg = xcli.load_config(sys.argv[1], ["analysis.spectrum=true"])
+cfg = xcli.load_config(sys.argv[1], ["analysis.spectrum=true",
+                                     "analysis.dense_cap=10"])
 result = xcli.run_experiment(cfg)
-after_run = heavy()
 rng = np.random.default_rng(4)
 q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
 mat = q @ np.diag(np.geomspace(0.1, 5.0, 30)) @ q.T
 rep = analysis.spectrum(mat, 30)
 exact = np.linalg.eigvalsh(mat)
 print(json.dumps({
-    "raw_mode": result.spectra["raw"].mode,
-    "after_run": after_run,
-    "after_lanczos": heavy(),
+    "modes": [result.spectra[key].mode for key in ("raw", "preconditioned")],
+    "loaded": heavy(),
     "converged": rep.converged,
     "lanczos": [float(v) for v in rep.eigenvalues],
     "exact": [float(exact[0]), float(exact[-1])],
@@ -764,9 +775,11 @@ print(json.dumps({
 """
 
 
-def test_scipy_and_process_pool_load_on_first_use(lorenz_ini):
-    # a fresh interpreter running a dense-spectrum request loads neither
-    # SciPy nor the process pool; a lanczos-extremes spectrum loads SciPy
+def test_runs_without_scipy_or_process_pool(lorenz_ini):
+    # a fresh interpreter in which importing SciPy fails runs a request
+    # whose spectra take the Lanczos route past the dense cap, and the
+    # Lanczos extremes of a 30 x 30 matrix, loading neither SciPy nor the
+    # process pool
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
@@ -775,16 +788,15 @@ def test_scipy_and_process_pool_load_on_first_use(lorenz_ini):
                           env=env, capture_output=True, text=True, check=True,
                           timeout=300)
     got = json.loads(proc.stdout.splitlines()[-1])
-    assert got["raw_mode"] == "dense"
-    assert got["after_run"] == []
-    assert "scipy.sparse.linalg" in got["after_lanczos"]
+    assert got["modes"] == ["lanczos-extremes"] * 2
+    assert got["loaded"] == []
     assert got["converged"]
-    assert got["lanczos"] == pytest.approx(got["exact"], rel=1e-5)
+    assert got["lanczos"] == pytest.approx(got["exact"], rel=1e-8)
 
 
 def test_lanczos_spectrum_runs_are_byte_identical(tmp_path):
-    # past the dense cap both spectra come from ARPACK, whose start and
-    # restart vectors are fixed by the call: two runs of the command, each
+    # past the dense cap both spectra come from a Lanczos run whose start
+    # vector is fixed by the operator size: two runs of the command, each
     # in its own interpreter, write the same files
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
