@@ -1,0 +1,253 @@
+"""The single-state primal RK4 loops in C, compiled at first use.
+
+``rk4`` runs n classical RK4 steps of one Lorenz or Kuramoto-Sivashinsky
+state with the element operations of ``timestep._rk4``'s array loop on
+``Lorenz.rhs`` and of ``KuramotoSivashinsky._rk4_kernel`` in their order,
+so its states are bit-identical to that loop's, which stays the
+reference and the fallback.  The source below is compiled by
+``sysconfig``'s C compiler with flags that forbid contraction and
+reordering, at the first loop of a process, into a shared library in
+the package's ``__pycache__`` named by the CRC-32 of the source and the
+flags, and later processes load it with ``ctypes`` without looking up
+the compiler.  Without a compiler, when the compile fails, or when
+``__pycache__`` holds no library and is not writable, ``serves`` is
+false and the array loop runs.
+"""
+
+import ctypes
+import os
+import zlib
+
+import numpy as np
+
+from .dynsys import KuramotoSivashinsky, Lorenz
+from .errors import DimensionMismatch, DivergenceError
+
+_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-x", "c", "-",
+          "-lm")
+
+# lorenz_rk4 and ks_rk4(n, steps, every, h, par, u, states, fvals, s2,
+# s3, s4) step u (n,) in place and return 0, the step of a divergence
+# (checked after step j + 1 when j % every == 0 and after the last), or
+# -1 when out of memory.  Row j of states gets the state after j + 1
+# steps, rows j of fvals, s2, s3 and s4 the rhs and RK4 stages 2-4 of
+# step j, and fvals row steps the rhs of the end state.  Any output may
+# be NULL.  Stage i is u + w_i k_i and the update u + h/6 (((k1 + 2 k2)
+# + 2 k3) + k4): the order of the array loop and of the KS kernel.
+_SOURCE = r"""
+#include <math.h>
+#include <stdlib.h>
+#include <string.h>
+
+/* f(n, par, x, q, out): out = rhs(x); x has two writable slots before
+   and after its n entries, q n + 4 of work */
+typedef void (*rhs_fn)(long, const double *, double *, double *, double *);
+
+/* par: sigma, rho, beta; the expressions of Lorenz.rhs */
+static void lorenz_f(long n, const double *par, double *x, double *q,
+                     double *out)
+{
+    out[0] = par[0] * (x[1] - x[0]);
+    out[1] = x[0] * (par[1] - x[2]) - x[1];
+    out[2] = x[0] * x[1] - par[2] * x[2];
+}
+
+/* par: c, 2 dx, a4, b24, c24.  p = x - 2 gets zero boundary nodes and
+   mirrored ghosts as in _pad; out = -D1 q - (D2 + D4) p with
+   q = p 0.5 p + p c, in the operations and order of the NumPy kernel */
+static void ks_f(long n, const double *par, double *x, double *q,
+                 double *out)
+{
+    double *p = x - 2;
+    p[0] = p[2];
+    p[n + 3] = p[n + 1];
+    for (long i = 1; i < n + 3; i++)
+        q[i] = p[i] * 0.5 * p[i] + p[i] * par[0];
+    for (long i = 0; i < n; i++) {
+        double v = (p[i + 4] + p[i]) * par[2] + (p[i + 3] + p[i + 1]) * par[3];
+        out[i] = (q[i + 1] - q[i + 3]) / par[1] - (v + p[i + 2] * par[4]);
+    }
+}
+
+static int all_finite(const double *u, long n)
+{
+    for (long i = 0; i < n; i++)
+        if (!isfinite(u[i]))
+            return 0;
+    return 1;
+}
+
+static void put(double *rows, long j, const double *u, long n)
+{
+    if (rows)
+        memcpy(rows + j * n, u, n * sizeof(double));
+}
+
+static long rk4(rhs_fn f, long n, long steps, long every, double h,
+                const double *par, double *u, double *states,
+                double *fvals, double *s2, double *s3, double *s4)
+{
+    /* k1..k4, then x with two zero slots either side, then q */
+    double *k = calloc(6 * n + 8, sizeof(double));
+    if (!k)
+        return -1;
+    double *x = k + 4 * n + 2, *q = x + n + 2;
+    double w[3] = {0.5 * h, 0.5 * h, h}, h6 = h / 6.0;
+    double *stage[3] = {s2, s3, s4};
+    long status = 0;
+    for (long j = 0; j < steps && !status; j++) {
+        memcpy(x, u, n * sizeof(double));
+        f(n, par, x, q, k);
+        put(fvals, j, k, n);
+        for (int s = 0; s < 3; s++) {
+            const double *ks = k + s * n;
+            for (long i = 0; i < n; i++)
+                x[i] = u[i] + w[s] * ks[i];
+            put(stage[s], j, x, n);
+            f(n, par, x, q, k + (s + 1) * n);
+        }
+        for (long i = 0; i < n; i++)
+            u[i] += h6 * (k[i] + 2.0 * k[n + i] + 2.0 * k[2 * n + i]
+                          + k[3 * n + i]);
+        put(states, j, u, n);
+        if (j % every == 0 && !all_finite(u, n))
+            status = j + 1;
+    }
+    if (!status && fvals) {
+        memcpy(x, u, n * sizeof(double));
+        f(n, par, x, q, fvals + steps * n);
+    }
+    free(k);
+    if (!status && !all_finite(u, n))
+        status = steps;
+    return status;
+}
+
+long lorenz_rk4(long n, long steps, long every, double h, const double *par,
+                double *u, double *states, double *fvals, double *s2,
+                double *s3, double *s4)
+{
+    return rk4(lorenz_f, n, steps, every, h, par, u, states, fvals, s2, s3,
+               s4);
+}
+
+long ks_rk4(long n, long steps, long every, double h, const double *par,
+            double *u, double *states, double *fvals, double *s2,
+            double *s3, double *s4)
+{
+    return rk4(ks_f, n, steps, every, h, par, u, states, fvals, s2, s3, s4);
+}
+"""
+
+# the loaded library; None before the first attempt, False after a
+# failed one
+_lib = None
+
+
+def _compiler():
+    """sysconfig's C compiler command as a list, or None."""
+    import sysconfig  # only a compile reads the build configuration
+    cc = sysconfig.get_config_var("CC")
+    return cc.split() if cc else None
+
+
+def _build(path):
+    """Compile the source to path, through a temporary name so that a
+    concurrent process never loads a half-written file.  No compiler,
+    or a failed compile, raises OSError."""
+    cc = _compiler()
+    if cc is None:
+        raise OSError("no C compiler")
+    import subprocess  # only a compile pays for its import
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        done = subprocess.run([*cc, "-o", tmp, *_FLAGS], input=_SOURCE,
+                              text=True, capture_output=True)
+        if done.returncode:
+            raise OSError(f"C compiler exited {done.returncode}: "
+                          f"{done.stderr.strip()}")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _path():
+    """The library's path in the package's __pycache__, which is trusted
+    as the package's own bytecode is."""
+    tag = zlib.crc32(" ".join([_SOURCE, *_FLAGS]).encode())
+    return os.path.join(os.path.dirname(__file__), "__pycache__",
+                        f"msshadow_rk4_{tag:08x}.so")
+
+
+def _load():
+    path = _path()
+    try:
+        if not os.path.exists(path):
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            _build(path)
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
+    ptr = ctypes.c_void_p
+    for fn in (lib.lorenz_rk4, lib.ks_rk4):
+        fn.restype = ctypes.c_long
+        fn.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.c_long,
+                       ctypes.c_double) + (ptr,) * 7
+    return lib
+
+
+def library():
+    """The compiled loops, built or loaded at the first call of a
+    process; None when no compiler is found, the compile fails, or the
+    library is not cached and cannot be written."""
+    global _lib
+    if _lib is None:
+        _lib = _load() or False
+    return _lib or None
+
+
+def serves(system):
+    """Whether the C loop steps system's single states: its rhs is
+    Lorenz's or KuramotoSivashinsky's own (not a subclass's) and the
+    library is loaded."""
+    return (type(system).rhs in (Lorenz.rhs, KuramotoSivashinsky.rhs)
+            and library() is not None)
+
+
+def rk4(system, u, h, n, states=None, check_every=1, kept=None):
+    """n RK4 steps of one state u (N,), left unchanged, in C, for a
+    system the loop ``serves``; returns the end state.
+
+    ``states`` rows 1..n, when given, receive the states after each
+    step.  ``kept``, when given, is (fvals, s2, s3, s4): fvals (n + 1,
+    N) receives the rhs at every state, s2, s3 and s4 (n, N) the RK4
+    stage states of every step; they match ``rhs`` and
+    ``Trajectory.stages`` element for element, up to the sign of an
+    exact zero.  A non-finite state raises DivergenceError at the step
+    timestep._rk4 reports.
+    """
+    if type(system).rhs is Lorenz.rhs:
+        name, par = "lorenz_rk4", (system.sigma, system.rho, system.beta)
+    else:
+        name, par = "ks_rk4", (system.c, 2.0 * system.dx, system._a4,
+                               system._b24, system._c24)
+    u = np.array(u, dtype=float)
+    if u.shape != (system.dim,):
+        raise DimensionMismatch(f"expected one state of shape ({system.dim},)")
+    outs = (None if states is None else states[1:], *(kept or (None,) * 4))
+    for a, rows in zip(outs, (n, n + 1, n, n, n)):
+        if a is not None and (a.shape != (rows, system.dim)
+                              or a.dtype != float
+                              or not a.flags.c_contiguous):
+            raise DimensionMismatch(
+                f"need C-contiguous float rows ({rows}, {system.dim})")
+    par = np.array(par)  # referenced here, so alive through the call
+    status = getattr(library(), name)(
+        system.dim, n, check_every, h, par.ctypes.data, u.ctypes.data,
+        *(None if a is None else a.ctypes.data for a in outs))
+    if status < 0:
+        raise MemoryError("RK4 work buffers")
+    if status:
+        raise DivergenceError(status)
+    return u

@@ -5,20 +5,17 @@ its Jacobian action and exact transpose, and the derivative of f with
 respect to the single control parameter s.  All operations accept
 arrays of shape (..., N) and act on the last axis, so they can be
 applied to a whole batch of states at once.  The exceptions are the
-Kuramoto-Sivashinsky kernel behind ``rk4_stepper`` and
-``tangent_columns``, which works on axis 0 of preallocated buffers so
-that every stencil shift is one contiguous block (``tangent_columns``
-probes banded one-step maps with it and joins them by matrix products),
-and Lorenz's ``tangent_kernel``, which steps tangent batches held
-component-major as (3, m) buffers, so that each component is one
-contiguous row.
+Kuramoto-Sivashinsky kernel behind ``tangent_columns``, which works on
+axis 0 of preallocated buffers so that every stencil shift is one
+contiguous block (``tangent_columns`` probes banded one-step maps with
+it and joins them by matrix products), and Lorenz's ``tangent_kernel``,
+which steps tangent batches held component-major as (3, m) buffers, so
+that each component is one contiguous row.
 """
-
-import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, DivergenceError
+from .errors import DimensionMismatch
 
 
 def _check_dim(system, *arrays):
@@ -139,49 +136,6 @@ class Lorenz(DynamicalSystem):
 
         return step
 
-    def rk4_scalar(self, u, h, n, states=None, check_every=1):
-        """n RK4 steps of one state in plain floats (the fast path of
-        ``timestep._rk4``); the same operations, in the same order, as ``rhs``
-        and the array loop, so the states are bit-identical."""
-        _check_dim(self, u)
-        s, r, b = self.sigma, self.rho, self.beta
-        hh, h6 = 0.5 * h, h / 6.0
-        from array import array  # loaded at first use, not at import
-        x, y, z = (float(c) for c in u)
-        finite = math.isfinite
-        path = array("d")
-        push = path.append
-        for j in range(n):
-            ax = s * (y - x)
-            ay = x * (r - z) - y
-            az = x * y - b * z
-            px, py, pz = x + hh * ax, y + hh * ay, z + hh * az
-            bx = s * (py - px)
-            by = px * (r - pz) - py
-            bz = px * py - b * pz
-            px, py, pz = x + hh * bx, y + hh * by, z + hh * bz
-            cx = s * (py - px)
-            cy = px * (r - pz) - py
-            cz = px * py - b * pz
-            px, py, pz = x + h * cx, y + h * cy, z + h * cz
-            dx = s * (py - px)
-            dy = px * (r - pz) - py
-            dz = px * py - b * pz
-            x += h6 * (ax + 2.0 * bx + 2.0 * cx + dx)
-            y += h6 * (ay + 2.0 * by + 2.0 * cy + dy)
-            z += h6 * (az + 2.0 * bz + 2.0 * cz + dz)
-            if states is not None:
-                push(x)
-                push(y)
-                push(z)
-            if j % check_every == 0 and not (finite(x) and finite(y) and finite(z)):
-                raise DivergenceError(j + 1)
-        if not (finite(x) and finite(y) and finite(z)):
-            raise DivergenceError(n)
-        if states is not None:
-            states[1:n + 1] = np.frombuffer(path).reshape(n, 3)
-        return np.array([x, y, z])
-
 
 class KuramotoSivashinsky(DynamicalSystem):
     """1D Kuramoto-Sivashinsky equation with a convective parameter c:
@@ -275,8 +229,8 @@ class KuramotoSivashinsky(DynamicalSystem):
         return -self._d1(u)
 
     # The kernel repeats the arithmetic of rhs, jacobian_apply and the RK4
-    # loops element for element, on axis 0 of buffers allocated once per
-    # call; forming -D1 q as (q[1:-3] - q[3:-1]) / (2 dx) can change only the
+    # loops (the C loop of _native too) element for element, on axis 0 of
+    # buffers allocated once per call; forming -D1 q as (q[1:-3] - q[3:-1]) / (2 dx) can change only the
     # sign of an exact zero.  Ufuncs get out positionally and constants as
     # 0-d arrays, which NumPy dispatches fastest.
 
@@ -310,7 +264,7 @@ class KuramotoSivashinsky(DynamicalSystem):
             np.divide(out, dx2, out)
             sub(out, t1, out)
 
-        def step(u, x=None):
+        def step(u, x):
             np.copyto(inner, u)
             deriv(x, 0, acc)
             mul(acc, hh, inner)
@@ -327,20 +281,6 @@ class KuramotoSivashinsky(DynamicalSystem):
             add(u, acc, u)
 
         return step
-
-    def rk4_stepper(self, h):
-        """The in-place RK4 step of one state (N,) through the kernel, for
-        the single-state path of ``timestep._rk4``."""
-        cp = np.empty(self.dim + 4)
-        half, c = np.array(0.5), np.array(self.c)
-
-        def flux(x, i, p, q):
-            np.multiply(p, half, q)
-            np.multiply(q, p, q)
-            np.multiply(p, c, cp)
-            np.add(q, cp, q)
-
-        return self._rk4_kernel(h, (), flux)
 
     def tangent_columns(self, h, u, s2, s3, s4, on_step=None):
         """The discrete tangent propagator (N, N) across the steps whose

@@ -41,21 +41,29 @@ def _check_stable(system, h):
         )
 
 
-def _rk4(system, u, h, n, states=None, check_every=1, on_step=None):
+def _rk4(system, u, h, n, states=None, check_every=1, on_step=None,
+         kept=None):
     """n classical RK4 steps from u (left unchanged); the primal loop.
 
     Row j + 1 of ``states``, when given, receives the state after j + 1
     steps, and ``on_step``, when given, is called with it after its
     check.  A non-finite state raises DivergenceError; the check runs
-    every ``check_every`` steps and after the last one.  Systems with a
-    ``rk4_scalar`` method take single states (N,) without ``on_step``
-    through it, with the same arithmetic in plain floats; systems with a
-    ``rk4_stepper`` method step single states with the in-place step it
-    returns, the same arithmetic on preallocated buffers.
+    every ``check_every`` steps and after the last one.
+
+    A single state (N,) without ``on_step``, of a system the C loop
+    ``_native.serves`` (Lorenz's or KuramotoSivashinsky's own ``rhs``
+    and a working C compiler), runs that loop, which performs this
+    loop's element operations in their order, so its states are
+    bit-identical; ``kept`` = (fvals, s2, s3, s4), when given, is then
+    filled as ``_native.rk4`` says.  Everything else runs the array loop
+    below, the reference.
     """
-    scalar = getattr(system, "rk4_scalar", None)
-    if scalar is not None and u.ndim == 1 and on_step is None:
-        return scalar(u, h, n, states, check_every)
+    if check_every < 1:
+        raise ValueError(f"check_every must be at least 1, got {check_every}")
+    if u.ndim == 1 and on_step is None:
+        from . import _native  # loaded at the first primal loop
+        if _native.serves(system):
+            return _native.rk4(system, u, h, n, states, check_every, kept)
     if u.shape[-1] != system.dim:
         raise DimensionMismatch(f"expected trailing dimension {system.dim}")
     u = u.copy()
@@ -67,8 +75,6 @@ def _rk4(system, u, h, n, states=None, check_every=1, on_step=None):
         k4 = system.rhs(u + h * k3)
         u += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    if u.ndim == 1 and hasattr(system, "rk4_stepper"):
-        step = system.rk4_stepper(h)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n):
             step(u)
@@ -100,7 +106,9 @@ class Trajectory:
 
     states[j] is the state after j steps; fvals[j] caches rhs(states[j]).
     ``stride`` is the number of steps per shooting segment and must
-    divide the step count exactly.
+    divide the step count exactly.  ``primal_loop`` names the loop that
+    stepped the states: "compiled" when integrate ran the C loop, else
+    "numpy".
     """
 
     def __init__(self, system, t_start, h, states, fvals, stride):
@@ -117,6 +125,7 @@ class Trajectory:
         self.states = states
         self.fvals = fvals
         self.stride = int(stride)
+        self.primal_loop = "numpy"
         self._stages = None
         # shadow's (K, N, N) projected segment propagators, built at the
         # first product within its budget, their sub-segment parts and
@@ -155,7 +164,9 @@ class Trajectory:
 
 
 def integrate(system, u0, t_start, t_end, h, stride=1):
-    """Classical RK4 with full storage of states and rhs values."""
+    """Classical RK4 with full storage of states and rhs values.  The C
+    loop also keeps the RK4 stages it steps through as the trajectory's
+    stages()."""
     _check_stable(system, h)
     n = _n_steps(t_start, t_end, h)
     u0 = np.asarray(u0, dtype=float)
@@ -163,6 +174,14 @@ def integrate(system, u0, t_start, t_end, h, stride=1):
         raise DimensionMismatch(f"initial state must have shape ({system.dim},)")
     states = np.empty((n + 1, system.dim))
     states[0] = u0
+    from . import _native  # loaded at the first primal loop
+    if _native.serves(system):
+        fvals = np.empty_like(states)
+        stages = tuple(np.empty((n, system.dim)) for _ in range(3))
+        _rk4(system, u0, h, n, states=states, kept=(fvals, *stages))
+        traj = Trajectory(system, t_start, h, states, fvals, stride)
+        traj._stages, traj.primal_loop = stages, "compiled"
+        return traj
     _rk4(system, u0, h, n, states=states)
     with np.errstate(over="ignore", invalid="ignore"):
         fvals = system.rhs(states)

@@ -469,6 +469,7 @@ def summarize(result):
         ("lanczos_restarts", "" if pc is None else pc.restarts),
         ("clamped_modes", "" if pc is None else pc.clamped_modes),
         ("trajectory_reused", result.trajectory_reused),
+        ("primal_loop", result.trajectory.primal_loop),
     ]
     for key, rep in result.spectra.items():
         rows.append((f"kappa_{key}", f"{rep.kappa:.17g}"))

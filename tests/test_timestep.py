@@ -1,8 +1,15 @@
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import msshadow as ms
-from msshadow import timestep
+from msshadow import _native, timestep
 from msshadow.errors import DivergenceError
 
 
@@ -88,10 +95,10 @@ class TestIntegrate:
          np.random.default_rng(4).uniform(0.0, 1.0, 31), 0.02),
     ], ids=["lorenz", "ks"])
     def test_single_state_path_matches_array_loop(self, system, u0, h):
-        # a single state takes the system's own path (plain floats for
-        # Lorenz, the axis-0 stencil kernel for KS), a batch of one row
-        # the array loop, which is the reference: equal bit for bit, and a
-        # blow-up from a large state is reported at the same, later step
+        # a single state runs the compiled loop (the array loop without a
+        # C compiler), a batch of one row the array loop, which is the
+        # reference: equal bit for bit, and a blow-up from a large state
+        # is reported at the same, later step
         single = ms.advance(system, u0, 0.0, 5.0, h)
         batch = ms.advance(system, u0[None, :], 0.0, 5.0, h)
         assert np.array_equal(single, batch[0])
@@ -257,3 +264,233 @@ class TestLorenzTangentKernel:
         out = timestep.tangent_sweep_many(lorenz_traj, [1], v, forcing=True)
         assert np.array_equal(v, keep)
         assert not np.array_equal(out, v)
+
+
+class DampedLorenz(ms.Lorenz):
+    """A subclass with its own dynamics: the fast paths must not
+    integrate Lorenz's."""
+
+    def rhs(self, u):
+        return super().rhs(u) - 0.5 * u
+
+
+class DampedKS(ms.KuramotoSivashinsky):
+    def rhs(self, u):
+        return super().rhs(u) - 0.5 * u
+
+
+# (system, step) of each system the compiled loop serves
+COMPILED = {
+    "ks-1": (ms.KuramotoSivashinsky(n=1, length=2.0, c=0.5), 0.1),
+    "ks-15": (ms.KuramotoSivashinsky(n=15, length=16.0, c=0.5), 0.1),
+    "ks-127": (ms.KuramotoSivashinsky(n=127, length=128.0, c=0.8), 0.1),
+    "lorenz-28": (ms.Lorenz(rho=28.0), 0.005),
+    "lorenz-40": (ms.Lorenz(rho=40.0), 0.005),
+}
+
+
+def _loops(monkeypatch, run):
+    """run() on the compiled loop (the array loop without a compiler) and
+    on the array loop, the reference."""
+    compiled = _native.library() or False
+    out = []
+    for lib in (compiled, False):
+        monkeypatch.setattr(_native, "_lib", lib)
+        out.append(run())
+    return out
+
+
+class TestCompiledLoop:
+    @pytest.mark.parametrize("name", sorted(COMPILED))
+    def test_matches_array_loop(self, name, monkeypatch):
+        # end states and stored states equal the array loop's on a batch
+        # of one row bit for bit, with and without stored states, checked
+        # every step or every 64; integrate's fvals and stages equal its
+        # rhs and a fresh stages() recompute
+        system, h = COMPILED[name]
+        compiled = _native.library() is not None
+        n = 600
+        u0 = np.random.default_rng(5).uniform(-1.0, 1.0, system.dim)
+        ref_path = np.empty((n + 1, 1, system.dim))
+        ref_path[0] = u0
+        timestep._rk4(system, u0[None, :], h, n, states=ref_path)
+        for every in (1, 64):
+            end = timestep._rk4(system, u0, h, n, check_every=every)
+            states = np.empty((n + 1, system.dim))
+            states[0] = u0
+            timestep._rk4(system, u0, h, n, states, every)
+            assert np.array_equal(end, ref_path[-1, 0])
+            assert np.array_equal(states, ref_path[:, 0])
+
+        traj, ref = _loops(
+            monkeypatch, lambda: ms.integrate(system, u0, 0.0, n * h, h))
+        assert np.array_equal(traj.states, ref_path[:, 0])
+        assert np.array_equal(ref.states, ref_path[:, 0])
+        assert np.array_equal(traj.fvals, ref.fvals)
+        assert ref.primal_loop == "numpy"
+        assert traj.primal_loop == ("compiled" if compiled else "numpy")
+        fresh = ms.Trajectory(system, 0.0, h, traj.states,
+                              system.rhs(traj.states), 1)
+        assert all(map(np.array_equal, traj.stages(), fresh.stages()))
+
+    def test_check_every_must_be_positive(self):
+        system = COMPILED["ks-15"][0]
+        for u0 in (np.zeros(system.dim), np.zeros((2, system.dim))):
+            with pytest.raises(ValueError):
+                timestep._rk4(system, u0, 0.1, 10, check_every=0)
+
+    @pytest.mark.parametrize("start, n, every", [
+        ("nan", 100, 1), ("nan", 100, 64), ("large", 200, 1),
+        ("large", 200, 7), ("large", 200, 64), ("large", 50, 64),
+    ])
+    @pytest.mark.parametrize("name", ["ks-15", "lorenz-40"])
+    def test_divergence_step_matches(self, name, start, n, every,
+                                     monkeypatch):
+        # a NaN start fails at the first check; a large state blows up
+        # after some steps, reported at the next check or after the last
+        # step, on both loops alike
+        system = COMPILED[name][0]
+        u0 = np.full(system.dim, np.nan if start == "nan" else 1e3)
+
+        def run():
+            with pytest.raises(DivergenceError) as err:
+                timestep._rk4(system, u0, 0.01, n, check_every=every)
+            return err.value.step
+
+        steps = _loops(monkeypatch, run)
+        assert steps[0] == steps[1]
+        if start == "nan":
+            assert steps[0] == 1
+
+    def test_fallback_without_compiler(self, monkeypatch, tmp_path):
+        # no cached library and a failed compiler lookup leave the array
+        # loop, with the same outputs
+        system = COMPILED["ks-15"][0]
+        u0 = np.random.default_rng(6).uniform(-1.0, 1.0, system.dim)
+        end = ms.advance(system, u0, 0.0, 5.0, 0.1)
+        traj = ms.integrate(system, u0, 0.0, 5.0, 0.1)
+        monkeypatch.setattr(_native, "_path",
+                            lambda: str(tmp_path / "__pycache__" / "rk4.so"))
+        monkeypatch.setattr(_native, "_compiler", lambda: None)
+        monkeypatch.setattr(_native, "_lib", None)
+        ref_end = ms.advance(system, u0, 0.0, 5.0, 0.1)
+        ref = ms.integrate(system, u0, 0.0, 5.0, 0.1)
+        assert _native.library() is None and ref.primal_loop == "numpy"
+        assert np.array_equal(end, ref_end)
+        assert np.array_equal(traj.states, ref.states)
+        assert np.array_equal(traj.fvals, ref.fvals)
+        assert all(map(np.array_equal, traj.stages(), ref.stages()))
+
+    def test_unwritable_cache_falls_back(self, monkeypatch, tmp_path):
+        # a cache folder that cannot be made leaves the array loop; the
+        # library is written nowhere else
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        shared = sorted(Path(tempfile.gettempdir()).glob("msshadow_rk4_*"))
+        monkeypatch.setattr(_native, "_path",
+                            lambda: str(blocker / "__pycache__" / "rk4.so"))
+        monkeypatch.setattr(_native, "_lib", None)
+        assert _native.library() is None
+        assert not _native.serves(COMPILED["lorenz-28"][0])
+        assert sorted(Path(tempfile.gettempdir()).glob(
+            "msshadow_rk4_*")) == shared
+        assert list(tmp_path.iterdir()) == [blocker]
+
+    def test_compiles_into_an_empty_cache(self, monkeypatch, tmp_path):
+        # the first load compiles through a temporary name, left behind
+        # by neither a good build nor a failed one
+        if _native.library() is None:
+            pytest.skip("no C compiler")
+        system, h = COMPILED["ks-127"]
+        u0 = np.random.default_rng(7).uniform(-1.0, 1.0, system.dim)
+        want = ms.advance(system, u0, 0.0, 20.0, h)
+        path = tmp_path / "__pycache__" / "rk4.so"
+        monkeypatch.setattr(_native, "_path", lambda: str(path))
+        monkeypatch.setattr(_native, "_lib", None)
+        assert _native.library() is not None
+        assert list(path.parent.iterdir()) == [path]
+        assert np.array_equal(ms.advance(system, u0, 0.0, 20.0, h), want)
+        monkeypatch.setattr(_native, "_SOURCE", "not C")
+        monkeypatch.setattr(_native, "_lib", None)
+        path.unlink()
+        assert _native.library() is None
+        assert list(path.parent.iterdir()) == []
+
+    def test_second_load_reuses_cached_file(self, monkeypatch):
+        # a warm cache is loaded without starting, or even looking up,
+        # the compiler
+        if _native.library() is None:
+            pytest.skip("no C compiler: nothing is cached")
+
+        def no_compile(*args):
+            raise AssertionError("compiler looked up on a warm cache")
+
+        monkeypatch.setattr(_native, "_build", no_compile)
+        monkeypatch.setattr(_native, "_compiler", no_compile)
+        monkeypatch.setattr(_native, "_lib", None)
+        assert _native.library() is not None
+
+    @pytest.mark.parametrize("own, base, h", [
+        (DampedLorenz(rho=28.0), ms.Lorenz(rho=28.0), 0.005),
+        (DampedKS(n=15, length=16.0, c=0.5),
+         ms.KuramotoSivashinsky(n=15, length=16.0, c=0.5), 0.1),
+    ], ids=["lorenz", "ks"])
+    def test_subclass_rhs_is_integrated(self, own, base, h):
+        # a subclass that redefines rhs integrates its own dynamics on a
+        # single state too, not its base class's
+        u0 = np.random.default_rng(8).uniform(-1.0, 1.0, own.dim)
+        single = ms.advance(own, u0, 0.0, 3.0, h)
+        batch = ms.advance(own, u0[None, :], 0.0, 3.0, h)
+        assert np.array_equal(single, batch[0])
+        assert not np.allclose(single, ms.advance(base, u0, 0.0, 3.0, h))
+        assert ms.integrate(own, u0, 0.0, 3.0, h).primal_loop == "numpy"
+
+
+_COLD_REQUEST = """\
+import json, sys
+import numpy as np
+from msshadow import KuramotoSivashinsky, advance, integrate, xcli
+
+
+def loaded():
+    return [m for m in ("hashlib", "subprocess", "sysconfig")
+            if m in sys.modules]
+
+
+# the primal loops alone, before a request loads numpy.random, which
+# imports hashlib itself (through secrets and hmac)
+system = KuramotoSivashinsky(n=31, length=32.0, c=0.5)
+integrate(system, advance(system, np.ones(31), 0.0, 1.0, 0.02), 0.0, 1.0,
+          0.02)
+loops = loaded()
+cfg = xcli.ExperimentConfig(
+    model="ks", n=31, length=32.0, c=0.5, spin_up=2.0, window=2.0,
+    segment=0.2, step=0.02, rank=2, cycles=1, max_iter=20)
+result = xcli.run_experiment(cfg, out_dir=sys.argv[1])
+print(json.dumps({
+    "primal_loop": dict(xcli.summarize(result))["primal_loop"],
+    "loops": loops,
+    "request": loaded(),
+}))
+"""
+
+
+def test_cold_request_on_warm_cache_starts_no_compiler(tmp_path):
+    # a fresh interpreter finds the compiled loop cached: its primal loops
+    # load neither hashlib (megabytes of resident memory) nor subprocess
+    # and sysconfig (the compile path only), and a cold request does not
+    # load subprocess
+    compiled = _native.library() is not None
+    src = Path(ms.__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_REQUEST, str(tmp_path)], env=env,
+        capture_output=True, text=True, check=True, timeout=300)
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["primal_loop"] == ("compiled" if compiled else "numpy")
+    assert "hashlib" not in got["loops"]
+    if compiled:
+        assert got["loops"] == []
+        assert "subprocess" not in got["request"]
