@@ -1,10 +1,10 @@
 """The single-state primal RK4 loops in C, compiled at first use.
 
 ``rk4`` runs n classical RK4 steps of one Lorenz or Kuramoto-Sivashinsky
-state with the element operations of ``timestep._rk4``'s array loop on
-``Lorenz.rhs`` and of ``KuramotoSivashinsky._rk4_kernel`` in their order,
-so its states are bit-identical to that loop's, which stays the
-reference and the fallback.  The source below is compiled by
+state with the element operations of ``timestep.rk4_kernel`` over
+``Lorenz.rhs`` or ``KuramotoSivashinsky.rhs`` in their order, so its
+states are bit-identical to those of ``timestep._rk4``'s array loop,
+which stays the reference and the fallback.  The source below is compiled by
 ``sysconfig``'s C compiler with flags that forbid contraction and
 reordering, at the first loop of a process, into a shared library in
 the package's ``__pycache__`` named by the CRC-32 of the source and the
@@ -20,7 +20,7 @@ import zlib
 
 import numpy as np
 
-from .dynsys import KuramotoSivashinsky, Lorenz
+from .dynsys import KuramotoSivashinsky, Lorenz, own_model
 from .errors import DimensionMismatch, DivergenceError
 
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-x", "c", "-",
@@ -33,7 +33,8 @@ _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-x", "c", "-",
 # steps, rows j of fvals, s2, s3 and s4 the rhs and RK4 stages 2-4 of
 # step j, and fvals row steps the rhs of the end state.  Any output may
 # be NULL.  Stage i is u + w_i k_i and the update u + h/6 (((k1 + 2 k2)
-# + 2 k3) + k4): the order of the array loop and of the KS kernel.
+# + 2 k3) + k4): the order of timestep.rk4_kernel over the rhs, the
+# NumPy kernel that the source names.
 _SOURCE = r"""
 #include <math.h>
 #include <stdlib.h>
@@ -208,10 +209,10 @@ def library():
 
 
 def serves(system):
-    """Whether the C loop steps system's single states: its rhs is
-    Lorenz's or KuramotoSivashinsky's own (not a subclass's) and the
-    library is loaded."""
-    return (type(system).rhs in (Lorenz.rhs, KuramotoSivashinsky.rhs)
+    """Whether the C loop steps system's single states: it has Lorenz's
+    or KuramotoSivashinsky's own model (dynsys.own_model) and the library
+    is loaded."""
+    return (any(own_model(system, c) for c in (Lorenz, KuramotoSivashinsky))
             and library() is not None)
 
 

@@ -5,17 +5,29 @@ its Jacobian action and exact transpose, and the derivative of f with
 respect to the single control parameter s.  All operations accept
 arrays of shape (..., N) and act on the last axis, so they can be
 applied to a whole batch of states at once.  The exceptions are the
-Kuramoto-Sivashinsky kernel behind ``tangent_columns``, which works on
-axis 0 of preallocated buffers so that every stencil shift is one
-contiguous block (``tangent_columns`` probes banded one-step maps with
-it and joins them by matrix products), and Lorenz's ``tangent_kernel``,
-which steps tangent batches held component-major as (3, m) buffers, so
-that each component is one contiguous row.
+fast paths: the Kuramoto-Sivashinsky kernel behind ``tangent_columns``,
+which works on axis 0 of preallocated buffers so that every stencil
+shift is one contiguous block (``tangent_columns`` probes banded
+one-step maps with it and joins them by matrix products), and Lorenz's
+``tangent_kernel``, which steps tangent batches held component-major as
+(3, m) buffers, so that each component is one contiguous row.  Both
+take their RK4 step from ``timestep.rk4_kernel``.
 """
 
 import numpy as np
 
+from . import timestep
 from .errors import DimensionMismatch
+
+
+def own_model(system, cls):
+    """Whether system's class takes rhs and its derivatives unchanged
+    from cls: the one rule by which a fast path written for cls's model
+    (Lorenz.tangent_kernel, KuramotoSivashinsky.tangent_columns, the C
+    loops of _native) serves system.  A subclass that redefines any of
+    them runs the generic path through its own methods."""
+    return all(getattr(type(system), m) is getattr(cls, m) for m in (
+        "rhs", "jacobian_apply", "jacobian_transpose_apply", "param_deriv"))
 
 
 def _check_dim(system, *arrays):
@@ -99,24 +111,21 @@ class Lorenz(DynamicalSystem):
         return out
 
     def tangent_kernel(self, h, m, forcing):
-        """step(v, u, s2, s3, s4): one discrete tangent RK4 step, in place,
-        of the component-major batch v (3, m), stage states as (m, 3) rows:
-        the element operations of timestep.tangent_step_at over
-        jacobian_apply and param_deriv, in their order (dropping the
-        forcing's + 0.0 on components 0 and 2 can change only the sign of
-        an exact zero).  None for a subclass that redefines either."""
-        cls = type(self)
-        if (cls.jacobian_apply is not Lorenz.jacobian_apply
-                or cls.param_deriv is not Lorenz.param_deriv):
+        """step(v, x): one discrete tangent RK4 step, in place, of the
+        component-major batch v (3, m), at the stage states x = (u, s2,
+        s3, s4) as (m, 3) rows: timestep.rk4_kernel over the element
+        operations of jacobian_apply and param_deriv, in their order
+        (dropping the forcing's + 0.0 on components 0 and 2 can change
+        only the sign of an exact zero).  None for a subclass that
+        redefines a model method (own_model)."""
+        if not own_model(self, Lorenz):
             return None
-        s, r, b, hh, hf, h6, two = map(np.array, (
-            self.sigma, self.rho, self.beta, 0.5 * h, h, h / 6.0, 2.0))
-        acc, k, w = (np.empty((3, m)) for _ in range(3))
+        s, r, b = map(np.array, (self.sigma, self.rho, self.beta))
         t = np.empty(m)
         add, mul, sub = np.add, np.multiply, np.subtract
 
-        def deriv(u, v, out):
-            x, y, z = u.T
+        def deriv(stages, i, v, out):
+            x, y, z = stages[i].T
             (va, vb, vc), (o0, o1, o2) = v, out
             mul(sub(vb, va, o0), s, o0)
             sub(sub(mul(sub(r, z, o1), va, o1), vb, o1), mul(x, vc, t), o1)
@@ -124,17 +133,7 @@ class Lorenz(DynamicalSystem):
                 add(o1, x, o1)
             sub(add(mul(y, va, o2), mul(x, vb, t), o2), mul(b, vc, t), o2)
 
-        def step(v, u, s2, s3, s4):
-            deriv(u, v, acc)
-            add(v, mul(acc, hh, w), w)
-            deriv(s2, w, k)
-            for st, c in ((s3, hh), (s4, hf)):
-                add(v, mul(k, c, w), w)
-                add(acc, mul(k, two, k), acc)
-                deriv(st, w, k)
-            add(v, mul(add(acc, k, acc), h6, acc), v)
-
-        return step
+        return timestep.rk4_kernel(h, np.empty((3, m)), deriv)
 
 
 class KuramotoSivashinsky(DynamicalSystem):
@@ -228,74 +227,24 @@ class KuramotoSivashinsky(DynamicalSystem):
         _check_dim(self, u)
         return -self._d1(u)
 
-    # The kernel repeats the arithmetic of rhs, jacobian_apply and the RK4
-    # loops (the C loop of _native too) element for element, on axis 0 of
-    # buffers allocated once per call; forming -D1 q as (q[1:-3] - q[3:-1]) / (2 dx) can change only the
-    # sign of an exact zero.  Ufuncs get out positionally and constants as
-    # 0-d arrays, which NumPy dispatches fastest.
-
-    def _rk4_kernel(self, h, shape, flux):
-        """step(u, x): one RK4 step, in place, of u (N,) + shape along axis
-        0.  Each stage input is written into the zero-bordered buffer p
-        (N + 4,) + shape with mirrored ghost rows; flux(x, i, p, q) fills
-        q for stage i, and the stage derivative is -D1 q - (D2 + D4) p."""
-        n = self.dim
-        p = np.zeros((n + 4,) + shape)
-        q = np.zeros_like(p)
-        k, acc, t1, t2 = (np.empty((n,) + shape) for _ in range(4))
-        a4, b24, c24, dx2, hh, hf, h6, two = map(np.array, (
-            self._a4, self._b24, self._c24, 2.0 * self.dx,
-            0.5 * h, h, h / 6.0, 2.0))
-        inner, p4, p0, p3, p1 = p[2:-2], p[4:], p[:-4], p[3:-1], p[1:-3]
-        q1, q3 = q[1:-3], q[3:-1]
-        add, mul, sub = np.add, np.multiply, np.subtract
-
-        def deriv(x, i, out):
-            p[0], p[-1] = p[2], p[-3]
-            flux(x, i, p, q)
-            add(p4, p0, t1)
-            mul(t1, a4, t1)
-            add(p3, p1, t2)
-            mul(t2, b24, t2)
-            add(t1, t2, t1)
-            mul(inner, c24, t2)
-            add(t1, t2, t1)
-            sub(q1, q3, out)
-            np.divide(out, dx2, out)
-            sub(out, t1, out)
-
-        def step(u, x):
-            np.copyto(inner, u)
-            deriv(x, 0, acc)
-            mul(acc, hh, inner)
-            add(inner, u, inner)
-            deriv(x, 1, k)
-            for i, w in ((2, hh), (3, hf)):
-                mul(k, w, inner)
-                add(inner, u, inner)
-                mul(k, two, k)
-                add(acc, k, acc)
-                deriv(x, i, k)
-            add(acc, k, acc)
-            mul(acc, h6, acc)
-            add(u, acc, u)
-
-        return step
-
-    def tangent_columns(self, h, u, s2, s3, s4, on_step=None):
-        """The discrete tangent propagator (N, N) across the steps whose
-        RK4 stage states are the rows of u, s2, s3, s4 (m, N), as the
-        product V <- T_j V of the one-step maps.  Each stage's Jacobian
-        reaches two nodes, so T_j is banded with half-width 8, and w = 17
-        colour columns (column c the sum of e_k over k = c mod w) swept one
-        step through the kernel give every entry of its band exactly.  A
-        kernel call probes g = N // w steps, so its buffers hold no more
-        columns than N unit columns would; the product runs on row blocks
-        of w rows, each over the columns its band reaches.  Column c
-        equals timestep.tangent_step_at's sweep of the row e_c to
-        round-off.  on_step(j, V), when given, is called after step j;
-        the next step overwrites V."""
-        n, m, reach = self.dim, len(u), 4 * 2
+    def tangent_columns(self, h):
+        """columns(u, s2, s3, s4, on_step=None): the discrete tangent
+        propagator (N, N) across the steps whose RK4 stage states are the
+        rows of u, s2, s3, s4 (m, N), as the product V <- T_j V of the
+        one-step maps; None for a subclass that redefines a model method
+        (own_model).  Each stage's Jacobian reaches two nodes, so T_j is
+        banded with half-width 8, and w = 17 colour columns (column c the
+        sum of e_k over k = c mod w) swept one step through the probe
+        kernel give every entry of its band exactly.  A kernel call
+        probes g = N // w steps, so its buffers hold no more columns than
+        N unit columns would; the product runs on row blocks of w rows,
+        each over the columns its band reaches.  Column c equals
+        timestep.tangent_step's sweep of the row e_c to round-off.
+        on_step(j, V), when given, is called after step j; the next step
+        overwrites V."""
+        if not own_model(self, KuramotoSivashinsky):
+            return None
+        n, reach = self.dim, 4 * 2
         w = min(n, 2 * reach + 1)
         g, wide = n // w, w + 2 * reach
         rows, cols = np.nonzero(abs(np.subtract.outer(np.arange(n),
@@ -312,30 +261,55 @@ class KuramotoSivashinsky(DynamicalSystem):
                   for b, (r, c) in enumerate(zip(tops, starts))]
         # stage states + c, zero-bordered with mirrored ghost rows as _pad
         x = np.full((4, n + 4, g, 1), self.c)
-        step = self._rk4_kernel(h, (g, w),
-                                lambda x, i, p, q: np.multiply(x[i], p, q))
+        # probes: stage inputs in p, zero-bordered with mirrored ghost rows;
+        # jacobian_apply's -D1 q - (D2 + D4) p, q = (x + c) p, element for
+        # element (-D1 q as (q1 - q3) / 2 dx flips only an exact zero's sign)
+        p, q = np.zeros((2, n + 4, g, w))
+        t1, t2 = np.empty((2, n, g, w))
+        a4, b24, c24, dx2 = map(np.array, (self._a4, self._b24, self._c24,
+                                           2.0 * self.dx))
+        inner, p4, p0, p3, p1 = p[2:-2], p[4:], p[:-4], p[3:-1], p[1:-3]
+        q1, q3 = q[1:-3], q[3:-1]
+        add, mul = np.add, np.multiply
+
+        def deriv(x, i, y, out):
+            if y is not inner:  # stage 0's input, the probes themselves
+                np.copyto(inner, y)
+            p[0], p[-1] = p[2], p[-3]
+            mul(x[i], p, q)
+            mul(add(p4, p0, t1), a4, t1)
+            add(t1, mul(add(p3, p1, t2), b24, t2), t1)
+            add(t1, mul(inner, c24, t2), t1)
+            np.divide(np.subtract(q1, q3, out), dx2, out)
+            np.subtract(out, t1, out)
+
+        step = timestep.rk4_kernel(h, inner, deriv)
         out, colour = np.empty((n, g, w)), (np.arange(n), slice(None),
                                             np.arange(n) % w)
-        v, vt = np.eye(n), np.empty((n, n))
-        for j0 in range(0, m, g):
-            # a last group of r < g steps leaves earlier states in the
-            # other slots, whose probes go unread
-            r = min(g, m - j0)
-            for i, a in enumerate((u, s2, s3, s4)):
-                np.add(a[j0:j0 + r].T, self.c, x[i, 2:-2, :r, 0])
-            x[:, 0], x[:, -1] = x[:, 2], x[:, -3]
-            out.fill(0.0)
-            out[colour] = 1.0
-            step(out, x)
-            for j in range(r):
-                np.take(out, src + j * w, out=band)
-                np.put(t, dst, band)
-                for tb, cs, rs in blocks:
-                    np.matmul(tb, v[cs], vt[rs])
-                v, vt = vt, v
-                if on_step is not None:
-                    on_step(j0 + j, v)
-        return v
+
+        def columns(u, s2, s3, s4, on_step=None):
+            v, vt = np.eye(n), np.empty((n, n))
+            for j0 in range(0, len(u), g):
+                # a last group of r < g steps leaves earlier states in the
+                # other slots, whose probes go unread
+                r = min(g, len(u) - j0)
+                for i, a in enumerate((u, s2, s3, s4)):
+                    np.add(a[j0:j0 + r].T, self.c, x[i, 2:-2, :r, 0])
+                x[:, 0], x[:, -1] = x[:, 2], x[:, -3]
+                out.fill(0.0)
+                out[colour] = 1.0
+                step(out, x)
+                for j in range(r):
+                    np.take(out, src + j * w, out=band)
+                    np.put(t, dst, band)
+                    for tb, cs, rs in blocks:
+                        np.matmul(tb, v[cs], vt[rs])
+                    v, vt = vt, v
+                    if on_step is not None:
+                        on_step(j0 + j, v)
+            return v
+
+        return columns
 
 
 class Objective:

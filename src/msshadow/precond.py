@@ -12,11 +12,17 @@ Lanczos bidiagonalization:
 
   cycle 1   Golub-Kahan-Lanczos recursion with full reorthogonalization,
             subspace dimension min(l+2, N), Ritz pairs from the SVD of the
-            projected bidiagonal matrix;
+            projected bidiagonal matrix.  At a breakdown (a new direction
+            of norm at most CLAMP_RATIO times the largest coefficient so
+            far, as when the start vector lies in an invariant subspace
+            or the subspace exceeds the operator's rank) the recursion
+            stops growing: the direction becomes a zero column with
+            coefficient 0;
   cycle 2+  thick restart: the whole Ritz block is refreshed by one
             two-sided subspace iteration (orthonormalize the forward
             image, then the adjoint image) followed by Rayleigh-Ritz
-            on the projected cross matrix.
+            on the projected cross matrix.  Its QR refills a dead
+            direction.
 
 Every cycle applies the propagator and its adjoint exactly min(l+2, N)
 times per segment, so the build cost charged to the ledger is exactly
@@ -26,7 +32,7 @@ they are executed in lockstep as one batched sweep here.
 
 import numpy as np
 
-from .errors import BreakdownError, DimensionMismatch
+from .errors import DimensionMismatch
 from .shadow import _propagate_rows, _propagate_rows_adjoint
 
 # singular values below this fraction of the per-segment maximum are
@@ -57,54 +63,26 @@ def _orthogonalize(x, basis, n_cols):
     return x
 
 
-def _normalize_column(x, basis, n_cols, rng, failures, scale):
-    """Turn rows of x into fresh unit basis columns.
-
-    Returns (column, coeff, restarts): coeff is the row norm, or zero
-    for rows that broke down.  Degenerate rows are replaced by random
-    directions orthogonal to the basis, counted in restarts, from one
-    draw (the stream of one draw per row); if the basis already spans
-    the space the column stays zero.  A degenerate direction is redrawn
-    for its row alone; a row's third failed restart raises."""
+def _normalize_column(x, scale):
+    """Rows of x as unit basis columns, with their norms as coefficients;
+    a row of norm at most CLAMP_RATIO * scale has broken down and gives
+    a zero column with coefficient 0."""
     nrm = np.linalg.norm(x, axis=1)
     ok = nrm > CLAMP_RATIO * scale
-    coeff = np.where(ok, nrm, 0.0)
     col = np.zeros_like(x)
     col[ok] = x[ok] / nrm[ok, None]
-    rows = np.nonzero(~ok)[0]
-    dim = x.shape[1]
-    if n_cols >= dim or not rows.size:
-        return col, coeff, 0
-    cand = _orthogonalize(rng.standard_normal((rows.size, dim)), basis[rows], n_cols)
-    cnrm = np.linalg.norm(cand, axis=1)
-    for i in np.nonzero(cnrm <= 1e-8)[0]:
-        row = rows[i]
-        while cnrm[i] <= 1e-8:
-            failures[row] += 1
-            if failures[row] >= 3:
-                raise BreakdownError(
-                    n_cols, f"Lanczos breakdown in row {row}: "
-                    "3 random restarts produced degenerate vectors"
-                )
-            cand[i] = _orthogonalize(rng.standard_normal((1, dim)),
-                                     basis[row : row + 1], n_cols)[0]
-            cnrm[i] = np.linalg.norm(cand[i])
-    col[rows] = cand / cnrm[:, None]
-    return col, coeff, rows.size
+    return col, np.where(ok, nrm, 0.0)
 
 
 def _batched_partial_svd(fwd, adj, segments, dim, subspace, cycles, rng):
     """Leading singular triplets of one operator per row, in lockstep.
 
     fwd/adj map (rows, dim) arrays to (rows, dim) arrays given the
-    per-row segment indices.  Returns (values, left, restarts): values
-    (m, subspace) descending, left (m, dim, subspace), and the number of
-    basis vectors restarted with a random direction after a breakdown.
+    per-row segment indices.  Returns (values, left): values (m,
+    subspace) descending and left (m, dim, subspace).
     """
     m = len(segments)
     p = subspace
-    failures = np.zeros(m, dtype=int)
-    restarts = 0
 
     big_v = np.zeros((m, dim, p + 1))
     big_u = np.zeros((m, dim, p))
@@ -120,21 +98,15 @@ def _batched_partial_svd(fwd, adj, segments, dim, subspace, cycles, rng):
         u = fwd(big_v[:, :, j], segments)
         if j > 0:
             u = u - beta[:, j - 1, None] * big_u[:, :, j - 1]
-        u = _orthogonalize(u, big_u, j)
-        col, coeff, new = _normalize_column(u, big_u, j, rng, failures, scale)
-        restarts += new
-        alpha[:, j] = coeff
-        big_u[:, :, j] = col
-        scale = np.maximum(scale, coeff)
+        big_u[:, :, j], alpha[:, j] = _normalize_column(
+            _orthogonalize(u, big_u, j), scale)
+        scale = np.maximum(scale, alpha[:, j])
 
         vn = adj(big_u[:, :, j], segments)
         vn = vn - alpha[:, j, None] * big_v[:, :, j]
-        vn = _orthogonalize(vn, big_v, j + 1)
-        col, coeff, new = _normalize_column(vn, big_v, j + 1, rng, failures, scale)
-        restarts += new
-        beta[:, j] = coeff
-        big_v[:, :, j + 1] = col
-        scale = np.maximum(scale, coeff)
+        big_v[:, :, j + 1], beta[:, j] = _normalize_column(
+            _orthogonalize(vn, big_v, j + 1), scale)
+        scale = np.maximum(scale, beta[:, j])
 
     # Ritz pairs from the bidiagonal projection
     bmat = np.zeros((m, p, p))
@@ -161,23 +133,22 @@ def _batched_partial_svd(fwd, adj, segments, dim, subspace, cycles, rng):
         left = np.einsum("mnp,mpq->mnq", u_basis, x)
         right = np.einsum("mnp,mqp->mnq", v_basis, yt)
 
-    return values, left, restarts
+    return values, left
 
 
 def lanczos_partial_svd(op, op_t, dim, retained, cycles, rng):
     """Partial SVD of a generic operator pair (matrix-free).
 
-    Returns (values, left_vectors, restarts) for the top ``retained``
-    singular modes, using the same restarted bidiagonalization as the
-    segment builds; restarts counts the random restarts after Lanczos
-    breakdowns.  Mainly a test seam for injected operators.
+    Returns (values, left_vectors) for the top ``retained`` singular
+    modes, using the same restarted bidiagonalization as the segment
+    builds.  Mainly a test seam for injected operators.
     """
     p = min(retained + 2, dim)
-    values, left, restarts = _batched_partial_svd(
+    values, left = _batched_partial_svd(
         lambda x, _: op(x), lambda x, _: op_t(x),
         np.zeros(1, dtype=int), dim, p, cycles, rng,
     )
-    return values[0, :retained], left[0, :, :retained], restarts
+    return values[0, :retained], left[0, :, :retained]
 
 
 def _check_modes(left, values, kept):
@@ -207,14 +178,12 @@ class BlockDiagPreconditioner:
     inverse-square coefficients.  All three take any stack of K*N
     entries, a (K, N) stack or a flat vector, return its shape, are
     symmetric positive definite and cost no propagator products.
-    ``restarts`` is the build's count of Lanczos random restarts, None
-    when not known (the exact deflation).
     """
 
-    def __init__(self, left, values, kept, retained, cycles, restarts=None):
+    def __init__(self, left, values, kept, retained, cycles):
         _check_modes(left, values, kept)
         self.left, self.values, self.kept = left, values, kept
-        self.retained, self.cycles, self.restarts = retained, cycles, restarts
+        self.retained, self.cycles = retained, cycles
 
     @property
     def clamped_modes(self):
@@ -275,13 +244,13 @@ def build_preconditioner(traj, ledger, retained, cycles, rng=None):
         raise ValueError("need at least one cycle")
     if rng is None:
         rng = np.random.default_rng()
-    values, left, restarts = _batched_partial_svd(
+    values, left = _batched_partial_svd(
         lambda x, segs: _propagate_rows(traj, ledger, segs, x),
         lambda x, segs: _propagate_rows_adjoint(traj, ledger, segs, x),
         np.arange(traj.n_segments), dim, min(retained + 2, dim), cycles, rng,
     )
     return BlockDiagPreconditioner(*_clamp(left, values, retained), retained,
-                                   cycles, restarts)
+                                   cycles)
 
 
 def exact_preconditioner(a_dense, retained):

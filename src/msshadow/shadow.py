@@ -114,16 +114,18 @@ def _build_propagators(traj, objective=None):
     """Projected propagators of all segments as a (K, N, N) array.
 
     Column c of matrix i is the projected sweep of the unit vector e_c
-    across segment i.  A system with a ``tangent_columns`` kernel builds
-    each segment's propagator from its one-step maps.  Any other goes
+    across segment i.  A system whose ``tangent_columns`` gives a kernel
+    builds each segment's propagator from its one-step maps.  Any other
+    (a subclass that redefines a model method too) goes
     through _row_propagators by p sub-segments of L steps, L the least
     divisor of the stride with L * L >= stride, with objective's weights;
     p = 1 for a prime stride or p * K * N * N past _MATRIX_BUDGET.  Given
     an objective, the build keeps (objective, its weights) as
     traj._functional, except a row build with p = 1.
     """
-    columns = getattr(traj.system, "tangent_columns", None)
     n, k, stride, h = traj.system.dim, traj.n_segments, traj.stride, traj.h
+    kernel = getattr(traj.system, "tangent_columns", None)
+    columns = kernel(h) if kernel else None
     if columns is None:
         p = stride // next(d for d in range(1, stride + 1)
                            if stride % d == 0 and d * d >= stride)
@@ -146,7 +148,7 @@ def _build_propagators(traj, objective=None):
                 grad = objective.gradient(traj.states[span.start + j + 1])
                 weights[i] += (h if j < stride - 1 else 0.5 * h) * (grad @ v)
 
-        prop = columns(h, traj.states[span], s2[span], s3[span], s4[span],
+        prop = columns(traj.states[span], s2[span], s3[span], s4[span],
                        on_step)
         if objective is not None:
             weights[i] += (dj[i] / ff[i] * f_end[i]) @ prop

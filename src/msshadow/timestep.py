@@ -15,7 +15,9 @@ per-segment parallelism of the method.  A sweep over all segments in
 order reads each step's stage states as strided views of the stored
 arrays; other row patterns gather them.  A system with a
 ``tangent_kernel`` (Lorenz) steps tangent batches in place on
-component-major buffers, with the arithmetic of ``tangent_step_at``.
+component-major buffers.  Every array loop, primal or tangent, takes its
+RK4 step from ``rk4_kernel`` and supplies only the stage derivative; the
+C loops of ``_native`` repeat its operations.
 """
 
 import numpy as np
@@ -41,6 +43,33 @@ def _check_stable(system, h):
         )
 
 
+def rk4_kernel(h, w, deriv):
+    """step(v, x): one classical RK4 step, in place, of the array v.
+
+    deriv(x, i, y, out) writes the derivative of stage i (0-3) at its
+    input y into out: y is v itself at stage 0, and the buffer w, of v's
+    shape or a view of a larger one, holding v + c k after it.  The
+    update is v + h/6 (((k1 + 2 k2) + 2 k3) + k4).  Ufuncs get out
+    positionally and constants as 0-d arrays, which NumPy dispatches
+    fastest.
+    """
+    hh, hf, h6, two = map(np.array, (0.5 * h, h, h / 6.0, 2.0))
+    acc, k = np.empty(w.shape), np.empty(w.shape)
+    add, mul = np.add, np.multiply
+
+    def step(v, x):
+        deriv(x, 0, v, acc)
+        add(v, mul(acc, hh, w), w)
+        deriv(x, 1, w, k)
+        for i, c in ((2, hh), (3, hf)):
+            add(v, mul(k, c, w), w)
+            add(acc, mul(k, two, k), acc)
+            deriv(x, i, w, k)
+        add(v, mul(add(acc, k, acc), h6, acc), v)
+
+    return step
+
+
 def _rk4(system, u, h, n, states=None, check_every=1, on_step=None,
          kept=None):
     """n classical RK4 steps from u (left unchanged); the primal loop.
@@ -51,12 +80,12 @@ def _rk4(system, u, h, n, states=None, check_every=1, on_step=None,
     every ``check_every`` steps and after the last one.
 
     A single state (N,) without ``on_step``, of a system the C loop
-    ``_native.serves`` (Lorenz's or KuramotoSivashinsky's own ``rhs``
-    and a working C compiler), runs that loop, which performs this
-    loop's element operations in their order, so its states are
-    bit-identical; ``kept`` = (fvals, s2, s3, s4), when given, is then
-    filled as ``_native.rk4`` says.  Everything else runs the array loop
-    below, the reference.
+    ``_native.serves`` (Lorenz's or KuramotoSivashinsky's own model and
+    a working C compiler), runs that loop, which performs the element
+    operations of rk4_kernel over ``rhs`` in their order, so its states
+    are bit-identical; ``kept`` = (fvals, s2, s3, s4), when given, is
+    then filled as ``_native.rk4`` says.  Everything else runs the array
+    loop below, the reference.
     """
     if check_every < 1:
         raise ValueError(f"check_every must be at least 1, got {check_every}")
@@ -67,17 +96,11 @@ def _rk4(system, u, h, n, states=None, check_every=1, on_step=None,
     if u.shape[-1] != system.dim:
         raise DimensionMismatch(f"expected trailing dimension {system.dim}")
     u = u.copy()
-
-    def step(u):
-        k1 = system.rhs(u)
-        k2 = system.rhs(u + 0.5 * h * k1)
-        k3 = system.rhs(u + 0.5 * h * k2)
-        k4 = system.rhs(u + h * k3)
-        u += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
+    step = rk4_kernel(h, np.empty(u.shape),
+                      lambda x, i, y, out: np.copyto(out, system.rhs(y)))
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n):
-            step(u)
+            step(u, None)
             if states is not None:
                 states[j + 1] = u
             if j % check_every == 0 and not np.isfinite(u).all():
@@ -188,24 +211,20 @@ def integrate(system, u0, t_start, t_end, h, stride=1):
     return Trajectory(system, t_start, h, states, fvals, stride)
 
 
-def tangent_step_at(system, h, u, s2, s3, s4, v, forcing=False):
-    """One RK4-step discrete tangent map applied to v (batched).
+def tangent_step(system, h, shape, forcing=False):
+    """step(v, x): one RK4-step discrete tangent map, in place, of rows v
+    of the given shape, at the step's stage states x = (u, s2, s3, s4).
 
-    Jacobians act at the step's stage states; with ``forcing`` the
-    parameter derivative of the scheme is added, i.e. the step solves
-    the inhomogeneous tangent equation dv/dt = (df/du) v + df/ds.
+    Jacobians act at the stage states; with ``forcing`` the parameter
+    derivative of the scheme is added, i.e. the step solves the
+    inhomogeneous tangent equation dv/dt = (df/du) v + df/ds.
     """
-    if forcing:
-        l1 = system.jacobian_apply(u, v) + system.param_deriv(u)
-        l2 = system.jacobian_apply(s2, v + (0.5 * h) * l1) + system.param_deriv(s2)
-        l3 = system.jacobian_apply(s3, v + (0.5 * h) * l2) + system.param_deriv(s3)
-        l4 = system.jacobian_apply(s4, v + h * l3) + system.param_deriv(s4)
-    else:
-        l1 = system.jacobian_apply(u, v)
-        l2 = system.jacobian_apply(s2, v + (0.5 * h) * l1)
-        l3 = system.jacobian_apply(s3, v + (0.5 * h) * l2)
-        l4 = system.jacobian_apply(s4, v + h * l3)
-    return v + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+    def deriv(x, i, y, out):
+        np.copyto(out, system.jacobian_apply(x[i], y))
+        if forcing:
+            np.add(out, system.param_deriv(x[i]), out)
+
+    return rk4_kernel(h, np.empty(shape), deriv)
 
 
 def adjoint_step_at(system, h, u, s2, s3, s4, w):
@@ -259,20 +278,16 @@ def tangent_sweep_many(traj, segments, v, forcing=False, on_step=None):
     sys, h = traj.system, traj.h
     kernel = getattr(sys, "tangent_kernel", None)
     step = kernel(h, segments.size, forcing) if kernel else None
-    if step is not None:
-        # a copy even when v.T is contiguous: the kernel steps in place
-        out = v.T.copy()
-        for j in range(traj.stride):
-            step(out, *rows(j))
-            if on_step is not None:
-                on_step(j, out.T)
-        return out.T.copy()
-    out = v.copy()
+    # the steps run in place on a copy, component-major for a kernel (a
+    # copy even when v.T is contiguous), whose (m, N) rows are out.T
+    out = v.copy() if step is None else v.T.copy()
+    view = out if step is None else out.T
+    step = step or tangent_step(sys, h, out.shape, forcing)
     for j in range(traj.stride):
-        out = tangent_step_at(sys, h, *rows(j), out, forcing=forcing)
+        step(out, rows(j))
         if on_step is not None:
-            on_step(j, out)
-    return out
+            on_step(j, view)
+    return np.ascontiguousarray(view)
 
 
 def adjoint_sweep_many(traj, segments, w):

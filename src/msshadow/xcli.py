@@ -80,7 +80,7 @@ class ExperimentConfig:
     spectrum: bool = False
     picard: bool = False
     truncated_sweep: bool = False
-    dense_cap: int = 2000
+    dense_cap: int = analysis.DENSE_CAP
 
     def __post_init__(self):
         if self.model not in ("lorenz", "ks"):
@@ -466,7 +466,6 @@ def summarize(result):
         ("predicted_precond_cost", predicted[0] if cfg.pc_enabled else 0),
         ("predicted_solve_cost", predicted[1]),
         ("propagator_matrices", result.trajectory._propagators is not None),
-        ("lanczos_restarts", "" if pc is None else pc.restarts),
         ("clamped_modes", "" if pc is None else pc.clamped_modes),
         ("trajectory_reused", result.trajectory_reused),
         ("primal_loop", result.trajectory.primal_loop),

@@ -222,11 +222,10 @@ def _one_stack_sensitivity(traj, objective, v):
     s2, s3, s4 = traj.stages()
     vv = v[:k].copy()
     acc = 0.5 * h * (objective.gradient(traj.states[offs]) * vv).sum(axis=-1)
+    step = timestep.tangent_step(traj.system, h, vv.shape, forcing=True)
     for j in range(traj.stride):
         idx = offs + j
-        vv = timestep.tangent_step_at(
-            traj.system, h, traj.states[idx], s2[idx], s3[idx], s4[idx], vv,
-            forcing=True)
+        step(vv, (traj.states[idx], s2[idx], s3[idx], s4[idx]))
         wq = h if j < traj.stride - 1 else 0.5 * h
         acc += wq * (objective.gradient(traj.states[idx + 1]) * vv).sum(axis=-1)
     f_end = traj.fvals[offs + traj.stride]
@@ -393,11 +392,16 @@ class TestPropagatorMatrices:
         assert traj._propagators is None
         sweeps = _spy_sweeps(monkeypatch)
         blocks = []
-        columns = ks.tangent_columns
+        kernel = ks.tangent_columns
 
-        def columns_spy(h, u, *stages):
-            blocks.append(len(u))
-            return columns(h, u, *stages)
+        def columns_spy(h):
+            columns = kernel(h)
+
+            def spy(u, *stages):
+                blocks.append(len(u))
+                return columns(u, *stages)
+
+            return spy
 
         monkeypatch.setattr(ks, "tangent_columns", columns_spy)
         led = ms.CostLedger()
@@ -408,6 +412,37 @@ class TestPropagatorMatrices:
         assert blocks == [traj.stride] * k
         np.testing.assert_allclose(dense, swept, rtol=0,
                                    atol=1e-12 * np.abs(swept).max())
+
+    def test_ks_subclass_model_built_from_its_own_sweeps(self, monkeypatch):
+        # a subclass with its own Jacobian gets no tangent_columns kernel:
+        # its matrices come from sweeps of its own jacobian_apply by
+        # sub-segments, and equal its matrix-free products to round-off
+        class DampedKS(ms.KuramotoSivashinsky):
+            def rhs(self, u):
+                return super().rhs(u) - 0.5 * u
+
+            def jacobian_apply(self, u, v):
+                return super().jacobian_apply(u, v) - 0.5 * v
+
+            def jacobian_transpose_apply(self, u, w):
+                return super().jacobian_transpose_apply(u, w) - 0.5 * w
+
+        ks = DampedKS(n=31, length=32.0, c=0.5)
+        assert ks.tangent_columns(0.02) is None
+        u0 = np.random.default_rng(7).uniform(0.0, 1.0, 31)
+        traj = ms.integrate(ks, u0, 0.0, 2.0, 0.02, stride=10)
+        k, n = traj.n_segments, ks.dim
+        w = np.random.default_rng(8).standard_normal((k, n))
+        with monkeypatch.context() as m:
+            m.setattr(shadow, "_MATRIX_BUDGET", n * n * k - 1)
+            swept = ms.schur_apply(traj, ms.CostLedger(), w)
+        assert traj._propagators is None
+        sweeps = _spy_sweeps(monkeypatch)
+        dense = ms.schur_apply(traj, ms.CostLedger(), w)
+        assert traj._propagators is not None
+        np.testing.assert_allclose(dense, swept, rtol=0,
+                                   atol=1e-12 * np.abs(swept).max())
+        assert sweeps == [("tangent", 2 * k)] * n
 
     def test_grouped_rows_served_without_gather(self, ks_traj):
         # rows grouped p per segment, as the thick restart of the
