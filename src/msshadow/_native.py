@@ -1,17 +1,20 @@
-"""The single-state primal RK4 loops in C, compiled at first use.
+"""The single-state primal RK4 loops and the Lorenz tangent sweep in C,
+compiled at first use.
 
 ``rk4`` runs n classical RK4 steps of one Lorenz or Kuramoto-Sivashinsky
 state with the element operations of ``timestep.rk4_kernel`` over
-``Lorenz.rhs`` or ``KuramotoSivashinsky.rhs`` in their order, so its
-states are bit-identical to those of ``timestep._rk4``'s array loop,
-which stays the reference and the fallback.  The source below is compiled by
+``Lorenz.rhs`` or ``KuramotoSivashinsky.rhs`` in their order, and
+``tangent_sweep`` steps Lorenz tangent rows across their segments with
+those of ``timestep.tangent_step`` over ``Lorenz.jacobian_apply`` and
+``param_deriv``, so both are bit-identical to the array loops, which
+stay the reference and the fallback.  The source below is compiled by
 ``sysconfig``'s C compiler with flags that forbid contraction and
-reordering, at the first loop of a process, into a shared library in
-the package's ``__pycache__`` named by the CRC-32 of the source and the
+reordering, at the first loop of a process, into a shared library in the
+package's ``__pycache__`` named by the CRC-32 of the source and the
 flags, and later processes load it with ``ctypes`` without looking up
 the compiler.  Without a compiler, when the compile fails, or when
-``__pycache__`` holds no library and is not writable, ``serves`` is
-false and the array loop runs.
+``__pycache__`` holds no library and is not writable, ``serves`` and
+``sweeps`` are false and the array loops run.
 """
 
 import ctypes
@@ -33,8 +36,16 @@ _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-x", "c", "-",
 # steps, rows j of fvals, s2, s3 and s4 the rhs and RK4 stages 2-4 of
 # step j, and fvals row steps the rhs of the end state.  Any output may
 # be NULL.  Stage i is u + w_i k_i and the update u + h/6 (((k1 + 2 k2)
-# + 2 k3) + k4): the order of timestep.rk4_kernel over the rhs, the
-# NumPy kernel that the source names.
+# + 2 k3) + k4): the order of timestep.rk4_kernel over Lorenz.rhs or
+# KuramotoSivashinsky.rhs.
+# lorenz_tangent(m, j0, n, h, par, offs, u, s2, s3, s4, v) runs steps j0
+# .. j0 + n - 1 of the discrete tangent RK4 map on each row i of v (m, 3)
+# in place, at the stage rows offs[i] + j of u, s2, s3 and s4, and
+# returns 0; par is sigma, rho, beta and 1 if forced, else 0.  Stage s
+# takes k_s = J(x_s) w_s + df/drho(x_s) at w_0 = v, w_s = v + k_{s-1}
+# c_s, and the update is v + (((k_0 + k_1 2) + k_2 2) + k_3) h/6, the
+# order of timestep.tangent_step.  Unforced, df/drho is -0.0, which
+# leaves every value as it is; forced, param_deriv's (+0.0, x, +0.0).
 _SOURCE = r"""
 #include <math.h>
 #include <stdlib.h>
@@ -55,7 +66,8 @@ static void lorenz_f(long n, const double *par, double *x, double *q,
 
 /* par: c, 2 dx, a4, b24, c24.  p = x - 2 gets zero boundary nodes and
    mirrored ghosts as in _pad; out = -D1 q - (D2 + D4) p with
-   q = p 0.5 p + p c, in the operations and order of the NumPy kernel */
+   q = p 0.5 p + p c, in the operations and order of
+   KuramotoSivashinsky.rhs under timestep.rk4_kernel */
 static void ks_f(long n, const double *par, double *x, double *q,
                  double *out)
 {
@@ -138,6 +150,32 @@ long ks_rk4(long n, long steps, long every, double h, const double *par,
 {
     return rk4(ks_f, n, steps, every, h, par, u, states, fvals, s2, s3, s4);
 }
+
+long lorenz_tangent(long m, long j0, long n, double h, const double *par,
+                    const long *offs, const double *u, const double *s2,
+                    const double *s3, const double *s4, double *v)
+{
+    const double *xs[4] = {u, s2, s3, s4};
+    double c[4] = {0.0, 0.5 * h, 0.5 * h, h}, h6 = h / 6.0;
+    double z = par[3] ? 0.0 : -0.0, k[4][3], w[3];
+    for (long i = 0; i < m; i++) {
+        double *r = v + 3 * i;
+        for (long j = j0; j < j0 + n; j++) {
+            for (int s = 0; s < 4; s++) {
+                const double *x = xs[s] + 3 * (offs[i] + j);
+                for (int e = 0; e < 3; e++)
+                    w[e] = s ? r[e] + k[s - 1][e] * c[s] : r[e];
+                k[s][0] = par[0] * (w[1] - w[0]) + z;
+                k[s][1] = (par[1] - x[2]) * w[0] - w[1] - x[0] * w[2]
+                          + (par[3] ? x[0] : z);
+                k[s][2] = x[1] * w[0] + x[0] * w[1] - par[2] * w[2] + z;
+            }
+            for (int e = 0; e < 3; e++)
+                r[e] += (k[0][e] + k[1][e] * 2.0 + k[2][e] * 2.0 + k[3][e]) * h6;
+        }
+    }
+    return 0;
+}
 """
 
 # the loaded library; None before the first attempt, False after a
@@ -191,7 +229,7 @@ def _load():
     except OSError:
         return None
     ptr = ctypes.c_void_p
-    for fn in (lib.lorenz_rk4, lib.ks_rk4):
+    for fn in (lib.lorenz_rk4, lib.ks_rk4, lib.lorenz_tangent):
         fn.restype = ctypes.c_long
         fn.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.c_long,
                        ctypes.c_double) + (ptr,) * 7
@@ -214,6 +252,35 @@ def serves(system):
     is loaded."""
     return (any(own_model(system, c) for c in (Lorenz, KuramotoSivashinsky))
             and library() is not None)
+
+
+def sweeps(traj):
+    """Whether the C tangent sweep steps traj's rows: its system has
+    Lorenz's own model (dynsys.own_model), the library is loaded, and
+    its states and stages are C-contiguous float rows."""
+    return (own_model(traj.system, Lorenz) and library() is not None
+            and all(a.dtype == float and a.flags.c_contiguous
+                    for a in (traj.states, *traj.stages())))
+
+
+def tangent_sweep(traj, segments, v, forcing=False, on_step=None):
+    """timestep.tangent_sweep_many of the rows of v (m, 3) across their
+    segments, checked by it, in C for a trajectory the sweep ``sweeps``:
+    one call for all steps, or one per step followed by on_step(j,
+    rows) when on_step is given."""
+    system, stride = traj.system, traj.stride
+    par = np.array((system.sigma, system.rho, system.beta, float(forcing)))
+    offs = np.asarray(segments * stride, dtype=ctypes.c_long)
+    out = np.array(v, dtype=float, order="C")
+    # referenced here, so alive through the calls
+    args = [a.ctypes.data for a in (par, offs, traj.states, *traj.stages(),
+                                    out)]
+    n = stride if on_step is None else 1
+    for j in range(0, stride, n):
+        library().lorenz_tangent(len(out), j, n, traj.h, *args)
+        if on_step is not None:
+            on_step(j, out)
+    return out
 
 
 def rk4(system, u, h, n, states=None, check_every=1, kept=None):

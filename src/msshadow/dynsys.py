@@ -4,14 +4,13 @@ Every system exposes the right-hand side f(u, s) of du/dt = f(u, s),
 its Jacobian action and exact transpose, and the derivative of f with
 respect to the single control parameter s.  All operations accept
 arrays of shape (..., N) and act on the last axis, so they can be
-applied to a whole batch of states at once.  The exceptions are the
-fast paths: the Kuramoto-Sivashinsky kernel behind ``tangent_columns``,
+applied to a whole batch of states at once.  The exception is the fast
+path of the Kuramoto-Sivashinsky kernel behind ``tangent_columns``,
 which works on axis 0 of preallocated buffers so that every stencil
 shift is one contiguous block (``tangent_columns`` probes banded
-one-step maps with it and joins them by matrix products), and Lorenz's
-``tangent_kernel``, which steps tangent batches held component-major as
-(3, m) buffers, so that each component is one contiguous row.  Both
-take their RK4 step from ``timestep.rk4_kernel``.
+one-step maps with it and joins them by matrix products) and takes its
+RK4 step from ``timestep.rk4_kernel``.  Lorenz's tangent sweeps run in
+C (``_native``) when a compiler works.
 """
 
 import numpy as np
@@ -23,9 +22,9 @@ from .errors import DimensionMismatch
 def own_model(system, cls):
     """Whether system's class takes rhs and its derivatives unchanged
     from cls: the one rule by which a fast path written for cls's model
-    (Lorenz.tangent_kernel, KuramotoSivashinsky.tangent_columns, the C
-    loops of _native) serves system.  A subclass that redefines any of
-    them runs the generic path through its own methods."""
+    (KuramotoSivashinsky.tangent_columns, the C loops and sweep of
+    _native) serves system.  A subclass that redefines any of them runs
+    the generic path through its own methods."""
     return all(getattr(type(system), m) is getattr(cls, m) for m in (
         "rhs", "jacobian_apply", "jacobian_transpose_apply", "param_deriv"))
 
@@ -109,31 +108,6 @@ class Lorenz(DynamicalSystem):
         out = np.zeros_like(u)
         out[..., 1] = u[..., 0]
         return out
-
-    def tangent_kernel(self, h, m, forcing):
-        """step(v, x): one discrete tangent RK4 step, in place, of the
-        component-major batch v (3, m), at the stage states x = (u, s2,
-        s3, s4) as (m, 3) rows: timestep.rk4_kernel over the element
-        operations of jacobian_apply and param_deriv, in their order
-        (dropping the forcing's + 0.0 on components 0 and 2 can change
-        only the sign of an exact zero).  None for a subclass that
-        redefines a model method (own_model)."""
-        if not own_model(self, Lorenz):
-            return None
-        s, r, b = map(np.array, (self.sigma, self.rho, self.beta))
-        t = np.empty(m)
-        add, mul, sub = np.add, np.multiply, np.subtract
-
-        def deriv(stages, i, v, out):
-            x, y, z = stages[i].T
-            (va, vb, vc), (o0, o1, o2) = v, out
-            mul(sub(vb, va, o0), s, o0)
-            sub(sub(mul(sub(r, z, o1), va, o1), vb, o1), mul(x, vc, t), o1)
-            if forcing:
-                add(o1, x, o1)
-            sub(add(mul(y, va, o2), mul(x, vb, t), o2), mul(b, vc, t), o2)
-
-        return timestep.rk4_kernel(h, np.empty((3, m)), deriv)
 
 
 class KuramotoSivashinsky(DynamicalSystem):

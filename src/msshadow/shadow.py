@@ -21,21 +21,18 @@ propagators as (N, N) matrices, built from sweeps of the unit
 directions, and serve products as matrix products.  A system with a
 ``tangent_columns`` kernel (Kuramoto-Sivashinsky) builds them one
 segment at a time: the banded one-step maps of the segment's steps,
-read off colour-probe columns, are joined by matrix products, the
-sensitivity weights summed along the way, and the propagator is then
-projected off the flow.  Any other system cuts each segment into p
-sub-segments (10 of 10 steps at a stride of 100) and sweeps the unit
-rows of all of them together, one direction per batch.  The tangent
-equation is linear, so the kept sub-segment propagators chain into Phi_i
-and join the rhs, swept from zero across all sub-segments in one batch.
-The segments are independent, as in the paper's time-parallel
-preconditioner; the row build at p = 1 gives the swept products bit for
-bit, and the joined one-step maps and sub-segments reorder the
-arithmetic at round-off.  A trajectory builds them at its first product
-when all N * N * K entries fit _MATRIX_BUDGET (2 MB): the build costs
-under N products per segment of wall time, which the preconditioner
-(2q(l+2) per segment) and CG (2 per iteration) spend several times
-over.  Past the budget it stays matrix-free for its whole
+read off colour-probe columns, are joined by matrix products, which
+reorders the arithmetic at round-off, the sensitivity weights summed
+along the way, and the propagator is then projected off the flow.  Any
+other system sweeps the unit rows of all segments together, one
+direction per batch, which gives the swept products bit for bit, and
+sums the sensitivity weights along the same sweeps; on Lorenz the
+sweeps run in C.  The segments are independent, as in the paper's
+time-parallel preconditioner.  A trajectory builds them at its first
+product when all N * N * K entries fit _MATRIX_BUDGET (2 MB): the build
+costs under N products per segment of wall time, which the
+preconditioner (2q(l+2) per segment) and CG (2 per iteration) spend
+several times over.  Past the budget it stays matrix-free for its whole
 life, the paper's route for systems whose matrices do not fit in memory.
 Matrix and matrix-free products agree to round-off.  segment_propagators
 hands the matrices out for dense study, kept or, past the budget, built
@@ -116,21 +113,15 @@ def _build_propagators(traj, objective=None):
     Column c of matrix i is the projected sweep of the unit vector e_c
     across segment i.  A system whose ``tangent_columns`` gives a kernel
     builds each segment's propagator from its one-step maps.  Any other
-    (a subclass that redefines a model method too) goes
-    through _row_propagators by p sub-segments of L steps, L the least
-    divisor of the stride with L * L >= stride, with objective's weights;
-    p = 1 for a prime stride or p * K * N * N past _MATRIX_BUDGET.  Given
-    an objective, the build keeps (objective, its weights) as
-    traj._functional, except a row build with p = 1.
+    (a subclass that redefines a model method too) sweeps its unit rows
+    through _row_propagators.  Given an objective, the build keeps
+    (objective, its weights) as traj._functional.
     """
     n, k, stride, h = traj.system.dim, traj.n_segments, traj.stride, traj.h
     kernel = getattr(traj.system, "tangent_columns", None)
     columns = kernel(h) if kernel else None
     if columns is None:
-        p = stride // next(d for d in range(1, stride + 1)
-                           if stride % d == 0 and d * d >= stride)
-        p = p if p * k * n * n <= _MATRIX_BUDGET else 1
-        return _row_propagators(traj, p, objective if p > 1 else None)
+        return _row_propagators(traj, objective)
     s2, s3, s4 = traj.stages()
     f_end = _endpoint_f(traj, np.arange(k))
     mats, on_step = np.empty((k, n, n)), None
@@ -160,48 +151,33 @@ def _build_propagators(traj, objective=None):
     return mats
 
 
-def _row_propagators(traj, p=1, objective=None):
-    """_build_propagators for any system by p sub-segments per segment,
-    the unit rows swept one direction per batch, in order: their
-    propagators F and quadrature weights q_s give Phi_i = P_i F_{p-1} ...
-    F_0 and the boundary weights r_p = end correction, r_s = q_s + F_s^T
-    r_{s+1}.  With p > 1 it keeps (sub-trajectory, F^T, r) and, given an
-    objective, the functional (objective, r_0)."""
+def _row_propagators(traj, objective=None):
+    """_build_propagators for any system: the unit rows of all segments,
+    swept one direction per batch, give F_i^T and Phi_i = P_i F_i.  Given
+    an objective, each sweep sums its quadrature weights q, and the build
+    keeps (objective, q + F_i^T end correction) as traj._functional."""
     n, k = traj.system.dim, traj.n_segments
-    sub = timestep.Trajectory(traj.system, traj.t_start, traj.h, traj.states,
-                              traj.fvals, traj.stride // p)
-    sub._stages = traj.stages()
-    ft, r = np.empty((k, p, n, n)), np.zeros((k, p + 1, n))
+    ft, weights = np.empty((k, n, n)), np.empty((k, n))
     for c in range(n):
-        end, acc = _swept(sub, np.eye(n)[np.full(k * p, c)], objective, False)
-        ft[:, :, c] = end.reshape(k, p, n)
-        r[:, :p, c] = 0.0 if acc is None else acc.reshape(k, p)
+        rows = np.eye(n)[np.full(k, c)]
+        ft[:, c], acc = _swept(traj, rows, objective, False)
+        weights[:, c] = 0.0 if acc is None else acc
     if objective is not None:
         f_end, ff, dj = _end_correction(traj, objective)
-        r[:, p] = (dj / ff)[:, None] * f_end
-        for s in range(p - 1, -1, -1):
-            r[:, s] += np.matmul(ft[:, s], r[:, s + 1, :, None])[..., 0]
-    if p > 1:
-        traj._subsegments = (sub, ft, r)
-        if objective is not None:
-            traj._functional = (objective, r[:, 0])
-    prop = ft[:, 0]
-    for s in range(1, p):
-        prop = np.matmul(prop, ft[:, s])
+        end = (dj / ff)[:, None] * f_end
+        weights += np.matmul(ft, end[..., None])[..., 0]
+        traj._functional = (objective, weights)
     f_end = np.broadcast_to(_endpoint_f(traj, np.arange(k))[:, None], (k, n, n))
-    return np.ascontiguousarray(project_off_flow(f_end, prop).transpose(0, 2, 1))
+    return np.ascontiguousarray(project_off_flow(f_end, ft).transpose(0, 2, 1))
 
 
 def build_matrices(traj, objective=None):
-    """Build the trajectory's propagator matrices now if they fit
-    _MATRIX_BUDGET and are not built yet, or were built by sub-segments
-    without objective's weights; returns whether it has them.  Charges
-    nothing: the matrices are a cache of the products."""
+    """Build the trajectory's propagator matrices now, keeping
+    objective's weights, if they fit _MATRIX_BUDGET and are not built
+    yet; returns whether it has them.  Charges nothing: the matrices are
+    a cache of the products."""
     n, k = traj.system.dim, traj.n_segments
-    kept = traj._functional
-    stale = (traj._subsegments is not None and objective is not None
-             and (kept is None or kept[0] is not objective))
-    if (traj._propagators is None or stale) and n * n * k <= _MATRIX_BUDGET:
+    if traj._propagators is None and n * n * k <= _MATRIX_BUDGET:
         traj._propagators = _build_propagators(traj, objective)
     return traj._propagators is not None
 
@@ -322,23 +298,9 @@ def assemble_rhs(traj, ledger, objective=None):
     """Right-hand-side blocks: per segment, the forced tangent solution
     from a zero initial condition, projected at the segment end.  With
     an objective it returns (b, s0), s0 the zero stack's sensitivity
-    summed along the same sweep, == evaluate_sensitivity of zeros (to
-    round-off by sub-segments: pi_s swept from zero in one batch, V <-
-    F_s V + pi_s, s0 the sweep's quadrature + <r_{s+1}, pi_s>)."""
+    summed along the same sweep, == evaluate_sensitivity of zeros."""
     k, n = traj.n_segments, traj.system.dim
-    if traj._subsegments is None:
-        forced, s0 = _forced_sweep(traj, np.zeros((k, n)), objective)
-    else:
-        build_matrices(traj, objective)
-        sub, ft, r = traj._subsegments
-        pi, acc = _swept(sub, np.zeros((sub.n_segments, n)), objective, True)
-        pi = pi.reshape(k, -1, n)
-        forced = pi[:, 0]
-        for s in range(1, pi.shape[1]):
-            forced = np.matmul(forced[:, None], ft[:, s])[:, 0] + pi[:, s]
-        if objective is not None:
-            s0 = (acc.sum() + (r[:, 1:] * pi).sum()) / traj.span
-            s0 += objective.param_deriv
+    forced, s0 = _forced_sweep(traj, np.zeros((k, n)), objective)
     ledger.charge_forward(k)
     b = project_off_flow(_endpoint_f(traj, np.arange(k)), forced)
     return b if objective is None else (b, s0)
@@ -417,13 +379,10 @@ def sensitivity_functional(traj, objective):
     adjoint sweep per segment seeded at its end with h/2 dJ/du +
     (Jbar - J_end) / |f_end|^2 f_end, adding after each step the
     trapezoid weight (h, or h/2 at the segment start) times dJ/du; on a
-    trajectory whose build kept objective's weights (a build by
-    sub-segments is redone for them), those weights instead.  Charges no
-    products."""
+    trajectory whose build kept objective's weights, those weights
+    instead.  Charges no products."""
     k, n = traj.n_segments, traj.system.dim
     a = np.zeros((k + 1, n))
-    if traj._subsegments is not None:
-        build_matrices(traj, objective)
     kept = traj._functional
     if kept is not None and kept[0] is objective:
         a[:k] = kept[1]

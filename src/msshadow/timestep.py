@@ -13,11 +13,10 @@ advanced in lockstep, row i following segment ``segments[i]`` of the
 stored trajectory.  This is the serial-machine equivalent of the
 per-segment parallelism of the method.  A sweep over all segments in
 order reads each step's stage states as strided views of the stored
-arrays; other row patterns gather them.  A system with a
-``tangent_kernel`` (Lorenz) steps tangent batches in place on
-component-major buffers.  Every array loop, primal or tangent, takes its
-RK4 step from ``rk4_kernel`` and supplies only the stage derivative; the
-C loops of ``_native`` repeat its operations.
+arrays; other row patterns gather them.  Every array loop, primal or
+tangent, takes its RK4 step from ``rk4_kernel`` and supplies only the
+stage derivative; the C loops of ``_native``, the primal loop of a
+Lorenz or KS state and the Lorenz tangent sweep, repeat its operations.
 """
 
 import numpy as np
@@ -151,10 +150,9 @@ class Trajectory:
         self.primal_loop = "numpy"
         self._stages = None
         # shadow's (K, N, N) projected segment propagators, built at the
-        # first product within its budget, their sub-segment parts and
-        # the (objective, sensitivity weights) summed along their build
+        # first product within its budget, and the (objective,
+        # sensitivity weights) summed along their build
         self._propagators = None
-        self._subsegments = None
         self._functional = None
 
     def stages(self):
@@ -269,25 +267,24 @@ def tangent_sweep_many(traj, segments, v, forcing=False, on_step=None):
     segment segments[i].  Returns v at the segment ends (before any
     projection).  ``on_step``, when given, is called with (j, rows)
     after step j of every segment; the rows may be a view that the
-    next step overwrites.
+    next step overwrites.  A trajectory of Lorenz's own model runs the
+    C sweep of ``_native`` when it ``sweeps``, bit-identical to the
+    array loop below, the reference.
     """
     segments = _check_segments(traj, segments)
     if v.shape != (segments.size, traj.system.dim):
         raise DimensionMismatch("tangent batch shape mismatch")
+    from . import _native  # loaded at first use, as in _rk4
+    if _native.sweeps(traj):
+        return _native.tangent_sweep(traj, segments, v, forcing, on_step)
     rows = _stage_rows(traj, segments)
-    sys, h = traj.system, traj.h
-    kernel = getattr(sys, "tangent_kernel", None)
-    step = kernel(h, segments.size, forcing) if kernel else None
-    # the steps run in place on a copy, component-major for a kernel (a
-    # copy even when v.T is contiguous), whose (m, N) rows are out.T
-    out = v.copy() if step is None else v.T.copy()
-    view = out if step is None else out.T
-    step = step or tangent_step(sys, h, out.shape, forcing)
+    out = v.copy()
+    step = tangent_step(traj.system, traj.h, out.shape, forcing)
     for j in range(traj.stride):
         step(out, rows(j))
         if on_step is not None:
-            on_step(j, view)
-    return np.ascontiguousarray(view)
+            on_step(j, out)
+    return out
 
 
 def adjoint_sweep_many(traj, segments, w):

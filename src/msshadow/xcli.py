@@ -608,6 +608,8 @@ def sweep(cfg, axis, values):
     for value in map(float, values):
         # replace is inside the try: a point's ConfigError is its row
         try:
+            if kind is int and not value.is_integer():
+                raise ConfigError(f"{axis} takes whole numbers, not {value:g}")
             point = replace(cfg, **{key: kind(value)},
                             name=f"{cfg.name}_{axis}_{value:g}")
             result = run_experiment(

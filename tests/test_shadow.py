@@ -261,8 +261,8 @@ class TestBatchedSensitivity:
     def test_functional_matches_forward_sweep(self, case, monkeypatch):
         # KS runs with SpatialMeanSquare, whose gradient depends on the
         # state, so a gradient taken at the wrong step shows.  A fresh
-        # trajectory has no matrices, so Lorenz sweeps whole segments
-        # too (TestSubSegments covers its sub-segments)
+        # trajectory has no matrices, so the functional comes from the
+        # adjoint sweep (test_build_keeps_functional covers kept weights)
         traj, objective, _ = case
         traj = _fresh(traj)
         stacks = np.random.default_rng(13).standard_normal(
@@ -354,18 +354,17 @@ class TestPropagatorMatrices:
 
     def test_first_product_from_matrices_when_build_is_one_batch(
             self, lorenz_traj, monkeypatch):
-        # the first Schur product builds the matrices by p = 20
-        # sub-segments of 25 steps, one sweep of the p * K unit rows per
-        # direction, and multiplies by them, with no adjoint sweep; it
-        # agrees with the swept product to round-off and is charged K
-        # products of each kind
-        k, n, p = lorenz_traj.n_segments, 3, 20
+        # the first Schur product builds the matrices, one sweep of the K
+        # unit rows per direction, and multiplies by them, with no
+        # adjoint sweep; it agrees with the swept product to round-off and
+        # is charged K products of each kind
+        k, n = lorenz_traj.n_segments, 3
         w = np.random.default_rng(2).standard_normal((k, n))
         traj = _fresh(lorenz_traj)
         sweeps = _spy_sweeps(monkeypatch)
         led = ms.CostLedger()
         dense = ms.schur_apply(traj, led, w)
-        assert sweeps == [("tangent", p * k)] * n
+        assert sweeps == [("tangent", k)] * n
         assert traj._propagators is not None
         assert led.snapshot() == (k, k)
 
@@ -415,8 +414,9 @@ class TestPropagatorMatrices:
 
     def test_ks_subclass_model_built_from_its_own_sweeps(self, monkeypatch):
         # a subclass with its own Jacobian gets no tangent_columns kernel:
-        # its matrices come from sweeps of its own jacobian_apply by
-        # sub-segments, and equal its matrix-free products to round-off
+        # its matrices come from sweeps of its own jacobian_apply, one
+        # direction of the K unit rows at a time, and equal its
+        # matrix-free products to round-off
         class DampedKS(ms.KuramotoSivashinsky):
             def rhs(self, u):
                 return super().rhs(u) - 0.5 * u
@@ -442,7 +442,7 @@ class TestPropagatorMatrices:
         assert traj._propagators is not None
         np.testing.assert_allclose(dense, swept, rtol=0,
                                    atol=1e-12 * np.abs(swept).max())
-        assert sweeps == [("tangent", 2 * k)] * n
+        assert sweeps == [("tangent", k)] * n
 
     def test_grouped_rows_served_without_gather(self, ks_traj):
         # rows grouped p per segment, as the thick restart of the
@@ -479,7 +479,7 @@ class TestPropagatorMatrices:
 
     def test_column_build_equals_row_build(self, ks_traj):
         # the KS matrices joined from probed one-step maps agree with the
-        # one-sub-segment row build to round-off, at N = 31 and at N = 63,
+        # row build to round-off, at N = 31 and at N = 63,
         # and a second build in the same process repeats them bit for bit
         ks = ms.KuramotoSivashinsky(n=63, length=64.0, c=0.5)
         u0 = np.random.default_rng(4).uniform(0.0, 1.0, 63)
@@ -512,111 +512,37 @@ class TestPropagatorMatrices:
         column_sweep = (stride * 4 * (n + 4) + kernel + 3 * n * n) * 8
         assert peak - mats.nbytes - traj._functional[1].nbytes <= column_sweep
 
-
-def _lorenz(lorenz28, segments, stride, h=0.01):
-    u0 = ms.advance(lorenz28, np.ones(3), -10.0, 0.0, h)
-    return ms.integrate(lorenz28, u0, 0.0, segments * stride * h, h,
-                        stride=stride)
-
-
-class TestSubSegments:
-    """Lorenz builds by sub-segments and sweeps its rhs across them."""
-
-    @pytest.fixture(scope="class")
-    def traj(self, lorenz28):
-        return _lorenz(lorenz28, 10, 100)
-
-    def test_rule_for_sub_segments(self, lorenz28, ks_traj, monkeypatch):
-        # L is the least divisor of the stride with L * L >= stride, so a
-        # stride of 100 gives 10 sub-segments of 10 steps and one of 500
-        # 20 of 25; a prime stride, p * K * N * N past the budget and a
-        # system with tangent_columns keep whole segments
-        for stride, p in ((100, 10), (500, 20), (7, 1)):
-            traj = _lorenz(lorenz28, 4, stride)
-            assert shadow.build_matrices(traj)
-            kept = traj._subsegments
-            assert (kept is None) == (p == 1)
-            if kept is not None:
-                assert kept[0].stride * p == stride
-                assert kept[1].shape == (4, p, 3, 3)
-        traj = _lorenz(lorenz28, 4, 100)
-        monkeypatch.setattr(shadow, "_MATRIX_BUDGET", 10 * 4 * 9 - 1)
-        assert shadow.build_matrices(traj) and traj._subsegments is None
-        monkeypatch.undo()
-        ks = _fresh(ks_traj)
-        assert shadow.build_matrices(ks, ms.SpatialMean(ks.system))
-        assert ks._subsegments is None
-
-    def test_chained_matrices(self, traj):
-        # Phi_i = P_i F_9 ... F_0 agrees with the one-sub-segment build
-        fresh = _fresh(traj)
-        assert shadow.build_matrices(fresh)
-        whole = shadow._row_propagators(traj)
-        assert np.abs(fresh._propagators - whole).max() <= (
-            1e-13 * np.abs(whole).max())
-
-    def test_chained_rhs_and_functional(self, traj):
-        # b, s0 and the functional from the sub-segments agree with the
-        # whole-segment forced sweep and adjoint functional; a build
-        # without the objective is redone with it, to the same matrices
-        k, objective = traj.n_segments, ms.LorenzZ()
-        forced, s0_ref = shadow._forced_sweep(traj, np.zeros((k, 3)), objective)
-        b_ref = ms.project_off_flow(shadow._endpoint_f(traj, np.arange(k)),
-                                    forced)
+    @pytest.mark.parametrize("name", ["lorenz", "ks"])
+    def test_build_keeps_functional(self, lorenz28, ks_traj, name):
+        # a build given the objective keeps its weights along the same
+        # matrices as a build without it; the rhs and s0 are those of the
+        # forced sweep bit for bit, charged K forward products, and the
+        # kept functional agrees with the adjoint sweep's to round-off
+        if name == "lorenz":
+            u0 = ms.advance(lorenz28, np.ones(3), -10.0, 0.0, 0.01)
+            traj = ms.integrate(lorenz28, u0, 0.0, 10.0, 0.01, stride=100)
+            objective = ms.LorenzZ()
+        else:
+            traj, objective = ks_traj, ms.SpatialMeanSquare(ks_traj.system)
+        k, n = traj.n_segments, traj.system.dim
+        forced, s0_ref = shadow._forced_sweep(traj, np.zeros((k, n)),
+                                              objective)
         a_ref = shadow.sensitivity_functional(_fresh(traj), objective)
         fresh = _fresh(traj)
-        assert shadow.build_matrices(fresh)
-        mats = fresh._propagators
+        assert shadow.build_matrices(fresh, objective)
+        assert fresh._functional[0] is objective
+        assert np.array_equal(fresh._propagators,
+                              shadow._build_propagators(_fresh(traj)))
         led = ms.CostLedger()
         b, s0 = ms.assemble_rhs(fresh, led, objective)
-        assert fresh._functional[0] is objective
-        assert np.array_equal(fresh._propagators, mats)
         assert led.snapshot() == (k, 0)
-        assert np.abs(b - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
-        assert abs(s0 - s0_ref) <= 1e-13 * abs(s0_ref)
-        a = shadow.sensitivity_functional(fresh, objective)
-        assert (a[-1] == 0.0).all()
-        assert np.abs(a - a_ref).max() <= 1e-13 * np.abs(a_ref).max()
-        assert np.array_equal(b, ms.assemble_rhs(fresh, led))
-
-    def test_ks_keeps_whole_segments(self, ks_traj):
-        # KS builds through its column kernel and sweeps whole segments:
-        # its rhs, s0 and matrices are those of the whole-segment path bit
-        # for bit, and the functional summed along the build agrees with
-        # the adjoint sweep's to round-off
-        k, n = ks_traj.n_segments, ks_traj.system.dim
-        objective = ms.SpatialMeanSquare(ks_traj.system)
-        forced, s0_ref = shadow._forced_sweep(ks_traj, np.zeros((k, n)),
-                                              objective)
-        a_ref = shadow.sensitivity_functional(_fresh(ks_traj), objective)
-        traj = _fresh(ks_traj)
-        assert shadow.build_matrices(traj, objective)
-        assert np.array_equal(traj._propagators,
-                              shadow._build_propagators(_fresh(ks_traj)))
-        b, s0 = ms.assemble_rhs(traj, ms.CostLedger(), objective)
         assert np.array_equal(b, ms.project_off_flow(
             shadow._endpoint_f(traj, np.arange(k)), forced))
         assert s0 == s0_ref
-        a = shadow.sensitivity_functional(traj, objective)
-        assert traj._functional[0] is objective and (a[-1] == 0.0).all()
+        a = shadow.sensitivity_functional(fresh, objective)
+        assert np.array_equal(a[:-1], fresh._functional[1])
+        assert (a[-1] == 0.0).all()
         assert np.abs(a - a_ref).max() <= 1e-13 * np.abs(a_ref).max()
-
-    def test_build_transient(self, lorenz28):
-        # the build sweeps one direction of the p * K sub-segment rows at
-        # a time: beyond what it keeps it holds about eight (p * K, N)
-        # arrays at once, where a batch of all N directions would hold
-        # about three times as many
-        traj = _lorenz(lorenz28, 200, 100)
-        traj.stages()
-        tracemalloc.start()
-        try:
-            shadow.build_matrices(traj, ms.LorenzZ())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        sub, ft, r = traj._subsegments
-        rows = ft.shape[0] * ft.shape[1] * 3 * 8
-        assert peak - ft.nbytes - r.nbytes - traj._propagators.nbytes <= 12 * rows
 
 
 class TestCostLedger:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import msshadow as ms
-from msshadow import _native, timestep
+from msshadow import _native, shadow, timestep
 from msshadow.errors import DivergenceError
 
 
@@ -55,7 +55,7 @@ class Quadratic(LinearDecay):
 
 class GenericLorenz(ms.Lorenz):
     """Lorenz through the generic tangent step: a subclass that redefines
-    jacobian_apply gets no tangent kernel."""
+    jacobian_apply gets no compiled tangent sweep."""
 
     def jacobian_apply(self, u, v):
         return super().jacobian_apply(u, v)
@@ -209,6 +209,8 @@ class TestTangentAdjoint:
 
 
 class TestLorenzTangentKernel:
+    """The compiled Lorenz tangent sweep against the generic array loop."""
+
     ROWS = {
         "all_in_order": np.arange(5),
         "grouped": np.repeat(np.arange(5), 3),
@@ -218,26 +220,34 @@ class TestLorenzTangentKernel:
     }
 
     @staticmethod
-    def _generic(traj):
-        return ms.Trajectory(GenericLorenz(rho=traj.system.rho), traj.t_start,
-                             traj.h, traj.states, traj.fvals, traj.stride)
+    def _copy(traj, system):
+        """traj's stored path and stages under system, nothing built."""
+        out = ms.Trajectory(system, traj.t_start, traj.h, traj.states,
+                            traj.fvals, traj.stride)
+        out._stages = traj.stages()
+        return out
 
-    def test_kernel_only_for_lorenz_methods(self, lorenz28):
-        assert lorenz28.tangent_kernel(0.01, 4, True) is not None
-        assert GenericLorenz().tangent_kernel(0.01, 4, True) is None
+    def _generic(self, traj):
+        return self._copy(traj, GenericLorenz(rho=traj.system.rho))
+
+    def test_kernel_only_for_lorenz_methods(self, lorenz_traj, ks_traj):
+        # the sweep serves Lorenz's own model alone, once the library loads
+        assert _native.sweeps(lorenz_traj) == (_native.library() is not None)
+        assert not _native.sweeps(self._generic(lorenz_traj))
+        assert not _native.sweeps(ks_traj)
 
         class OwnForcing(ms.Lorenz):
             def param_deriv(self, u):
                 return super().param_deriv(u)
 
-        assert OwnForcing().tangent_kernel(0.01, 4, False) is None
+        assert not _native.sweeps(self._copy(lorenz_traj, OwnForcing()))
 
     @pytest.mark.parametrize("forcing", [False, True])
     @pytest.mark.parametrize("kind", sorted(ROWS))
     def test_matches_generic_step(self, lorenz_traj, kind, forcing):
-        # the kernel (Lorenz) and the generic step (GenericLorenz) agree bit
-        # for bit at the segment ends and in the rows handed to on_step,
-        # and with each row swept alone (gathered stage states)
+        # the compiled sweep (Lorenz) and the generic step (GenericLorenz)
+        # agree bit for bit at the segment ends and in the rows handed to
+        # on_step, and with each row swept alone
         segments = self.ROWS[kind]
         v = np.random.default_rng(6).standard_normal((segments.size, 3))
         ends, seen = [], []
@@ -257,8 +267,49 @@ class TestLorenzTangentKernel:
             assert j0 == j1 and r0.shape == (segments.size, 3)
             assert np.array_equal(r0, r1)
 
+    @pytest.mark.parametrize("case", ["no_library", "subclass",
+                                      "strided_states"])
+    def test_array_loop_gives_the_same_bits(self, lorenz_traj, case,
+                                            monkeypatch):
+        # without the library, for a subclass that redefines a model
+        # method and on stored states that are not C-contiguous, the
+        # sweep takes the array loop, with the compiled sweep's rows
+        segments = np.array([3, 0, 4, 4])
+        v = np.random.default_rng(8).standard_normal((4, 3))
+        want = [timestep.tangent_sweep_many(lorenz_traj, segments, v,
+                                            forcing=forcing)
+                for forcing in (False, True)]
+        traj = lorenz_traj
+        if case == "no_library":
+            monkeypatch.setattr(_native, "_lib", False)
+        elif case == "subclass":
+            traj = self._generic(lorenz_traj)
+        else:
+            wide = np.zeros((len(traj.states), 6))
+            wide[:, ::2] = traj.states
+            traj = ms.Trajectory(traj.system, traj.t_start, traj.h,
+                                 wide[:, ::2], traj.fvals, traj.stride)
+            traj._stages = lorenz_traj.stages()
+        assert not _native.sweeps(traj)
+        monkeypatch.setattr(_native, "tangent_sweep", None)  # C calls fail
+        for forcing, end in zip((False, True), want):
+            assert np.array_equal(timestep.tangent_sweep_many(
+                traj, segments, v, forcing=forcing), end)
+
+    def test_matrices_equal_generic_row_build(self, lorenz_traj):
+        # the propagator matrices and the weights kept with them, swept in
+        # C, equal GenericLorenz's row build bit for bit
+        objective = ms.LorenzZ()
+        builds = []
+        for traj in (self._copy(lorenz_traj, lorenz_traj.system),
+                     self._generic(lorenz_traj)):
+            builds.append((shadow._build_propagators(traj, objective),
+                           traj._functional[1]))
+        assert np.array_equal(builds[0][0], builds[1][0])
+        assert np.array_equal(builds[0][1], builds[1][1])
+
     def test_input_left_unchanged(self, lorenz_traj):
-        # v.T of a (1, N) batch is contiguous; the kernel must not step it
+        # the sweep steps a copy of v, never v itself
         v = np.random.default_rng(7).standard_normal((1, 3))
         keep = v.copy()
         out = timestep.tangent_sweep_many(lorenz_traj, [1], v, forcing=True)

@@ -563,40 +563,34 @@ class TestKeptProblem:
     def test_warm_request_sweeps_only_the_rhs(self, lorenz_ini, monkeypatch):
         # the sensitivity functional is kept with the trajectory and the
         # zero stack's sensitivity comes with the rhs: a cold request
-        # sweeps the unit rows of the L-step sub-segments, one direction
-        # at a time, for the matrices and the functional (no adjoint
-        # sweep) and the forced rhs across the sub-segments, a warm one
-        # the rhs alone; both agree with the forward-sweep reference to
-        # round-off.  Steps are counted where every sweep reads its stage
-        # states, whichever step it runs; sweeps outside
-        # tangent_sweep_many are adjoint
+        # sweeps the K unit rows of each direction for the matrices and
+        # the functional and the K forced rows of the rhs, a warm one the
+        # rhs alone, and neither runs an adjoint step; both agree with the
+        # forward-sweep reference to round-off.  Row-steps are counted as
+        # rows x stride per tangent sweep, whichever loop runs it, and as
+        # rows per adjoint step
         steps = {}
-        tangent, stage_rows = timestep.tangent_sweep_many, timestep._stage_rows
-        sweeping = []
+        tangent, adjoint = timestep.tangent_sweep_many, timestep.adjoint_step_at
 
-        def tangent_spy(*args, forcing=False, **kw):
-            sweeping.append("forced" if forcing else "tangent")
-            try:
-                return tangent(*args, forcing=forcing, **kw)
-            finally:
-                sweeping.pop()
+        def count(kind, n):
+            steps[kind] = steps.get(kind, 0) + n
 
-        def rows_spy(traj, segments):
-            rows = stage_rows(traj, segments)
-            kind = sweeping[-1] if sweeping else "adjoint"
+        def tangent_spy(traj, segments, v, forcing=False, **kw):
+            count("forced" if forcing else "tangent",
+                  len(segments) * traj.stride)
+            return tangent(traj, segments, v, forcing=forcing, **kw)
 
-            def counted(j):
-                steps[kind] = steps.get(kind, 0) + 1
-                return rows(j)
-            return counted
+        def adjoint_spy(system, h, *rows):
+            count("adjoint", len(rows[-1]))
+            return adjoint(system, h, *rows)
 
         monkeypatch.setattr(timestep, "tangent_sweep_many", tangent_spy)
-        monkeypatch.setattr(timestep, "_stage_rows", rows_spy)
+        monkeypatch.setattr(timestep, "adjoint_step_at", adjoint_spy)
         cfg = xcli.load_config(lorenz_ini)
-        sub = next(d for d in range(1, cfg.stride + 1)
-                   if cfg.stride % d == 0 and d * d >= cfg.stride)
-        for reused, expected in ((False, {"tangent": 3 * sub, "forced": sub}),
-                                 (True, {"forced": sub})):
+        rows = cfg.n_segments * cfg.stride
+        for reused, expected in ((False, {"tangent": 3 * rows,
+                                          "forced": rows}),
+                                 (True, {"forced": rows})):
             steps.clear()
             result = xcli.run_pipeline(cfg)
             assert result.trajectory_reused == reused
@@ -692,6 +686,20 @@ class TestSweep:
         rows = xcli.sweep(cfg, "T", [3.5, 4.0])
         assert rows[0]["error"] != ""
         assert rows[1]["error"] == ""
+
+    def test_fraction_on_an_integer_axis_is_its_row(self, lorenz_ini,
+                                                    tmp_path, monkeypatch):
+        # l and N take whole numbers: a fraction is that point's
+        # ConfigError row, run nowhere, and the CLI exits 4
+        cfg = xcli.load_config(lorenz_ini)
+        rows = xcli.sweep(cfg, "l", [1.7, 1.0])
+        assert "whole numbers" in rows[0]["error"]
+        assert rows[0]["iterations"] == "" and rows[1]["error"] == ""
+        assert not (tmp_path / "out" / "l_1.7").exists()
+        _forbid_integration(monkeypatch)
+        code = xcli.main(["sweep", "--config", str(lorenz_ini),
+                          "--axis", "l", "--values", "2.5"])
+        assert code == xcli.EXIT_NO_CONVERGENCE
 
     def test_axis_validation(self, lorenz_ini):
         cfg = xcli.load_config(lorenz_ini)
