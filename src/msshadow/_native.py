@@ -1,25 +1,29 @@
-"""The single-state primal RK4 loops and the Lorenz tangent sweep in C,
-compiled at first use.
+"""The single-state primal RK4 loops, the Lorenz tangent sweep and the
+adjoint sweeps of Lorenz and Kuramoto-Sivashinsky in C, compiled at
+first use.
 
 ``rk4`` runs n classical RK4 steps of one Lorenz or Kuramoto-Sivashinsky
 state with the element operations of ``timestep.rk4_kernel`` over
 ``Lorenz.rhs`` or ``KuramotoSivashinsky.rhs`` in their order, and
-``tangent_sweep`` steps Lorenz tangent rows across their segments with
-those of ``timestep.tangent_step`` over ``Lorenz.jacobian_apply`` and
-``param_deriv``, so both are bit-identical to the array loops, which
-stay the reference and the fallback.  The source below is compiled by
-``sysconfig``'s C compiler with flags that forbid contraction and
-reordering, at the first loop of a process, into a shared library in the
-package's ``__pycache__`` named by the CRC-32 of the source and the
-flags, and later processes load it with ``ctypes`` without looking up
-the compiler.  Without a compiler, when the compile fails, or when
-``__pycache__`` holds no library and is not writable, ``serves`` and
-``sweeps`` are false and the array loops run.
+``sweep`` steps Lorenz tangent rows with those of
+``timestep.tangent_step`` over ``Lorenz.jacobian_apply`` and
+``param_deriv``, or adjoint rows of either model with those of
+``timestep.adjoint_step_at`` over ``jacobian_transpose_apply``, so all
+are bit-identical to the array loops, which stay the reference and the
+fallback.  The source below is
+compiled by ``sysconfig``'s C compiler with flags that forbid
+contraction and reordering, at the first loop of a process, into a
+shared library in the package's ``__pycache__`` named by the CRC-32 of
+the source and the flags, and later processes load it with ``ctypes``
+without looking up the compiler.  Without a compiler, when the compile
+fails, or when ``__pycache__`` holds no library and is not writable,
+``serves`` and ``sweeps`` are false and the array loops run.
 """
 
 import ctypes
 import os
 import zlib
+from functools import partial
 
 import numpy as np
 
@@ -46,6 +50,7 @@ _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-x", "c", "-",
 # c_s, and the update is v + (((k_0 + k_1 2) + k_2 2) + k_3) h/6, the
 # order of timestep.tangent_step.  Unforced, df/drho is -0.0, which
 # leaves every value as it is; forced, param_deriv's (+0.0, x, +0.0).
+# lorenz_adjoint and ks_adjoint: see adjoint below.
 _SOURCE = r"""
 #include <math.h>
 #include <stdlib.h>
@@ -54,6 +59,11 @@ _SOURCE = r"""
 /* f(n, par, x, q, out): out = rhs(x); x has two writable slots before
    and after its n entries, q n + 4 of work */
 typedef void (*rhs_fn)(long, const double *, double *, double *, double *);
+
+/* jt(n, par, x, l, out): out = J(x)^T l; l has two writable slots before
+   and after its n entries */
+typedef void (*jt_fn)(long, const double *, const double *, double *,
+                      double *);
 
 /* par: sigma, rho, beta; the expressions of Lorenz.rhs */
 static void lorenz_f(long n, const double *par, double *x, double *q,
@@ -79,6 +89,30 @@ static void ks_f(long n, const double *par, double *x, double *q,
     for (long i = 0; i < n; i++) {
         double v = (p[i + 4] + p[i]) * par[2] + (p[i + 3] + p[i + 1]) * par[3];
         out[i] = (q[i + 1] - q[i + 3]) / par[1] - (v + p[i + 2] * par[4]);
+    }
+}
+
+/* the expressions of Lorenz.jacobian_transpose_apply */
+static void lorenz_jt(long n, const double *par, const double *x, double *l,
+                      double *out)
+{
+    out[0] = -par[0] * l[0] + (par[1] - x[2]) * l[1] + x[1] * l[2];
+    out[1] = par[0] * l[0] - l[1] + x[0] * l[2];
+    out[2] = -x[0] * l[1] - par[2] * l[2];
+}
+
+/* p = l - 2 padded as in ks_f; out = (x + c) D1 p - (D2 + D4) p, the
+   order of KuramotoSivashinsky.jacobian_transpose_apply */
+static void ks_jt(long n, const double *par, const double *x, double *l,
+                  double *out)
+{
+    double *p = l - 2;
+    p[0] = p[2];
+    p[n + 3] = p[n + 1];
+    for (long i = 0; i < n; i++) {
+        double v = (p[i + 4] + p[i]) * par[2] + (p[i + 3] + p[i + 1]) * par[3];
+        out[i] = (x[i] + par[0]) * ((p[i + 3] - p[i + 1]) / par[1])
+                 - (v + p[i + 2] * par[4]);
     }
 }
 
@@ -176,6 +210,59 @@ long lorenz_tangent(long m, long j0, long n, double h, const double *par,
     }
     return 0;
 }
+
+/* steps j0 + steps - 1 down to j0 of the adjoint RK4 map on each row i
+   of w (m, n) in place, at the stage rows offs[i] + j; returns 0, or -1
+   when out of memory.  par is that of the model's rk4.  Stage s takes
+   t_s = J(x_s)^T l_s at l_4 = w h/6, l_3 = w h/3 + t_4 h, l_2 = w h/3 +
+   t_3 h/2, l_1 = w h/6 + t_2 h/2, and the update is (((w + t_1) + t_2) +
+   t_3) + t_4: the order of timestep.adjoint_step_at */
+static long adjoint(jt_fn jt, long n, long m, long j0, long steps, double h,
+                    const double *par, const long *offs, const double *u,
+                    const double *s2, const double *s3, const double *s4,
+                    double *w)
+{
+    /* t_1..t_4, then l with two zero slots either side */
+    double *t = calloc(5 * n + 4, sizeof(double));
+    if (!t)
+        return -1;
+    double *l = t + 4 * n + 2;
+    const double *xs[4] = {u, s2, s3, s4};
+    double cw[4] = {h / 6.0, h / 3.0, h / 3.0, h / 6.0};
+    double ct[3] = {0.5 * h, 0.5 * h, h};
+    for (long i = 0; i < m; i++) {
+        double *r = w + n * i;
+        for (long j = j0 + steps - 1; j >= j0; j--) {
+            for (int s = 3; s >= 0; s--) {
+                const double *tn = t + (s + 1) * n;
+                for (long e = 0; e < n; e++)
+                    l[e] = s == 3 ? cw[s] * r[e]
+                                  : cw[s] * r[e] + ct[s] * tn[e];
+                jt(n, par, xs[s] + n * (offs[i] + j), l, t + s * n);
+            }
+            for (long e = 0; e < n; e++)
+                r[e] = r[e] + t[e] + t[n + e] + t[2 * n + e] + t[3 * n + e];
+        }
+    }
+    free(t);
+    return 0;
+}
+
+long lorenz_adjoint(long n, long m, long j0, long steps, double h,
+                    const double *par, const long *offs, const double *u,
+                    const double *s2, const double *s3, const double *s4,
+                    double *w)
+{
+    return adjoint(lorenz_jt, n, m, j0, steps, h, par, offs, u, s2, s3, s4, w);
+}
+
+long ks_adjoint(long n, long m, long j0, long steps, double h,
+                const double *par, const long *offs, const double *u,
+                const double *s2, const double *s3, const double *s4,
+                double *w)
+{
+    return adjoint(ks_jt, n, m, j0, steps, h, par, offs, u, s2, s3, s4, w);
+}
 """
 
 # the loaded library; None before the first attempt, False after a
@@ -228,11 +315,12 @@ def _load():
         lib = ctypes.CDLL(path)
     except OSError:
         return None
-    ptr = ctypes.c_void_p
-    for fn in (lib.lorenz_rk4, lib.ks_rk4, lib.lorenz_tangent):
-        fn.restype = ctypes.c_long
-        fn.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.c_long,
-                       ctypes.c_double) + (ptr,) * 7
+    long, ptr = ctypes.c_long, ctypes.c_void_p
+    for fn in (lib.lorenz_rk4, lib.ks_rk4, lib.lorenz_tangent,
+               lib.lorenz_adjoint, lib.ks_adjoint):
+        fn.restype = long
+        fn.argtypes = ((long,) * (4 if "adjoint" in fn.__name__ else 3)
+                       + (ctypes.c_double,) + (ptr,) * 7)
     return lib
 
 
@@ -254,30 +342,45 @@ def serves(system):
             and library() is not None)
 
 
-def sweeps(traj):
-    """Whether the C tangent sweep steps traj's rows: its system has
-    Lorenz's own model (dynsys.own_model), the library is loaded, and
-    its states and stages are C-contiguous float rows."""
-    return (own_model(traj.system, Lorenz) and library() is not None
+def sweeps(traj, adjoint=False):
+    """Whether a C sweep steps traj's rows: its system has Lorenz's own
+    model (dynsys.own_model), or for the adjoint one the loop ``serves``,
+    the library is loaded, and its states and stages are C-contiguous
+    float rows."""
+    return ((serves(traj.system) if adjoint else
+             own_model(traj.system, Lorenz) and library() is not None)
             and all(a.dtype == float and a.flags.c_contiguous
                     for a in (traj.states, *traj.stages())))
 
 
-def tangent_sweep(traj, segments, v, forcing=False, on_step=None):
-    """timestep.tangent_sweep_many of the rows of v (m, 3) across their
-    segments, checked by it, in C for a trajectory the sweep ``sweeps``:
-    one call for all steps, or one per step followed by on_step(j,
-    rows) when on_step is given."""
-    system, stride = traj.system, traj.stride
-    par = np.array((system.sigma, system.rho, system.beta, float(forcing)))
+def _model(system):
+    """The C names' prefix and the parameters of system's own model."""
+    if own_model(system, Lorenz):
+        return "lorenz", (system.sigma, system.rho, system.beta)
+    return "ks", (system.c, 2.0 * system.dx, system._a4, system._b24,
+                  system._c24)
+
+
+def sweep(traj, segments, v, on_step=None, forcing=False, adjoint=False):
+    """timestep.tangent_sweep_many of the rows of v (m, N), or with
+    ``adjoint`` its adjoint_sweep_many, checked by it, in C for a
+    trajectory that ``sweeps``: one call for all steps, or one per step
+    followed by on_step(j, rows) when on_step is given."""
+    name, par = _model(traj.system)
+    if adjoint:
+        fn = partial(getattr(library(), f"{name}_adjoint"), traj.system.dim)
+    else:
+        fn, par = library().lorenz_tangent, (*par, float(forcing))
+    stride = traj.stride
     offs = np.asarray(segments * stride, dtype=ctypes.c_long)
-    out = np.array(v, dtype=float, order="C")
+    par, out = np.array(par), np.array(v, dtype=float, order="C")
     # referenced here, so alive through the calls
     args = [a.ctypes.data for a in (par, offs, traj.states, *traj.stages(),
                                     out)]
     n = stride if on_step is None else 1
-    for j in range(0, stride, n):
-        library().lorenz_tangent(len(out), j, n, traj.h, *args)
+    for j in range(stride - n, -1, -n) if adjoint else range(0, stride, n):
+        if fn(len(out), j, n, traj.h, *args) < 0:
+            raise MemoryError("adjoint work buffers")
         if on_step is not None:
             on_step(j, out)
     return out
@@ -295,11 +398,7 @@ def rk4(system, u, h, n, states=None, check_every=1, kept=None):
     exact zero.  A non-finite state raises DivergenceError at the step
     timestep._rk4 reports.
     """
-    if type(system).rhs is Lorenz.rhs:
-        name, par = "lorenz_rk4", (system.sigma, system.rho, system.beta)
-    else:
-        name, par = "ks_rk4", (system.c, 2.0 * system.dx, system._a4,
-                               system._b24, system._c24)
+    name, par = _model(system)
     u = np.array(u, dtype=float)
     if u.shape != (system.dim,):
         raise DimensionMismatch(f"expected one state of shape ({system.dim},)")
@@ -311,7 +410,7 @@ def rk4(system, u, h, n, states=None, check_every=1, kept=None):
             raise DimensionMismatch(
                 f"need C-contiguous float rows ({rows}, {system.dim})")
     par = np.array(par)  # referenced here, so alive through the call
-    status = getattr(library(), name)(
+    status = getattr(library(), f"{name}_rk4")(
         system.dim, n, check_every, h, par.ctypes.data, u.ctypes.data,
         *(None if a is None else a.ctypes.data for a in outs))
     if status < 0:

@@ -9,8 +9,9 @@ path of the Kuramoto-Sivashinsky kernel behind ``tangent_columns``,
 which works on axis 0 of preallocated buffers so that every stencil
 shift is one contiguous block (``tangent_columns`` probes banded
 one-step maps with it and joins them by matrix products) and takes its
-RK4 step from ``timestep.rk4_kernel``.  Lorenz's tangent sweeps run in
-C (``_native``) when a compiler works.
+RK4 step from ``timestep.rk4_kernel``.  Lorenz's tangent sweeps and the
+adjoint sweeps of both systems run in C (``_native``) when a compiler
+works.
 """
 
 import numpy as np
@@ -22,7 +23,7 @@ from .errors import DimensionMismatch
 def own_model(system, cls):
     """Whether system's class takes rhs and its derivatives unchanged
     from cls: the one rule by which a fast path written for cls's model
-    (KuramotoSivashinsky.tangent_columns, the C loops and sweep of
+    (KuramotoSivashinsky.tangent_columns, the C loops and sweeps of
     _native) serves system.  A subclass that redefines any of them runs
     the generic path through its own methods."""
     return all(getattr(type(system), m) is getattr(cls, m) for m in (
@@ -202,7 +203,7 @@ class KuramotoSivashinsky(DynamicalSystem):
         return -self._d1(u)
 
     def tangent_columns(self, h):
-        """columns(u, s2, s3, s4, on_step=None): the discrete tangent
+        """columns(u, s2, s3, s4): the discrete tangent
         propagator (N, N) across the steps whose RK4 stage states are the
         rows of u, s2, s3, s4 (m, N), as the product V <- T_j V of the
         one-step maps; None for a subclass that redefines a model method
@@ -213,9 +214,7 @@ class KuramotoSivashinsky(DynamicalSystem):
         probes g = N // w steps, so its buffers hold no more columns than
         N unit columns would; the product runs on row blocks of w rows,
         each over the columns its band reaches.  Column c equals
-        timestep.tangent_step's sweep of the row e_c to round-off.
-        on_step(j, V), when given, is called after step j; the next step
-        overwrites V."""
+        timestep.tangent_step's sweep of the row e_c to round-off."""
         if not own_model(self, KuramotoSivashinsky):
             return None
         n, reach = self.dim, 4 * 2
@@ -261,7 +260,7 @@ class KuramotoSivashinsky(DynamicalSystem):
         out, colour = np.empty((n, g, w)), (np.arange(n), slice(None),
                                             np.arange(n) % w)
 
-        def columns(u, s2, s3, s4, on_step=None):
+        def columns(u, s2, s3, s4):
             v, vt = np.eye(n), np.empty((n, n))
             for j0 in range(0, len(u), g):
                 # a last group of r < g steps leaves earlier states in the
@@ -279,8 +278,6 @@ class KuramotoSivashinsky(DynamicalSystem):
                     for tb, cs, rs in blocks:
                         np.matmul(tb, v[cs], vt[rs])
                     v, vt = vt, v
-                    if on_step is not None:
-                        on_step(j0 + j, v)
             return v
 
         return columns

@@ -22,21 +22,21 @@ directions, and serve products as matrix products.  A system with a
 ``tangent_columns`` kernel (Kuramoto-Sivashinsky) builds them one
 segment at a time: the banded one-step maps of the segment's steps,
 read off colour-probe columns, are joined by matrix products, which
-reorders the arithmetic at round-off, the sensitivity weights summed
-along the way, and the propagator is then projected off the flow.  Any
-other system sweeps the unit rows of all segments together, one
-direction per batch, which gives the swept products bit for bit, and
-sums the sensitivity weights along the same sweeps; on Lorenz the
-sweeps run in C.  The segments are independent, as in the paper's
-time-parallel preconditioner.  A trajectory builds them at its first
-product when all N * N * K entries fit _MATRIX_BUDGET (2 MB): the build
-costs under N products per segment of wall time, which the
-preconditioner (2q(l+2) per segment) and CG (2 per iteration) spend
-several times over.  Past the budget it stays matrix-free for its whole
-life, the paper's route for systems whose matrices do not fit in memory.
-Matrix and matrix-free products agree to round-off.  segment_propagators
-hands the matrices out for dense study, kept or, past the budget, built
-for the caller alone.
+reorders the arithmetic at round-off, and the propagator is then
+projected off the flow.  Any other system sweeps the unit rows of all
+segments together, one direction per batch, which gives the swept
+products bit for bit; on Lorenz the sweeps run in C.  The weights of
+the sensitivity functional come from one adjoint sweep of all segments
+(sensitivity_functional), whatever the trajectory keeps.  The segments
+are independent, as in the paper's time-parallel preconditioner.  A
+trajectory builds the matrices at its first product when all N * N * K
+entries fit _MATRIX_BUDGET (2 MB): the build costs under N products per
+segment of wall time, which the preconditioner (2q(l+2) per segment)
+and CG (2 per iteration) spend several times over.  Past the budget it
+stays matrix-free for its whole life, the paper's route for systems
+whose matrices do not fit in memory.  Matrix and matrix-free products
+agree to round-off.  segment_propagators hands the matrices out for
+dense study, kept or, past the budget, built for the caller alone.
 
 Segment indices are 0-based throughout: segment i spans
 [t_i, t_{i+1}] and its propagator/adjoint pair is charged to the cost
@@ -107,78 +107,51 @@ def _endpoint_f(traj, segments):
     return traj.fvals[idx]
 
 
-def _build_propagators(traj, objective=None):
+def _build_propagators(traj):
     """Projected propagators of all segments as a (K, N, N) array.
 
     Column c of matrix i is the projected sweep of the unit vector e_c
     across segment i.  A system whose ``tangent_columns`` gives a kernel
     builds each segment's propagator from its one-step maps.  Any other
     (a subclass that redefines a model method too) sweeps its unit rows
-    through _row_propagators.  Given an objective, the build keeps
-    (objective, its weights) as traj._functional.
+    through _row_propagators.
     """
-    n, k, stride, h = traj.system.dim, traj.n_segments, traj.stride, traj.h
+    n, k, stride = traj.system.dim, traj.n_segments, traj.stride
     kernel = getattr(traj.system, "tangent_columns", None)
-    columns = kernel(h) if kernel else None
+    columns = kernel(traj.h) if kernel else None
     if columns is None:
-        return _row_propagators(traj, objective)
+        return _row_propagators(traj)
     s2, s3, s4 = traj.stages()
     f_end = _endpoint_f(traj, np.arange(k))
-    mats, on_step = np.empty((k, n, n)), None
-    if objective is not None:
-        # sensitivity_functional's weights, its adjoint sweep transposed:
-        # a_i = sum_j c_j V_j^T dJ/du(u_j) + V_stride^T end correction
-        _, ff, dj = _end_correction(traj, objective)
-        weights = np.empty((k, n))
+    mats = np.empty((k, n, n))
     for i in range(k):
         span = slice(i * stride, (i + 1) * stride)
-        if objective is not None:
-            weights[i] = 0.5 * h * objective.gradient(traj.states[span.start])
-
-            def on_step(j, v):
-                grad = objective.gradient(traj.states[span.start + j + 1])
-                weights[i] += (h if j < stride - 1 else 0.5 * h) * (grad @ v)
-
-        prop = columns(traj.states[span], s2[span], s3[span], s4[span],
-                       on_step)
-        if objective is not None:
-            weights[i] += (dj[i] / ff[i] * f_end[i]) @ prop
+        prop = columns(traj.states[span], s2[span], s3[span], s4[span])
         # project each column as a contiguous row, as _row_propagators does
         mats[i] = project_off_flow(np.broadcast_to(f_end[i], (n, n)),
                                    prop.T.copy()).T
-    if objective is not None:
-        traj._functional = (objective, weights)
     return mats
 
 
-def _row_propagators(traj, objective=None):
+def _row_propagators(traj):
     """_build_propagators for any system: the unit rows of all segments,
-    swept one direction per batch, give F_i^T and Phi_i = P_i F_i.  Given
-    an objective, each sweep sums its quadrature weights q, and the build
-    keeps (objective, q + F_i^T end correction) as traj._functional."""
+    swept one direction per batch, give F_i^T and Phi_i = P_i F_i."""
     n, k = traj.system.dim, traj.n_segments
-    ft, weights = np.empty((k, n, n)), np.empty((k, n))
+    ft = np.empty((k, n, n))
     for c in range(n):
-        rows = np.eye(n)[np.full(k, c)]
-        ft[:, c], acc = _swept(traj, rows, objective, False)
-        weights[:, c] = 0.0 if acc is None else acc
-    if objective is not None:
-        f_end, ff, dj = _end_correction(traj, objective)
-        end = (dj / ff)[:, None] * f_end
-        weights += np.matmul(ft, end[..., None])[..., 0]
-        traj._functional = (objective, weights)
+        ft[:, c] = timestep.tangent_sweep_many(traj, np.arange(k),
+                                               np.eye(n)[np.full(k, c)])
     f_end = np.broadcast_to(_endpoint_f(traj, np.arange(k))[:, None], (k, n, n))
     return np.ascontiguousarray(project_off_flow(f_end, ft).transpose(0, 2, 1))
 
 
-def build_matrices(traj, objective=None):
-    """Build the trajectory's propagator matrices now, keeping
-    objective's weights, if they fit _MATRIX_BUDGET and are not built
-    yet; returns whether it has them.  Charges nothing: the matrices are
-    a cache of the products."""
+def build_matrices(traj):
+    """Build the trajectory's propagator matrices now, if they fit
+    _MATRIX_BUDGET and are not built yet; returns whether it has them.
+    Charges nothing: the matrices are a cache of the products."""
     n, k = traj.system.dim, traj.n_segments
     if traj._propagators is None and n * n * k <= _MATRIX_BUDGET:
-        traj._propagators = _build_propagators(traj, objective)
+        traj._propagators = _build_propagators(traj)
     return traj._propagators is not None
 
 
@@ -327,36 +300,28 @@ def _end_correction(traj, objective):
     return f_end, (f_end * f_end).sum(axis=-1), j_bar - j_vals[end]
 
 
-def _swept(traj, v, objective, forcing):
-    """tangent_sweep_many of the rows of v (K, N) across segments 0..K-1
-    and, with an objective, each row's trapezoidal integral of
-    <dJ/du, v'> along its segment (else None)."""
-    segments = np.arange(traj.n_segments)
-    if objective is None:
-        return timestep.tangent_sweep_many(traj, segments, v,
-                                           forcing=forcing), None
-    h, dot = traj.h, objective.gradient_dot
-    acc = 0.5 * h * dot(traj.states[segments * traj.stride], v)
-    after = traj.states[1:].reshape(traj.n_segments, traj.stride, -1)
-
-    def accumulate(j, vv):
-        nonlocal acc
-        acc += (h if j < traj.stride - 1 else 0.5 * h) * dot(after[:, j], vv)
-
-    end = timestep.tangent_sweep_many(traj, segments, v, forcing=forcing,
-                                      on_step=accumulate)
-    return end, acc
-
-
 def _forced_sweep(traj, v, objective=None):
     """Forced tangent sweep of every segment from the rows of v (K, N)
     at the segment starts: the rows at the segment ends and, with an
     objective, the sensitivity of the checkpoint stack whose first K rows
-    are v (else None), _swept's integrals plus the checkpoint correction
-    <f, v'> / |f|^2 * (Jbar - J) at each segment end, over T, + dJ/ds."""
-    end, acc = _swept(traj, v, objective, forcing=True)
+    are v (else None): each row's trapezoidal integral of <dJ/du, v'>
+    along its segment, plus the checkpoint correction <f, v'> / |f|^2 *
+    (Jbar - J) at each segment end, over T, + dJ/ds."""
+    k, stride, h = traj.n_segments, traj.stride, traj.h
+    segments = np.arange(k)
     if objective is None:
-        return end, None
+        return timestep.tangent_sweep_many(traj, segments, v,
+                                           forcing=True), None
+    dot = objective.gradient_dot
+    acc = 0.5 * h * dot(traj.states[segments * stride], v)
+    after = traj.states[1:].reshape(k, stride, -1)
+
+    def accumulate(j, vv):
+        nonlocal acc
+        acc += (h if j < stride - 1 else 0.5 * h) * dot(after[:, j], vv)
+
+    end = timestep.tangent_sweep_many(traj, segments, v, forcing=True,
+                                      on_step=accumulate)
     f_end, ff, dj = _end_correction(traj, objective)
     corr = (f_end * end).sum(axis=-1) / ff * dj
     return end, (acc.sum() + corr.sum()) / traj.span + objective.param_deriv
@@ -378,24 +343,19 @@ def sensitivity_functional(traj, objective):
     assemble_rhs.  a is the transpose of the forward quadrature, one
     adjoint sweep per segment seeded at its end with h/2 dJ/du +
     (Jbar - J_end) / |f_end|^2 f_end, adding after each step the
-    trapezoid weight (h, or h/2 at the segment start) times dJ/du; on a
-    trajectory whose build kept objective's weights, those weights
-    instead.  Charges no products."""
-    k, n = traj.n_segments, traj.system.dim
-    a = np.zeros((k + 1, n))
-    kept = traj._functional
-    if kept is not None and kept[0] is objective:
-        a[:k] = kept[1]
-        return a
-    h = traj.h
-    offs = np.arange(k) * traj.stride
-    rows = timestep._stage_rows(traj, np.arange(k))
+    trapezoid weight (h, or h/2 at the segment start) times dJ/du.  The
+    only producer of the weights; charges no products."""
+    k, n, h, stride = traj.n_segments, traj.system.dim, traj.h, traj.stride
+    starts = traj.states[:-1].reshape(k, stride, -1)
     f_end, ff, dj = _end_correction(traj, objective)
     grad = objective.gradient
-    w = 0.5 * h * grad(traj.states[offs + traj.stride]) + (dj / ff)[:, None] * f_end
-    for j in range(traj.stride - 1, -1, -1):
-        u, *stages = rows(j)
-        w = timestep.adjoint_step_at(traj.system, h, u, *stages, w)
-        w += (h if j else 0.5 * h) * grad(u)
-    a[:k] = w
+    w = (0.5 * h * grad(traj.states[stride::stride])
+         + (dj / ff)[:, None] * f_end)
+
+    def source(j, rows):
+        rows += (h if j else 0.5 * h) * grad(starts[:, j])
+
+    a = np.zeros((k + 1, n))
+    a[:k] = timestep.adjoint_sweep_many(traj, np.arange(k), w,
+                                        on_step=source)
     return a

@@ -31,12 +31,12 @@ class SolveConfig:
     preconditioner: object = None
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError("gamma must be non-negative and finite")
         if self.mode not in ("none", "pre", "post"):
             raise ValueError(f"unknown regularization mode {self.mode!r}")
 

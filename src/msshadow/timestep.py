@@ -16,7 +16,8 @@ order reads each step's stage states as strided views of the stored
 arrays; other row patterns gather them.  Every array loop, primal or
 tangent, takes its RK4 step from ``rk4_kernel`` and supplies only the
 stage derivative; the C loops of ``_native``, the primal loop of a
-Lorenz or KS state and the Lorenz tangent sweep, repeat its operations.
+Lorenz or KS state and the Lorenz tangent sweep, repeat its operations,
+and their adjoint sweep those of ``adjoint_step_at``.
 """
 
 import numpy as np
@@ -26,8 +27,8 @@ from .errors import DimensionMismatch, DivergenceError
 
 def _n_steps(t_start, t_end, h):
     span = t_end - t_start
-    if span <= 0 or h <= 0:
-        raise ValueError("need a positive span and step size")
+    if not (0 < span < np.inf and h > 0):
+        raise ValueError("need a positive finite span and step size")
     n = int(round(span / h))
     if abs(n * h - span) > 1e-9 * max(abs(span), 1.0):
         raise ValueError(f"span {span} is not an integer multiple of h={h}")
@@ -150,10 +151,8 @@ class Trajectory:
         self.primal_loop = "numpy"
         self._stages = None
         # shadow's (K, N, N) projected segment propagators, built at the
-        # first product within its budget, and the (objective,
-        # sensitivity weights) summed along their build
+        # first product within its budget
         self._propagators = None
-        self._functional = None
 
     def stages(self):
         """RK4 stage states of every step, computed once and cached.
@@ -276,7 +275,7 @@ def tangent_sweep_many(traj, segments, v, forcing=False, on_step=None):
         raise DimensionMismatch("tangent batch shape mismatch")
     from . import _native  # loaded at first use, as in _rk4
     if _native.sweeps(traj):
-        return _native.tangent_sweep(traj, segments, v, forcing, on_step)
+        return _native.sweep(traj, segments, v, on_step, forcing)
     rows = _stage_rows(traj, segments)
     out = v.copy()
     step = tangent_step(traj.system, traj.h, out.shape, forcing)
@@ -287,19 +286,27 @@ def tangent_sweep_many(traj, segments, v, forcing=False, on_step=None):
     return out
 
 
-def adjoint_sweep_many(traj, segments, w):
+def adjoint_sweep_many(traj, segments, w, on_step=None):
     """Transpose counterpart of tangent_sweep_many (homogeneous only).
 
     Row i carries a terminal value at the end of segment segments[i]
-    backwards to the segment start.
+    backwards to the segment start.  ``on_step``, when given, is called
+    with (j, rows) after backward step j and may change the rows in
+    place.  The C sweep serves Lorenz's and KS's own models, as in
+    tangent_sweep_many.
     """
     segments = _check_segments(traj, segments)
     if w.shape != (segments.size, traj.system.dim):
         raise DimensionMismatch("adjoint batch shape mismatch")
+    from . import _native  # loaded at first use, as in _rk4
+    if _native.sweeps(traj, adjoint=True):
+        return _native.sweep(traj, segments, w, on_step, adjoint=True)
     rows = _stage_rows(traj, segments)
     out = w.copy()
     for j in range(traj.stride - 1, -1, -1):
         out = adjoint_step_at(traj.system, traj.h, *rows(j), out)
+        if on_step is not None:
+            on_step(j, out)
     return out
 
 

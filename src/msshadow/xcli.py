@@ -83,6 +83,9 @@ class ExperimentConfig:
     dense_cap: int = analysis.DENSE_CAP
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float and not np.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
         if self.model not in ("lorenz", "ks"):
             raise ConfigError(f"unknown model {self.model!r}")
         if not self.name:
@@ -176,7 +179,10 @@ def _convert(section, key, raw):
 def load_config(path, overrides=()):
     """Parse an INI experiment file, apply section.key=value overrides."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:  # no section header, a duplicate key
+        raise ConfigError(str(exc).splitlines()[0]) from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     entries = []
@@ -333,7 +339,7 @@ def prepare(cfg):
     traj.stages()
     parts["integrate_s"], t = time.perf_counter() - t, time.perf_counter()
     objective = build_objective(cfg, system)
-    shadow.build_matrices(traj, objective)
+    shadow.build_matrices(traj)
     parts["matrices_s"], t = time.perf_counter() - t, time.perf_counter()
     functional = shadow.sensitivity_functional(traj, objective)
     parts["functional_s"] = time.perf_counter() - t
@@ -556,8 +562,8 @@ def fd_sample(make_system, make_objective, u0, param, delta, spin_up,
 def finite_difference_reference(cfg, delta, n_samples, horizon):
     """Mean and standard error of the central-difference sensitivity
     over seeded random initial conditions, integrated as one batch."""
-    if delta <= 0:
-        raise ConfigError("finite-difference delta must be positive")
+    if not 0 < delta < np.inf:
+        raise ConfigError("finite-difference delta must be finite and > 0")
     if n_samples < 1:
         raise ConfigError("need at least one sample")
     try:

@@ -260,9 +260,7 @@ class TestBatchedSensitivity:
 
     def test_functional_matches_forward_sweep(self, case, monkeypatch):
         # KS runs with SpatialMeanSquare, whose gradient depends on the
-        # state, so a gradient taken at the wrong step shows.  A fresh
-        # trajectory has no matrices, so the functional comes from the
-        # adjoint sweep (test_build_keeps_functional covers kept weights)
+        # state, so a gradient taken at the wrong step shows
         traj, objective, _ = case
         traj = _fresh(traj)
         stacks = np.random.default_rng(13).standard_normal(
@@ -500,24 +498,24 @@ class TestPropagatorMatrices:
         u0 = np.random.default_rng(5).uniform(0.0, 1.0, 127)
         traj = ms.integrate(ks, u0, 0.0, 100.0, 0.1, stride=100)
         traj.stages()
-        objective = ms.SpatialMean(ks)
         tracemalloc.start()
         try:
-            mats = shadow._build_propagators(traj, objective)
+            mats = shadow._build_propagators(traj)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         n, stride = ks.dim, traj.stride
         kernel = (2 * (n + 4) + 4 * n) * n
         column_sweep = (stride * 4 * (n + 4) + kernel + 3 * n * n) * 8
-        assert peak - mats.nbytes - traj._functional[1].nbytes <= column_sweep
+        assert peak - mats.nbytes <= column_sweep
 
     @pytest.mark.parametrize("name", ["lorenz", "ks"])
-    def test_build_keeps_functional(self, lorenz28, ks_traj, name):
-        # a build given the objective keeps its weights along the same
-        # matrices as a build without it; the rhs and s0 are those of the
-        # forced sweep bit for bit, charged K forward products, and the
-        # kept functional agrees with the adjoint sweep's to round-off
+    def test_rhs_and_functional_beside_built_matrices(self, lorenz28,
+                                                      ks_traj, name):
+        # a trajectory whose matrices are built gets the matrices of
+        # another build, the rhs and s0 of the forced sweep, charged K
+        # forward products, and the weights of a trajectory without
+        # matrices, all bit for bit: the build leaves the functional alone
         if name == "lorenz":
             u0 = ms.advance(lorenz28, np.ones(3), -10.0, 0.0, 0.01)
             traj = ms.integrate(lorenz28, u0, 0.0, 10.0, 0.01, stride=100)
@@ -527,10 +525,8 @@ class TestPropagatorMatrices:
         k, n = traj.n_segments, traj.system.dim
         forced, s0_ref = shadow._forced_sweep(traj, np.zeros((k, n)),
                                               objective)
-        a_ref = shadow.sensitivity_functional(_fresh(traj), objective)
         fresh = _fresh(traj)
-        assert shadow.build_matrices(fresh, objective)
-        assert fresh._functional[0] is objective
+        assert shadow.build_matrices(fresh)
         assert np.array_equal(fresh._propagators,
                               shadow._build_propagators(_fresh(traj)))
         led = ms.CostLedger()
@@ -539,10 +535,9 @@ class TestPropagatorMatrices:
         assert np.array_equal(b, ms.project_off_flow(
             shadow._endpoint_f(traj, np.arange(k)), forced))
         assert s0 == s0_ref
-        a = shadow.sensitivity_functional(fresh, objective)
-        assert np.array_equal(a[:-1], fresh._functional[1])
-        assert (a[-1] == 0.0).all()
-        assert np.abs(a - a_ref).max() <= 1e-13 * np.abs(a_ref).max()
+        assert np.array_equal(shadow.sensitivity_functional(fresh, objective),
+                              shadow.sensitivity_functional(_fresh(traj),
+                                                            objective))
 
 
 class TestCostLedger:

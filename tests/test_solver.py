@@ -117,6 +117,12 @@ class TestCgSolve:
         with pytest.raises(ValueError):
             ms.SolveConfig(mode="sideways")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["tol", "gamma"])
+    def test_config_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError):
+            ms.SolveConfig(**{name: value})
+
     def test_csv_serialization(self, tmp_path):
         rng = np.random.default_rng(7)
         mat, _ = random_spd(6, rng)

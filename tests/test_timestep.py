@@ -291,22 +291,18 @@ class TestLorenzTangentKernel:
                                  wide[:, ::2], traj.fvals, traj.stride)
             traj._stages = lorenz_traj.stages()
         assert not _native.sweeps(traj)
-        monkeypatch.setattr(_native, "tangent_sweep", None)  # C calls fail
+        monkeypatch.setattr(_native, "sweep", None)  # C calls fail
         for forcing, end in zip((False, True), want):
             assert np.array_equal(timestep.tangent_sweep_many(
                 traj, segments, v, forcing=forcing), end)
 
     def test_matrices_equal_generic_row_build(self, lorenz_traj):
-        # the propagator matrices and the weights kept with them, swept in
-        # C, equal GenericLorenz's row build bit for bit
-        objective = ms.LorenzZ()
-        builds = []
-        for traj in (self._copy(lorenz_traj, lorenz_traj.system),
-                     self._generic(lorenz_traj)):
-            builds.append((shadow._build_propagators(traj, objective),
-                           traj._functional[1]))
-        assert np.array_equal(builds[0][0], builds[1][0])
-        assert np.array_equal(builds[0][1], builds[1][1])
+        # the propagator matrices, swept in C, equal GenericLorenz's row
+        # build bit for bit
+        builds = [shadow._build_propagators(traj) for traj in (
+            self._copy(lorenz_traj, lorenz_traj.system),
+            self._generic(lorenz_traj))]
+        assert np.array_equal(builds[0], builds[1])
 
     def test_input_left_unchanged(self, lorenz_traj):
         # the sweep steps a copy of v, never v itself
@@ -315,6 +311,127 @@ class TestLorenzTangentKernel:
         out = timestep.tangent_sweep_many(lorenz_traj, [1], v, forcing=True)
         assert np.array_equal(v, keep)
         assert not np.array_equal(out, v)
+
+
+def _ks_trajectory(n, h):
+    """A short KS path at N = n, three segments of 10 steps."""
+    ks = ms.KuramotoSivashinsky(n=n, length=128.0, c=0.8)
+    u0 = np.random.default_rng(n).uniform(0.0, 1.0, n)
+    return ms.integrate(ks, u0, 0.0, 30 * h, h, stride=10)
+
+
+class OwnTransposeKS(ms.KuramotoSivashinsky):
+    """KS through the generic adjoint step: a subclass that redefines
+    jacobian_transpose_apply gets no compiled adjoint sweep."""
+
+    def jacobian_transpose_apply(self, u, w):
+        return super().jacobian_transpose_apply(u, w)
+
+
+class TestCompiledAdjoint:
+    """The compiled adjoint sweep of Lorenz and KS against the array loop."""
+
+    TRAJECTORIES = {
+        "lorenz": lambda request: request.getfixturevalue("lorenz_traj"),
+        "ks-31": lambda request: request.getfixturevalue("ks_traj"),
+        "ks-127": lambda request: _ks_trajectory(127, 0.1),
+        "ks-255": lambda request: _ks_trajectory(255, 0.01),
+    }
+
+    @pytest.fixture(params=sorted(TRAJECTORIES))
+    def traj(self, request):
+        return self.TRAJECTORIES[request.param](request)
+
+    @pytest.mark.parametrize("order", ["in_order", "gathered"])
+    def test_matches_array_loop(self, traj, order, monkeypatch):
+        # the compiled sweep and the array loop agree bit for bit at the
+        # segment starts and in the rows handed to on_step, and on_step's
+        # changes to the rows carry into the next step
+        k, n = traj.n_segments, traj.system.dim
+        segments = np.arange(k) if order == "in_order" else np.array(
+            [k - 1, 0, 2, 2])
+        w = np.random.default_rng(9).standard_normal((segments.size, n))
+        assert _native.sweeps(traj, adjoint=True) == (
+            _native.library() is not None)
+
+        def run():
+            seen = []
+
+            def on_step(j, rows):
+                seen.append((j, rows.copy()))
+                rows *= 0.5
+
+            return timestep.adjoint_sweep_many(traj, segments, w,
+                                               on_step=on_step), seen
+
+        (out, seen), (ref, ref_seen) = _loops(monkeypatch, run)
+        assert np.array_equal(out, ref)
+        assert [j for j, _ in seen] == list(range(traj.stride - 1, -1, -1))
+        assert [j for j, _ in ref_seen] == [j for j, _ in seen]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(seen,
+                                                                  ref_seen))
+        whole, ref_whole = _loops(monkeypatch, lambda: (
+            timestep.adjoint_sweep_many(traj, segments, w)))
+        assert np.array_equal(whole, ref_whole)
+
+    @pytest.mark.parametrize("case", ["no_library", "subclass",
+                                      "strided_states"])
+    @pytest.mark.parametrize("model", ["lorenz", "ks"])
+    def test_array_loop_gives_the_same_bits(self, lorenz_traj, ks_traj,
+                                            model, case, monkeypatch):
+        # without the library, for a subclass that redefines the
+        # transpose and on stored states that are not C-contiguous, the
+        # sweep takes the array loop, with the compiled sweep's rows
+        traj = lorenz_traj if model == "lorenz" else ks_traj
+        n = traj.system.dim
+        segments = np.array([3, 0, 2, 2])
+        w = np.random.default_rng(10).standard_normal((4, n))
+        want = timestep.adjoint_sweep_many(traj, segments, w)
+        states, system = traj.states, traj.system
+        if case == "no_library":
+            monkeypatch.setattr(_native, "_lib", False)
+        elif case == "subclass":
+            system = (GenericLorenz(rho=system.rho) if model == "lorenz"
+                      else OwnTransposeKS(n, system.length, system.c))
+        else:
+            wide = np.zeros((len(states), 2 * n))
+            wide[:, ::2] = states
+            states = wide[:, ::2]
+        copy = ms.Trajectory(system, traj.t_start, traj.h, states,
+                             traj.fvals, traj.stride)
+        copy._stages = traj.stages()
+        assert not _native.sweeps(copy, adjoint=True)
+        monkeypatch.setattr(_native, "sweep", None)  # C calls fail
+        assert np.array_equal(
+            timestep.adjoint_sweep_many(copy, segments, w), want)
+
+    @pytest.mark.parametrize("n, h", [(127, 0.1), (255, 0.01)])
+    def test_duality_with_array_tangent(self, n, h):
+        # the compiled KS adjoint is the transpose of the NumPy KS tangent
+        traj = _ks_trajectory(n, h)
+        k = traj.n_segments
+        assert _native.sweeps(traj, adjoint=True) == (
+            _native.library() is not None)
+        assert not _native.sweeps(traj)
+        rng = np.random.default_rng(n)
+        v, w = rng.standard_normal((2, k, n))
+        tv = timestep.tangent_sweep_many(traj, np.arange(k), v)
+        aw = timestep.adjoint_sweep_many(traj, np.arange(k), w)
+        lhs, rhs = (tv * w).sum(axis=1), (v * aw).sum(axis=1)
+        scale = np.linalg.norm(tv, axis=1) * np.linalg.norm(w, axis=1)
+        assert (np.abs(lhs - rhs) <= 1e-13 * scale).all()
+
+    @pytest.mark.parametrize("model", ["lorenz", "ks"])
+    def test_functional_same_bits_without_library(self, lorenz_traj, ks_traj,
+                                                  model, monkeypatch):
+        # the weights from the compiled sweep, with the source added
+        # after each step, equal those of the array loop
+        traj = lorenz_traj if model == "lorenz" else ks_traj
+        objective = (ms.LorenzZ() if model == "lorenz"
+                     else ms.SpatialMeanSquare(traj.system))
+        out, ref = _loops(monkeypatch, lambda: shadow.sensitivity_functional(
+            traj, objective))
+        assert np.array_equal(out, ref)
 
 
 class DampedLorenz(ms.Lorenz):

@@ -78,6 +78,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             xcli.load_config(path)
 
+    @pytest.mark.parametrize("text", ["model = lorenz\n",
+                                      "[model]\nrho = 28\nrho = 40\n"],
+                             ids=["no_section", "duplicate_key"])
+    def test_unparsable_file_exits_2(self, tmp_path, text):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            xcli.load_config(path)
+        assert xcli.main(["run", "--config", str(path)]) == xcli.EXIT_CONFIG
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             xcli.load_config(tmp_path / "absent.ini")
@@ -415,6 +425,19 @@ class TestRunExperiment:
         code = xcli.main(["run", "--config", str(path), "--set", override])
         assert code == xcli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", [
+        f"{section}.{key}" for section, keys in xcli._SCHEMA.items()
+        for key in keys if xcli._FIELD_TYPES.get(key) is float])
+    def test_main_rejects_non_finite_before_integration(
+            self, lorenz_ini, monkeypatch, key, value):
+        # every float field of the config, the model constants of the
+        # other model too
+        _forbid_integration(monkeypatch)
+        code = xcli.main(["run", "--config", str(lorenz_ini),
+                          "--set", f"{key}={value}"])
+        assert code == xcli.EXIT_CONFIG
+
     @pytest.mark.parametrize("command, extra", [
         ("picard", []),
         ("run", ["--set", "analysis.truncated_sweep=true"]),
@@ -563,14 +586,14 @@ class TestKeptProblem:
     def test_warm_request_sweeps_only_the_rhs(self, lorenz_ini, monkeypatch):
         # the sensitivity functional is kept with the trajectory and the
         # zero stack's sensitivity comes with the rhs: a cold request
-        # sweeps the K unit rows of each direction for the matrices and
-        # the functional and the K forced rows of the rhs, a warm one the
-        # rhs alone, and neither runs an adjoint step; both agree with the
-        # forward-sweep reference to round-off.  Row-steps are counted as
-        # rows x stride per tangent sweep, whichever loop runs it, and as
-        # rows per adjoint step
+        # sweeps the K unit rows of each direction for the matrices, the K
+        # adjoint rows of the functional and the K forced rows of the rhs,
+        # a warm one the rhs alone; both agree with the forward-sweep
+        # reference to round-off.  Row-steps are counted as rows x stride
+        # per sweep, whichever loop runs it
         steps = {}
-        tangent, adjoint = timestep.tangent_sweep_many, timestep.adjoint_step_at
+        tangent = timestep.tangent_sweep_many
+        adjoint = timestep.adjoint_sweep_many
 
         def count(kind, n):
             steps[kind] = steps.get(kind, 0) + n
@@ -580,16 +603,16 @@ class TestKeptProblem:
                   len(segments) * traj.stride)
             return tangent(traj, segments, v, forcing=forcing, **kw)
 
-        def adjoint_spy(system, h, *rows):
-            count("adjoint", len(rows[-1]))
-            return adjoint(system, h, *rows)
+        def adjoint_spy(traj, segments, w, **kw):
+            count("adjoint", len(segments) * traj.stride)
+            return adjoint(traj, segments, w, **kw)
 
         monkeypatch.setattr(timestep, "tangent_sweep_many", tangent_spy)
-        monkeypatch.setattr(timestep, "adjoint_step_at", adjoint_spy)
+        monkeypatch.setattr(timestep, "adjoint_sweep_many", adjoint_spy)
         cfg = xcli.load_config(lorenz_ini)
         rows = cfg.n_segments * cfg.stride
         for reused, expected in ((False, {"tangent": 3 * rows,
-                                          "forced": rows}),
+                                          "adjoint": rows, "forced": rows}),
                                  (True, {"forced": rows})):
             steps.clear()
             result = xcli.run_pipeline(cfg)
@@ -722,6 +745,17 @@ class TestSweep:
         code = xcli.main(["fd-ref", "--config", str(lorenz_ini),
                           "--delta", "1.0", "--samples", "2",
                           "--horizon", horizon])
+        assert code == xcli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("option", ["--delta", "--horizon"])
+    def test_main_fd_ref_rejects_non_finite_before_integration(
+            self, lorenz_ini, monkeypatch, option, value):
+        # the last of two values counts; "=" keeps "-inf" a value
+        _forbid_integration(monkeypatch)
+        code = xcli.main(["fd-ref", "--config", str(lorenz_ini),
+                          "--samples", "2", "--delta=1.0", "--horizon=10.0",
+                          f"{option}={value}"])
         assert code == xcli.EXIT_CONFIG
 
     def test_main_fd_ref(self, lorenz_ini, capsys, tmp_path):
