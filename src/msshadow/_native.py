@@ -1,23 +1,25 @@
-"""The single-state primal RK4 loops, the Lorenz tangent sweep and the
-adjoint sweeps of Lorenz and Kuramoto-Sivashinsky in C, compiled at
-first use.
+"""The single-state primal RK4 loops and the tangent and adjoint sweeps
+of Lorenz and Kuramoto-Sivashinsky in C, compiled at first use.
 
 ``rk4`` runs n classical RK4 steps of one Lorenz or Kuramoto-Sivashinsky
 state with the element operations of ``timestep.rk4_kernel`` over
 ``Lorenz.rhs`` or ``KuramotoSivashinsky.rhs`` in their order, and
-``sweep`` steps Lorenz tangent rows with those of
-``timestep.tangent_step`` over ``Lorenz.jacobian_apply`` and
-``param_deriv``, or adjoint rows of either model with those of
-``timestep.adjoint_step_at`` over ``jacobian_transpose_apply``, so all
-are bit-identical to the array loops, which stay the reference and the
-fallback.  The source below is
-compiled by ``sysconfig``'s C compiler with flags that forbid
+``sweep`` steps tangent rows of either model with those of
+``timestep.tangent_step`` over ``jacobian_apply`` and ``param_deriv``,
+or adjoint rows with those of ``timestep.adjoint_step_at`` over
+``jacobian_transpose_apply``, so all are bit-identical to the array
+loops, which stay the reference and the fallback.  The source below is
+compiled by ``sysconfig``'s C compiler at -O3, with flags that forbid
 contraction and reordering, at the first loop of a process, into a
 shared library in the package's ``__pycache__`` named by the CRC-32 of
-the source and the flags, and later processes load it with ``ctypes``
-without looking up the compiler.  Without a compiler, when the compile
-fails, or when ``__pycache__`` holds no library and is not writable,
-``serves`` and ``sweeps`` are false and the array loops run.
+the source and the flags; the build removes the libraries of earlier
+sources from that folder, and later processes load it with ``ctypes``
+without looking up the compiler.  With GCC on x86-64 Linux the KS
+tangent kernel is compiled in clones for x86-64-v4, v3 and the
+baseline, and the CPU picks one at load time.  Without a compiler,
+when the compile fails, or when ``__pycache__`` holds no library and is
+not writable, ``serves`` and ``sweeps`` are false and the array loops
+run.
 """
 
 import ctypes
@@ -30,7 +32,7 @@ import numpy as np
 from .dynsys import KuramotoSivashinsky, Lorenz, own_model
 from .errors import DimensionMismatch, DivergenceError
 
-_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-x", "c", "-",
+_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared", "-x", "c", "-",
           "-lm")
 
 # lorenz_rk4 and ks_rk4(n, steps, every, h, par, u, states, fvals, s2,
@@ -50,7 +52,9 @@ _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-x", "c", "-",
 # c_s, and the update is v + (((k_0 + k_1 2) + k_2 2) + k_3) h/6, the
 # order of timestep.tangent_step.  Unforced, df/drho is -0.0, which
 # leaves every value as it is; forced, param_deriv's (+0.0, x, +0.0).
-# lorenz_adjoint and ks_adjoint: see adjoint below.
+# ks_tangent: see below; lorenz_adjoint and ks_adjoint: see adjoint.
+# The Lorenz loops pass n = 3 as a literal, so that rk4 and adjoint
+# specialise for it.
 _SOURCE = r"""
 #include <math.h>
 #include <stdlib.h>
@@ -174,7 +178,7 @@ long lorenz_rk4(long n, long steps, long every, double h, const double *par,
                 double *u, double *states, double *fvals, double *s2,
                 double *s3, double *s4)
 {
-    return rk4(lorenz_f, n, steps, every, h, par, u, states, fvals, s2, s3,
+    return rk4(lorenz_f, 3, steps, every, h, par, u, states, fvals, s2, s3,
                s4);
 }
 
@@ -208,6 +212,138 @@ long lorenz_tangent(long m, long j0, long n, double h, const double *par,
                 r[e] += (k[0][e] + k[1][e] * 2.0 + k[2][e] * 2.0 + k[3][e]) * h6;
         }
     }
+    return 0;
+}
+
+/* rows that ks_tangent steps together: entries on the outer axis and
+   KB rows on the inner one, so each stencil loop runs across rows */
+#define KB 8
+
+/* the KS tangent kernel in clones for x86-64-v4, v3 and the baseline,
+   picked by the CPU at load time; plain C where GCC's ifunc clones are
+   not available */
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) \
+    && defined(__gnu_linux__)
+#define CLONES __attribute__((target_clones("arch=x86-64-v4", \
+                                            "arch=x86-64-v3", "default")))
+#else
+#define CLONES
+#endif
+
+/* x + c and -D1 x of the stage row r, padded as in _pad into t, whose
+   slots 1 and n + 2 stay zero, to xc (nodes 1 .. n + 2) and fd (nodes
+   0 .. n - 1) at node stride rs: KuramotoSivashinsky.jacobian_apply's
+   pu + c and param_deriv */
+static inline void ks_lane(long n, const double *par, const double *r,
+                           double *restrict t, double *restrict xc,
+                           double *restrict fd, long rs)
+{
+    memcpy(t + 2, r, n * sizeof(double));
+    for (long i = 1; i < n + 3; i++)
+        xc[i * rs] = t[i] + par[0];
+    for (long i = 0; fd && i < n; i++)
+        fd[i * rs] = (t[i + 1] - t[i + 3]) / par[1];
+}
+
+/* out (n, KB) = J p, plus fd when forced, for rows p (n + 4, KB) with
+   entries from node 2 and zero nodes 1 and n + 2: -D1 q - (D2 + D4) p
+   with q = (x + c) p, in the order of ks_f.  xc and fd hold a column
+   per row (lanes 1, node stride KB) or one column for all rows (lanes
+   0, node stride 1); each call site passes a literal, so that the
+   loops specialise.  The row loop is not unrolled, so that it, not the
+   node loop, is vectorised */
+static inline void
+ks_j(long n, const double *par, const double *restrict xc,
+     const double *restrict fd, long lanes, double *restrict p,
+     double *restrict out)
+{
+    double dx2 = par[1], a4 = par[2], b24 = par[3], c24 = par[4];
+    long rs = lanes ? KB : 1;
+    for (int b = 0; b < KB; b++) {
+        p[b] = p[2 * KB + b];
+        p[(n + 3) * KB + b] = p[(n + 1) * KB + b];
+    }
+    for (long i = 0; i < n; i++) {
+        const double *q = p + i * KB, *x = xc + i * rs;
+        double *o = out + i * KB;
+#pragma GCC unroll 1
+        for (int b = 0; b < KB; b++) {
+            double v = (q[4 * KB + b] + q[b]) * a4
+                       + (q[3 * KB + b] + q[KB + b]) * b24;
+            o[b] = (x[rs + b * lanes] * q[KB + b]
+                    - x[3 * rs + b * lanes] * q[3 * KB + b]) / dx2
+                   - (v + q[2 * KB + b] * c24);
+        }
+        if (fd)
+#pragma GCC unroll 1
+            for (int b = 0; b < KB; b++)
+                o[b] = o[b] + fd[i * rs + b * lanes];
+    }
+}
+
+/* ks_tangent(n, m, j0, steps, h, par, offs, u, s2, s3, s4, v) runs
+   steps j0 .. j0 + steps - 1 of the discrete tangent RK4 map on each
+   row i of v (m, n) in place, at the stage rows offs[i] + j, and returns
+   0, or -1 when out of memory; par is that of ks_rk4 and 1 if forced,
+   else 0.  Blocks of KB rows are stepped at once, entry-major, with
+   each stage state's x + c (and -D1 x) laid out once per stage and
+   step, one for the block when its rows share a segment.  The stage
+   derivative of each row is that of ks_j, and the update that of
+   timestep.rk4_kernel: w = v + k_1 h/2, w = v + k_2 h/2, w = v + k_3 h
+   with acc = ((k_1 + k_2 2) + k_3 2), and v + (acc + k_4) h/6 */
+CLONES long ks_tangent(long n, long m, long j0, long steps, double h,
+                       const double *par, const long *offs, const double *u,
+                       const double *s2, const double *s3, const double *s4,
+                       double *v)
+{
+    long e = n + 4;
+    double *buf = calloc((3 * e + 3 * n) * KB + e, sizeof(double));
+    if (!buf)
+        return -1;
+    double *pv = buf, *pw = pv + e * KB, *xc = pw + e * KB, *acc = xc + e * KB;
+    double *k = acc + n * KB, *fd = par[5] ? k + n * KB : NULL;
+    double *t = k + 2 * n * KB;
+    const double *xs[4] = {u, s2, s3, s4};
+    double c[3] = {0.5 * h, 0.5 * h, h}, h6 = h / 6.0;
+    for (long r0 = 0; r0 < m; r0 += KB) {
+        /* lanes past the last row repeat its segment and step zeros */
+        long rows = m - r0 < KB ? m - r0 : KB, lane[KB];
+        int shared = 1;
+        for (int b = 0; b < KB; b++) {
+            lane[b] = offs[r0 + (b < rows ? b : rows - 1)];
+            shared &= lane[b] == lane[0];
+        }
+        for (long i = 0; i < n; i++)
+            for (int b = 0; b < KB; b++)
+                pv[(i + 2) * KB + b] = b < rows ? v[(r0 + b) * n + i] : 0.0;
+        for (long j = j0; j < j0 + steps; j++) {
+            for (int s = 0; s < 4; s++) {
+                double *in = s ? pw : pv, *out = s ? k : acc;
+                if (shared) {
+                    ks_lane(n, par, xs[s] + n * (lane[0] + j), t, xc, fd, 1);
+                    ks_j(n, par, xc, fd, 0, in, out);
+                } else {
+                    for (int b = 0; b < KB; b++)
+                        ks_lane(n, par, xs[s] + n * (lane[b] + j), t, xc + b,
+                                fd ? fd + b : NULL, KB);
+                    ks_j(n, par, xc, fd, 1, in, out);
+                }
+                if (s == 3)
+                    break;
+                for (long i = 0; i < n * KB; i++) {
+                    pw[2 * KB + i] = pv[2 * KB + i] + out[i] * c[s];
+                    if (s)
+                        acc[i] = acc[i] + k[i] * 2.0;
+                }
+            }
+            for (long i = 0; i < n * KB; i++)
+                pv[2 * KB + i] = pv[2 * KB + i] + (acc[i] + k[i]) * h6;
+        }
+        for (long i = 0; i < n; i++)
+            for (int b = 0; b < rows; b++)
+                v[(r0 + b) * n + i] = pv[(i + 2) * KB + b];
+    }
+    free(buf);
     return 0;
 }
 
@@ -253,7 +389,7 @@ long lorenz_adjoint(long n, long m, long j0, long steps, double h,
                     const double *s2, const double *s3, const double *s4,
                     double *w)
 {
-    return adjoint(lorenz_jt, n, m, j0, steps, h, par, offs, u, s2, s3, s4, w);
+    return adjoint(lorenz_jt, 3, m, j0, steps, h, par, offs, u, s2, s3, s4, w);
 }
 
 long ks_adjoint(long n, long m, long j0, long steps, double h,
@@ -279,7 +415,8 @@ def _compiler():
 
 def _build(path):
     """Compile the source to path, through a temporary name so that a
-    concurrent process never loads a half-written file.  No compiler,
+    concurrent process never loads a half-written file, and remove the
+    libraries of other sources and flags from its folder.  No compiler,
     or a failed compile, raises OSError."""
     cc = _compiler()
     if cc is None:
@@ -296,6 +433,14 @@ def _build(path):
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+    folder, name = os.path.split(path)
+    for stale in os.listdir(folder):
+        if (stale != name and stale.startswith("msshadow_rk4_")
+                and stale.endswith(".so")):
+            try:
+                os.remove(os.path.join(folder, stale))
+            except OSError:  # removed by a concurrent build, or not ours
+                pass
 
 
 def _path():
@@ -316,11 +461,12 @@ def _load():
     except OSError:
         return None
     long, ptr = ctypes.c_long, ctypes.c_void_p
-    for fn in (lib.lorenz_rk4, lib.ks_rk4, lib.lorenz_tangent,
-               lib.lorenz_adjoint, lib.ks_adjoint):
-        fn.restype = long
-        fn.argtypes = ((long,) * (4 if "adjoint" in fn.__name__ else 3)
-                       + (ctypes.c_double,) + (ptr,) * 7)
+    for names, longs in ((("lorenz_rk4", "ks_rk4", "lorenz_tangent"), 3),
+                         (("ks_tangent", "lorenz_adjoint", "ks_adjoint"), 4)):
+        for name in names:
+            fn = getattr(lib, name)
+            fn.restype = long
+            fn.argtypes = (long,) * longs + (ctypes.c_double,) + (ptr,) * 7
     return lib
 
 
@@ -342,15 +488,13 @@ def serves(system):
             and library() is not None)
 
 
-def sweeps(traj, adjoint=False):
-    """Whether a C sweep steps traj's rows: its system has Lorenz's own
-    model (dynsys.own_model), or for the adjoint one the loop ``serves``,
-    the library is loaded, and its states and stages are C-contiguous
-    float rows."""
-    return ((serves(traj.system) if adjoint else
-             own_model(traj.system, Lorenz) and library() is not None)
-            and all(a.dtype == float and a.flags.c_contiguous
-                    for a in (traj.states, *traj.stages())))
+def sweeps(traj):
+    """Whether the C sweeps, tangent and adjoint, step traj's rows: the
+    loop ``serves`` its system, and its states and stages are
+    C-contiguous float rows."""
+    return serves(traj.system) and all(
+        a.dtype == float and a.flags.c_contiguous
+        for a in (traj.states, *traj.stages()))
 
 
 def _model(system):
@@ -367,10 +511,11 @@ def sweep(traj, segments, v, on_step=None, forcing=False, adjoint=False):
     trajectory that ``sweeps``: one call for all steps, or one per step
     followed by on_step(j, rows) when on_step is given."""
     name, par = _model(traj.system)
-    if adjoint:
-        fn = partial(getattr(library(), f"{name}_adjoint"), traj.system.dim)
-    else:
-        fn, par = library().lorenz_tangent, (*par, float(forcing))
+    fn = getattr(library(), f"{name}_{'adjoint' if adjoint else 'tangent'}")
+    if not adjoint:
+        par = (*par, float(forcing))
+    if (name, adjoint) != ("lorenz", False):
+        fn = partial(fn, traj.system.dim)
     stride = traj.stride
     offs = np.asarray(segments * stride, dtype=ctypes.c_long)
     par, out = np.array(par), np.array(v, dtype=float, order="C")
@@ -380,7 +525,7 @@ def sweep(traj, segments, v, on_step=None, forcing=False, adjoint=False):
     n = stride if on_step is None else 1
     for j in range(stride - n, -1, -n) if adjoint else range(0, stride, n):
         if fn(len(out), j, n, traj.h, *args) < 0:
-            raise MemoryError("adjoint work buffers")
+            raise MemoryError("sweep work buffers")
         if on_step is not None:
             on_step(j, out)
     return out

@@ -4,27 +4,21 @@ Every system exposes the right-hand side f(u, s) of du/dt = f(u, s),
 its Jacobian action and exact transpose, and the derivative of f with
 respect to the single control parameter s.  All operations accept
 arrays of shape (..., N) and act on the last axis, so they can be
-applied to a whole batch of states at once.  The exception is the fast
-path of the Kuramoto-Sivashinsky kernel behind ``tangent_columns``,
-which works on axis 0 of preallocated buffers so that every stencil
-shift is one contiguous block (``tangent_columns`` probes banded
-one-step maps with it and joins them by matrix products) and takes its
-RK4 step from ``timestep.rk4_kernel``.  Lorenz's tangent sweeps and the
-adjoint sweeps of both systems run in C (``_native``) when a compiler
-works.
+applied to a whole batch of states at once.  The primal loops and the
+tangent and adjoint sweeps of both systems' own models run in C
+(``_native``) when a compiler works, with the operations of these
+methods in their order.
 """
 
 import numpy as np
 
-from . import timestep
 from .errors import DimensionMismatch
 
 
 def own_model(system, cls):
     """Whether system's class takes rhs and its derivatives unchanged
     from cls: the one rule by which a fast path written for cls's model
-    (KuramotoSivashinsky.tangent_columns, the C loops and sweeps of
-    _native) serves system.  A subclass that redefines any of them runs
+    (the C loops and sweeps of _native) serves system.  A subclass that redefines any of them runs
     the generic path through its own methods."""
     return all(getattr(type(system), m) is getattr(cls, m) for m in (
         "rhs", "jacobian_apply", "jacobian_transpose_apply", "param_deriv"))
@@ -201,86 +195,6 @@ class KuramotoSivashinsky(DynamicalSystem):
     def param_deriv(self, u):
         _check_dim(self, u)
         return -self._d1(u)
-
-    def tangent_columns(self, h):
-        """columns(u, s2, s3, s4): the discrete tangent
-        propagator (N, N) across the steps whose RK4 stage states are the
-        rows of u, s2, s3, s4 (m, N), as the product V <- T_j V of the
-        one-step maps; None for a subclass that redefines a model method
-        (own_model).  Each stage's Jacobian reaches two nodes, so T_j is
-        banded with half-width 8, and w = 17 colour columns (column c the
-        sum of e_k over k = c mod w) swept one step through the probe
-        kernel give every entry of its band exactly.  A kernel call
-        probes g = N // w steps, so its buffers hold no more columns than
-        N unit columns would; the product runs on row blocks of w rows,
-        each over the columns its band reaches.  Column c equals
-        timestep.tangent_step's sweep of the row e_c to round-off."""
-        if not own_model(self, KuramotoSivashinsky):
-            return None
-        n, reach = self.dim, 4 * 2
-        w = min(n, 2 * reach + 1)
-        g, wide = n // w, w + 2 * reach
-        rows, cols = np.nonzero(abs(np.subtract.outer(np.arange(n),
-                                                      np.arange(n))) <= reach)
-        # T_j's band as row blocks (w, w + 2 reach): block b holds the
-        # rows from b w and the columns from max(b w - reach, 0)
-        tops = range(0, n, w)
-        starts = np.maximum(np.array(tops) - reach, 0)
-        dst = rows * wide + cols - starts[rows // w]
-        src = rows * (g * w) + cols % w
-        band, t = np.empty(len(dst)), np.zeros((len(tops), w, wide))
-        blocks = [(t[b, :min(w, n - r), :min(r + w + reach, n) - c],
-                   slice(c, r + w + reach), slice(r, r + w))
-                  for b, (r, c) in enumerate(zip(tops, starts))]
-        # stage states + c, zero-bordered with mirrored ghost rows as _pad
-        x = np.full((4, n + 4, g, 1), self.c)
-        # probes: stage inputs in p, zero-bordered with mirrored ghost rows;
-        # jacobian_apply's -D1 q - (D2 + D4) p, q = (x + c) p, element for
-        # element (-D1 q as (q1 - q3) / 2 dx flips only an exact zero's sign)
-        p, q = np.zeros((2, n + 4, g, w))
-        t1, t2 = np.empty((2, n, g, w))
-        a4, b24, c24, dx2 = map(np.array, (self._a4, self._b24, self._c24,
-                                           2.0 * self.dx))
-        inner, p4, p0, p3, p1 = p[2:-2], p[4:], p[:-4], p[3:-1], p[1:-3]
-        q1, q3 = q[1:-3], q[3:-1]
-        add, mul = np.add, np.multiply
-
-        def deriv(x, i, y, out):
-            if y is not inner:  # stage 0's input, the probes themselves
-                np.copyto(inner, y)
-            p[0], p[-1] = p[2], p[-3]
-            mul(x[i], p, q)
-            mul(add(p4, p0, t1), a4, t1)
-            add(t1, mul(add(p3, p1, t2), b24, t2), t1)
-            add(t1, mul(inner, c24, t2), t1)
-            np.divide(np.subtract(q1, q3, out), dx2, out)
-            np.subtract(out, t1, out)
-
-        step = timestep.rk4_kernel(h, inner, deriv)
-        out, colour = np.empty((n, g, w)), (np.arange(n), slice(None),
-                                            np.arange(n) % w)
-
-        def columns(u, s2, s3, s4):
-            v, vt = np.eye(n), np.empty((n, n))
-            for j0 in range(0, len(u), g):
-                # a last group of r < g steps leaves earlier states in the
-                # other slots, whose probes go unread
-                r = min(g, len(u) - j0)
-                for i, a in enumerate((u, s2, s3, s4)):
-                    np.add(a[j0:j0 + r].T, self.c, x[i, 2:-2, :r, 0])
-                x[:, 0], x[:, -1] = x[:, 2], x[:, -3]
-                out.fill(0.0)
-                out[colour] = 1.0
-                step(out, x)
-                for j in range(r):
-                    np.take(out, src + j * w, out=band)
-                    np.put(t, dst, band)
-                    for tb, cs, rs in blocks:
-                        np.matmul(tb, v[cs], vt[rs])
-                    v, vt = vt, v
-            return v
-
-        return columns
 
 
 class Objective:

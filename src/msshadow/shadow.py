@@ -17,18 +17,14 @@ and is never assembled for the solve.
 
 A product with Phi_i or its transpose is a tangent or adjoint sweep
 across the segment.  A trajectory may instead keep its projected
-propagators as (N, N) matrices, built from sweeps of the unit
-directions, and serve products as matrix products.  A system with a
-``tangent_columns`` kernel (Kuramoto-Sivashinsky) builds them one
-segment at a time: the banded one-step maps of the segment's steps,
-read off colour-probe columns, are joined by matrix products, which
-reorders the arithmetic at round-off, and the propagator is then
-projected off the flow.  Any other system sweeps the unit rows of all
-segments together, one direction per batch, which gives the swept
-products bit for bit; on Lorenz the sweeps run in C.  The weights of
-the sensitivity functional come from one adjoint sweep of all segments
-(sensitivity_functional), whatever the trajectory keeps.  The segments
-are independent, as in the paper's time-parallel preconditioner.  A
+propagators as (N, N) matrices and serve products as matrix products.
+Every system builds them the same way: one tangent sweep of the N unit
+rows of every segment, which gives the swept products bit for bit, then
+the projection off the flow; on Lorenz's and KS's own models the sweep
+runs in C.  The weights of the sensitivity functional come from one
+adjoint sweep of all segments (sensitivity_functional), whatever the
+trajectory keeps.  The segments are independent, as in the paper's
+time-parallel preconditioner.  A
 trajectory builds the matrices at its first product when all N * N * K
 entries fit _MATRIX_BUDGET (2 MB): the build costs under N products per
 segment of wall time, which the preconditioner (2q(l+2) per segment)
@@ -110,39 +106,23 @@ def _endpoint_f(traj, segments):
 def _build_propagators(traj):
     """Projected propagators of all segments as a (K, N, N) array.
 
-    Column c of matrix i is the projected sweep of the unit vector e_c
-    across segment i.  A system whose ``tangent_columns`` gives a kernel
-    builds each segment's propagator from its one-step maps.  Any other
-    (a subclass that redefines a model method too) sweeps its unit rows
-    through _row_propagators.
+    The N unit rows of every segment, swept in one batch grouped by
+    segment, give the stack of F_i^T; it is projected and transposed in
+    place into Phi_i = P_i F_i, ceil(K / N) segments at a time, so the
+    projection's temporaries hold about K * N floats, one (K, N) batch.
     """
-    n, k, stride = traj.system.dim, traj.n_segments, traj.stride
-    kernel = getattr(traj.system, "tangent_columns", None)
-    columns = kernel(traj.h) if kernel else None
-    if columns is None:
-        return _row_propagators(traj)
-    s2, s3, s4 = traj.stages()
-    f_end = _endpoint_f(traj, np.arange(k))
-    mats = np.empty((k, n, n))
-    for i in range(k):
-        span = slice(i * stride, (i + 1) * stride)
-        prop = columns(traj.states[span], s2[span], s3[span], s4[span])
-        # project each column as a contiguous row, as _row_propagators does
-        mats[i] = project_off_flow(np.broadcast_to(f_end[i], (n, n)),
-                                   prop.T.copy()).T
-    return mats
-
-
-def _row_propagators(traj):
-    """_build_propagators for any system: the unit rows of all segments,
-    swept one direction per batch, give F_i^T and Phi_i = P_i F_i."""
     n, k = traj.system.dim, traj.n_segments
-    ft = np.empty((k, n, n))
-    for c in range(n):
-        ft[:, c] = timestep.tangent_sweep_many(traj, np.arange(k),
-                                               np.eye(n)[np.full(k, c)])
-    f_end = np.broadcast_to(_endpoint_f(traj, np.arange(k))[:, None], (k, n, n))
-    return np.ascontiguousarray(project_off_flow(f_end, ft).transpose(0, 2, 1))
+    mats = timestep.tangent_sweep_many(traj, np.repeat(np.arange(k), n),
+                                       np.tile(np.eye(n), (k, 1)))
+    mats = mats.reshape(k, n, n)
+    f_end = _endpoint_f(traj, np.arange(k))[:, None]
+    step = -(-k // n)
+    for i in range(0, k, step):
+        part = mats[i:i + step]
+        part[...] = project_off_flow(np.broadcast_to(f_end[i:i + step],
+                                                     part.shape),
+                                     part).transpose(0, 2, 1)
+    return mats
 
 
 def build_matrices(traj):

@@ -16,8 +16,8 @@ order reads each step's stage states as strided views of the stored
 arrays; other row patterns gather them.  Every array loop, primal or
 tangent, takes its RK4 step from ``rk4_kernel`` and supplies only the
 stage derivative; the C loops of ``_native``, the primal loop of a
-Lorenz or KS state and the Lorenz tangent sweep, repeat its operations,
-and their adjoint sweep those of ``adjoint_step_at``.
+Lorenz or KS state and the tangent sweeps of both models, repeat its
+operations, and their adjoint sweeps those of ``adjoint_step_at``.
 """
 
 import numpy as np
@@ -266,9 +266,9 @@ def tangent_sweep_many(traj, segments, v, forcing=False, on_step=None):
     segment segments[i].  Returns v at the segment ends (before any
     projection).  ``on_step``, when given, is called with (j, rows)
     after step j of every segment; the rows may be a view that the
-    next step overwrites.  A trajectory of Lorenz's own model runs the
-    C sweep of ``_native`` when it ``sweeps``, bit-identical to the
-    array loop below, the reference.
+    next step overwrites.  A trajectory of Lorenz's or KS's own model
+    runs the C sweep of ``_native`` when it ``sweeps``, bit-identical to
+    the array loop below, the reference.
     """
     segments = _check_segments(traj, segments)
     if v.shape != (segments.size, traj.system.dim):
@@ -292,14 +292,14 @@ def adjoint_sweep_many(traj, segments, w, on_step=None):
     Row i carries a terminal value at the end of segment segments[i]
     backwards to the segment start.  ``on_step``, when given, is called
     with (j, rows) after backward step j and may change the rows in
-    place.  The C sweep serves Lorenz's and KS's own models, as in
-    tangent_sweep_many.
+    place.  The C sweep serves the trajectories that tangent_sweep_many's
+    does.
     """
     segments = _check_segments(traj, segments)
     if w.shape != (segments.size, traj.system.dim):
         raise DimensionMismatch("adjoint batch shape mismatch")
     from . import _native  # loaded at first use, as in _rk4
-    if _native.sweeps(traj, adjoint=True):
+    if _native.sweeps(traj):
         return _native.sweep(traj, segments, w, on_step, adjoint=True)
     rows = _stage_rows(traj, segments)
     out = w.copy()

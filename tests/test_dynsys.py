@@ -143,52 +143,6 @@ class TestKuramotoSivashinsky:
         assert fine.max_stable_step == pytest.approx(coarse.max_stable_step / 16.0)
 
 
-class TestTangentColumns:
-    """KS propagators joined from colour-probed one-step maps."""
-
-    @staticmethod
-    def _stages(n, m):
-        rng = np.random.default_rng(n + m)
-        return [rng.uniform(-1.0, 1.0, (m, n)) for _ in range(4)]
-
-    @staticmethod
-    def _swept(ks, h, stages):
-        # the N unit columns swept step by step, as rows
-        v = np.eye(ks.dim)
-        step = ms.timestep.tangent_step(ks, h, v.shape)
-        for rows in zip(*stages):
-            step(v, rows)
-        return v.T
-
-    @pytest.mark.parametrize("n", [15, 31, 127])
-    def test_probed_one_step_map(self, n):
-        # one step's map, read off 17 colour columns (at N = 15 the N unit
-        # columns themselves), equals the one-step sweep of the unit
-        # columns, boundary rows included, and is banded with half-width
-        # 8: the four stages of a stencil two nodes wide
-        ks = ms.KuramotoSivashinsky(n=n, length=float(n + 1), c=0.5)
-        stages = self._stages(n, 1)
-        ref = self._swept(ks, 0.1, stages)
-        far = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > 8
-        assert (ref[far] == 0.0).all() and (ref[~far] != 0.0).any()
-        out = ks.tangent_columns(0.1)(*stages)
-        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
-
-    @pytest.mark.parametrize("n", [15, 127])
-    def test_product_of_steps(self, n):
-        # ten steps, more than one kernel call probes at N = 127 (seven),
-        # agree with the step-by-step sweep to round-off, and a second call
-        # of the same kernel, after one over other steps, repeats the first
-        ks = ms.KuramotoSivashinsky(n=n, length=float(n + 1), c=0.5)
-        stages = self._stages(n, 10)
-        ref = self._swept(ks, 0.1, stages)
-        columns = ks.tangent_columns(0.1)
-        out = columns(*stages)
-        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
-        columns(*self._stages(n, 3))
-        assert np.array_equal(columns(*stages), out)
-
-
 class TestTransposeDuality:
     """<J v, w> == <v, J^T w> within 1e-12 * |v| |w| |J|, batched trials."""
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import msshadow as ms
-from msshadow import analysis, shadow, timestep
+from msshadow import _native, analysis, shadow, timestep
 from msshadow.errors import DegenerateProjectorError, DimensionMismatch
 
 
@@ -352,8 +352,8 @@ class TestPropagatorMatrices:
 
     def test_first_product_from_matrices_when_build_is_one_batch(
             self, lorenz_traj, monkeypatch):
-        # the first Schur product builds the matrices, one sweep of the K
-        # unit rows per direction, and multiplies by them, with no
+        # the first Schur product builds the matrices, one sweep of the N
+        # unit rows of every segment, and multiplies by them, with no
         # adjoint sweep; it agrees with the swept product to round-off and
         # is charged K products of each kind
         k, n = lorenz_traj.n_segments, 3
@@ -362,7 +362,7 @@ class TestPropagatorMatrices:
         sweeps = _spy_sweeps(monkeypatch)
         led = ms.CostLedger()
         dense = ms.schur_apply(traj, led, w)
-        assert sweeps == [("tangent", k)] * n
+        assert sweeps == [("tangent", k * n)]
         assert traj._propagators is not None
         assert led.snapshot() == (k, k)
 
@@ -375,8 +375,8 @@ class TestPropagatorMatrices:
 
     def test_ks_within_budget_builds_at_first_product(self, monkeypatch):
         # N * N * K = 63 * 63 * 10 fits _MATRIX_BUDGET, so the first Schur
-        # product builds the matrices, one column block per segment, and
-        # no product is ever swept
+        # product builds the matrices from one sweep of the N unit rows of
+        # every segment, and no product is ever swept
         ks = ms.KuramotoSivashinsky(n=63, length=64.0, c=0.5)
         u0 = np.random.default_rng(4).uniform(0.0, 1.0, 63)
         traj = ms.integrate(ks, u0, 0.0, 2.0, 0.02, stride=10)
@@ -388,33 +388,19 @@ class TestPropagatorMatrices:
             swept = ms.schur_apply(traj, ms.CostLedger(), w)
         assert traj._propagators is None
         sweeps = _spy_sweeps(monkeypatch)
-        blocks = []
-        kernel = ks.tangent_columns
-
-        def columns_spy(h):
-            columns = kernel(h)
-
-            def spy(u, *stages):
-                blocks.append(len(u))
-                return columns(u, *stages)
-
-            return spy
-
-        monkeypatch.setattr(ks, "tangent_columns", columns_spy)
         led = ms.CostLedger()
         dense = ms.schur_apply(traj, led, w)
         assert traj._propagators is not None
         assert led.snapshot() == (k, k)
-        assert sweeps == []
-        assert blocks == [traj.stride] * k
+        assert sweeps == [("tangent", k * n)]
         np.testing.assert_allclose(dense, swept, rtol=0,
                                    atol=1e-12 * np.abs(swept).max())
 
     def test_ks_subclass_model_built_from_its_own_sweeps(self, monkeypatch):
-        # a subclass with its own Jacobian gets no tangent_columns kernel:
-        # its matrices come from sweeps of its own jacobian_apply, one
-        # direction of the K unit rows at a time, and equal its
-        # matrix-free products to round-off
+        # a subclass with its own Jacobian gets no compiled sweep: its
+        # matrices come from one sweep of its own jacobian_apply over the
+        # N unit rows of every segment, and equal its matrix-free
+        # products to round-off
         class DampedKS(ms.KuramotoSivashinsky):
             def rhs(self, u):
                 return super().rhs(u) - 0.5 * u
@@ -426,7 +412,6 @@ class TestPropagatorMatrices:
                 return super().jacobian_transpose_apply(u, w) - 0.5 * w
 
         ks = DampedKS(n=31, length=32.0, c=0.5)
-        assert ks.tangent_columns(0.02) is None
         u0 = np.random.default_rng(7).uniform(0.0, 1.0, 31)
         traj = ms.integrate(ks, u0, 0.0, 2.0, 0.02, stride=10)
         k, n = traj.n_segments, ks.dim
@@ -440,7 +425,7 @@ class TestPropagatorMatrices:
         assert traj._propagators is not None
         np.testing.assert_allclose(dense, swept, rtol=0,
                                    atol=1e-12 * np.abs(swept).max())
-        assert sweeps == [("tangent", k)] * n
+        assert sweeps == [("tangent", k * n)]
 
     def test_grouped_rows_served_without_gather(self, ks_traj):
         # rows grouped p per segment, as the thick restart of the
@@ -465,35 +450,41 @@ class TestPropagatorMatrices:
         assert led.snapshot() == (2 * k * p, k * p)
 
     def test_build_in_batches_is_exact(self, ks_traj):
-        # sweeping the unit directions one column per batch gives the
-        # same matrices as one batch of all of them
+        # projecting the swept unit rows a few segments at a time gives
+        # the same matrices as projecting all of them at once
         k, n = ks_traj.n_segments, ks_traj.system.dim
         segments = np.repeat(np.arange(k), n)
         out = timestep.tangent_sweep_many(ks_traj, segments,
                                           np.tile(np.eye(n), (k, 1)))
         out = ms.project_off_flow(shadow._endpoint_f(ks_traj, segments), out)
         whole = out.reshape(k, n, n).transpose(0, 2, 1)
-        assert np.array_equal(shadow._row_propagators(ks_traj), whole)
+        assert np.array_equal(shadow._build_propagators(ks_traj), whole)
 
-    def test_column_build_equals_row_build(self, ks_traj):
-        # the KS matrices joined from probed one-step maps agree with the
-        # row build to round-off, at N = 31 and at N = 63,
-        # and a second build in the same process repeats them bit for bit
-        ks = ms.KuramotoSivashinsky(n=63, length=64.0, c=0.5)
-        u0 = np.random.default_rng(4).uniform(0.0, 1.0, 63)
-        big = ms.integrate(ks, u0, 0.0, 2.0, 0.02, stride=10)
-        for traj in (ks_traj, big):
+    def test_column_build_equals_row_build(self, ks_traj, monkeypatch):
+        # the KS matrices, swept in C, equal the array loop's row build
+        # bit for bit, at N = 31, at N = 63 and at N = 20 on L = 25, whose
+        # 2 dx is no power of two, and a second build in the same process
+        # repeats them
+        trajs = [ks_traj]
+        for n, length in ((63, 64.0), (20, 25.0)):
+            ks = ms.KuramotoSivashinsky(n=n, length=length, c=0.5)
+            u0 = np.random.default_rng(4).uniform(0.0, 1.0, n)
+            trajs.append(ms.integrate(ks, u0, 0.0, 2.0, 0.02, stride=10))
+        compiled = _native.library() or False
+        for traj in trajs:
             mats = shadow._build_propagators(traj)
-            rows = shadow._row_propagators(traj)
-            assert np.abs(mats - rows).max() <= 1e-13 * np.abs(rows).max()
             assert np.array_equal(shadow._build_propagators(traj), mats)
+            monkeypatch.setattr(_native, "_lib", False)
+            assert np.array_equal(shadow._build_propagators(traj), mats)
+            monkeypatch.setattr(_native, "_lib", compiled)
 
     def test_ks_build_transient(self):
         # at the benchmark's KS size (N = 127, K = 10, 100 steps) the
-        # build holds beyond what it keeps no more than the unit column
-        # sweep did: its padded stage states (100, 4, N + 4), its kernel's
-        # buffers for N columns and three (N, N) blocks (the swept block
-        # and the projection's two copies)
+        # build holds beyond what it keeps no more than the colour-probe
+        # build it replaced did: padded stage states (100, 4, N + 4),
+        # probe buffers for N columns and three (N, N) blocks; the row
+        # build holds the K N unit rows while it sweeps them into the
+        # matrices, and a segment's projection after
         ks = ms.KuramotoSivashinsky(n=127, length=128.0, c=0.8)
         u0 = np.random.default_rng(5).uniform(0.0, 1.0, 127)
         traj = ms.integrate(ks, u0, 0.0, 100.0, 0.1, stride=100)

@@ -231,10 +231,11 @@ class TestLorenzTangentKernel:
         return self._copy(traj, GenericLorenz(rho=traj.system.rho))
 
     def test_kernel_only_for_lorenz_methods(self, lorenz_traj, ks_traj):
-        # the sweep serves Lorenz's own model alone, once the library loads
+        # the sweep serves Lorenz's own model, not a subclass's, once the
+        # library loads; KS's own model has a sweep of its own
         assert _native.sweeps(lorenz_traj) == (_native.library() is not None)
         assert not _native.sweeps(self._generic(lorenz_traj))
-        assert not _native.sweeps(ks_traj)
+        assert _native.sweeps(ks_traj) == _native.sweeps(lorenz_traj)
 
         class OwnForcing(ms.Lorenz):
             def param_deriv(self, u):
@@ -321,8 +322,9 @@ def _ks_trajectory(n, h):
 
 
 class OwnTransposeKS(ms.KuramotoSivashinsky):
-    """KS through the generic adjoint step: a subclass that redefines
-    jacobian_transpose_apply gets no compiled adjoint sweep."""
+    """KS through the generic steps: a subclass that redefines
+    jacobian_transpose_apply gets no compiled sweep, tangent or
+    adjoint."""
 
     def jacobian_transpose_apply(self, u, w):
         return super().jacobian_transpose_apply(u, w)
@@ -351,7 +353,7 @@ class TestCompiledAdjoint:
         segments = np.arange(k) if order == "in_order" else np.array(
             [k - 1, 0, 2, 2])
         w = np.random.default_rng(9).standard_normal((segments.size, n))
-        assert _native.sweeps(traj, adjoint=True) == (
+        assert _native.sweeps(traj) == (
             _native.library() is not None)
 
         def run():
@@ -400,26 +402,41 @@ class TestCompiledAdjoint:
         copy = ms.Trajectory(system, traj.t_start, traj.h, states,
                              traj.fvals, traj.stride)
         copy._stages = traj.stages()
-        assert not _native.sweeps(copy, adjoint=True)
+        assert not _native.sweeps(copy)
         monkeypatch.setattr(_native, "sweep", None)  # C calls fail
         assert np.array_equal(
             timestep.adjoint_sweep_many(copy, segments, w), want)
 
-    @pytest.mark.parametrize("n, h", [(127, 0.1), (255, 0.01)])
-    def test_duality_with_array_tangent(self, n, h):
-        # the compiled KS adjoint is the transpose of the NumPy KS tangent
-        traj = _ks_trajectory(n, h)
-        k = traj.n_segments
-        assert _native.sweeps(traj, adjoint=True) == (
-            _native.library() is not None)
-        assert not _native.sweeps(traj)
+    @staticmethod
+    def _check_duality(traj, tangent_lib, monkeypatch):
+        """<T v, w> == <v, A w> within 1e-13 |T v| |w| on every segment,
+        T swept with the library tangent_lib, A with the loaded one."""
+        k, n = traj.n_segments, traj.system.dim
         rng = np.random.default_rng(n)
         v, w = rng.standard_normal((2, k, n))
+        compiled = _native.library() or False
+        monkeypatch.setattr(_native, "_lib", tangent_lib)
         tv = timestep.tangent_sweep_many(traj, np.arange(k), v)
+        monkeypatch.setattr(_native, "_lib", compiled)
         aw = timestep.adjoint_sweep_many(traj, np.arange(k), w)
         lhs, rhs = (tv * w).sum(axis=1), (v * aw).sum(axis=1)
         scale = np.linalg.norm(tv, axis=1) * np.linalg.norm(w, axis=1)
         assert (np.abs(lhs - rhs) <= 1e-13 * scale).all()
+
+    @pytest.mark.parametrize("n, h", [(127, 0.1), (255, 0.01)])
+    def test_duality_with_array_tangent(self, n, h, monkeypatch):
+        # the compiled KS adjoint is the transpose of the NumPy KS tangent
+        traj = _ks_trajectory(n, h)
+        assert _native.sweeps(traj) == (_native.library() is not None)
+        self._check_duality(traj, False, monkeypatch)
+
+    @pytest.mark.parametrize("n, h", [(127, 0.1), (255, 0.01)])
+    def test_duality_of_compiled_sweeps(self, n, h, monkeypatch):
+        # the compiled KS adjoint is the transpose of the compiled KS
+        # tangent (criterion 08's identity)
+        traj = _ks_trajectory(n, h)
+        assert _native.sweeps(traj) == (_native.library() is not None)
+        self._check_duality(traj, _native.library() or False, monkeypatch)
 
     @pytest.mark.parametrize("model", ["lorenz", "ks"])
     def test_functional_same_bits_without_library(self, lorenz_traj, ks_traj,
@@ -452,6 +469,8 @@ COMPILED = {
     "ks-1": (ms.KuramotoSivashinsky(n=1, length=2.0, c=0.5), 0.1),
     "ks-15": (ms.KuramotoSivashinsky(n=15, length=16.0, c=0.5), 0.1),
     "ks-127": (ms.KuramotoSivashinsky(n=127, length=128.0, c=0.8), 0.1),
+    # 2 dx = 50 / 21, no power of two: x / (2 dx) and x (1 / (2 dx)) differ
+    "ks-20": (ms.KuramotoSivashinsky(n=20, length=25.0, c=0.5), 0.1),
     "lorenz-28": (ms.Lorenz(rho=28.0), 0.005),
     "lorenz-40": (ms.Lorenz(rho=40.0), 0.005),
 }
@@ -466,6 +485,81 @@ def _loops(monkeypatch, run):
         monkeypatch.setattr(_native, "_lib", lib)
         out.append(run())
     return out
+
+
+class TestCompiledKSTangent:
+    """The compiled KS tangent sweep against the array loop."""
+
+    # the segments of each row; the 4 * 9 grouped rows fill blocks of the
+    # sweep's 8 rows both within a segment and across two, and no pattern
+    # fills whole blocks only
+    ROWS = {
+        "in_order": lambda k: np.arange(k),
+        "gathered": lambda k: np.array([k - 1, 0, 2, 2, 1]),
+        "grouped": lambda k: np.repeat(np.arange(k), 9),
+        "one": lambda k: np.array([1]),
+    }
+
+    @pytest.fixture(params=sorted(n for n in COMPILED if n.startswith("ks")))
+    def traj(self, request):
+        system, h = COMPILED[request.param]
+        u0 = np.random.default_rng(system.dim).uniform(0.0, 1.0, system.dim)
+        return ms.integrate(system, u0, 0.0, 40 * h, h, stride=10)
+
+    @pytest.mark.parametrize("forcing", [False, True])
+    @pytest.mark.parametrize("rows", sorted(ROWS))
+    def test_matches_array_loop(self, traj, rows, forcing, monkeypatch):
+        # the compiled sweep and the array loop agree bit for bit at the
+        # segment ends and in the rows handed to on_step
+        segments = self.ROWS[rows](traj.n_segments)
+        v = np.random.default_rng(11).standard_normal(
+            (segments.size, traj.system.dim))
+        assert _native.sweeps(traj) == (_native.library() is not None)
+
+        def run():
+            seen = []
+            end = timestep.tangent_sweep_many(
+                traj, segments, v, forcing=forcing,
+                on_step=lambda j, r: seen.append((j, r.copy())))
+            return end, seen, timestep.tangent_sweep_many(
+                traj, segments, v, forcing=forcing)
+
+        (end, seen, whole), (ref, ref_seen, ref_whole) = _loops(monkeypatch,
+                                                                run)
+        assert np.array_equal(ref, ref_whole)
+        assert np.array_equal(end, ref) and np.array_equal(whole, ref)
+        assert [j for j, _ in seen] == list(range(traj.stride))
+        assert [j for j, _ in ref_seen] == [j for j, _ in seen]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(seen,
+                                                                  ref_seen))
+
+    @pytest.mark.parametrize("case", ["no_library", "subclass"])
+    def test_array_loop_gives_the_same_bits(self, ks_traj, case,
+                                            monkeypatch):
+        # without the library, and for a subclass that redefines a model
+        # method, the sweep takes the array loop, with the compiled
+        # sweep's rows
+        n = ks_traj.system.dim
+        segments = np.array([3, 0, 2, 2])
+        v = np.random.default_rng(12).standard_normal((4, n))
+        want = [timestep.tangent_sweep_many(ks_traj, segments, v,
+                                            forcing=forcing)
+                for forcing in (False, True)]
+        traj = ks_traj
+        if case == "no_library":
+            monkeypatch.setattr(_native, "_lib", False)
+        else:
+            system = OwnTransposeKS(n, ks_traj.system.length,
+                                    ks_traj.system.c)
+            traj = ms.Trajectory(system, ks_traj.t_start, ks_traj.h,
+                                 ks_traj.states, ks_traj.fvals,
+                                 ks_traj.stride)
+            traj._stages = ks_traj.stages()
+        assert not _native.sweeps(traj)
+        monkeypatch.setattr(_native, "sweep", None)  # C calls fail
+        for forcing, end in zip((False, True), want):
+            assert np.array_equal(timestep.tangent_sweep_many(
+                traj, segments, v, forcing=forcing), end)
 
 
 class TestCompiledLoop:
@@ -583,6 +677,47 @@ class TestCompiledLoop:
         path.unlink()
         assert _native.library() is None
         assert list(path.parent.iterdir()) == []
+
+    def test_build_prunes_stale_libraries(self, monkeypatch, tmp_path):
+        # a build removes the libraries of other sources and flags from its
+        # folder, and nothing else
+        if _native.library() is None:
+            pytest.skip("no C compiler")
+        cache = tmp_path / "__pycache__"
+        cache.mkdir()
+        keep = ["msshadow_rk4_0000000a.so.77.tmp", "notes.so", "other_1.so"]
+        for name in ["msshadow_rk4_00000001.so", "msshadow_rk4_00000002.so",
+                     *keep]:
+            (cache / name).write_text("")
+        path = cache / "msshadow_rk4_0000000a.so"
+        monkeypatch.setattr(_native, "_path", lambda: str(path))
+        monkeypatch.setattr(_native, "_lib", None)
+        assert _native.library() is not None
+        assert sorted(p.name for p in cache.iterdir()) == sorted(
+            [path.name, *keep])
+
+    def test_builds_without_isa_clones(self, monkeypatch, tmp_path):
+        # with the clone guard off the source builds as plain C, with no
+        # load-time resolver, and its sweeps give the same bits
+        if _native.library() is None:
+            pytest.skip("no C compiler")
+        traj = _ks_trajectory(127, 0.1)
+        v = np.random.default_rng(13).standard_normal((3, 127))
+        want = [timestep.tangent_sweep_many(traj, [2, 0, 2], v,
+                                            forcing=forcing)
+                for forcing in (False, True)]
+        guard = "#if defined(__GNUC__)"
+        assert _native._SOURCE.count(guard) == 1
+        path = tmp_path / "__pycache__" / "plain.so"
+        monkeypatch.setattr(_native, "_SOURCE", _native._SOURCE.replace(
+            guard, "#if 0 && defined(__GNUC__)"))
+        monkeypatch.setattr(_native, "_path", lambda: str(path))
+        monkeypatch.setattr(_native, "_lib", None)
+        assert _native.library() is not None
+        assert b"ks_tangent.resolver" not in path.read_bytes()
+        for forcing, end in zip((False, True), want):
+            assert np.array_equal(timestep.tangent_sweep_many(
+                traj, [2, 0, 2], v, forcing=forcing), end)
 
     def test_second_load_reuses_cached_file(self, monkeypatch):
         # a warm cache is loaded without starting, or even looking up,
