@@ -14,7 +14,7 @@ contraction and reordering, at the first loop of a process, into a
 shared library in the package's ``__pycache__`` named by the CRC-32 of
 the source and the flags; the build removes the libraries of earlier
 sources from that folder, and later processes load it with ``ctypes``
-without looking up the compiler.  With GCC on x86-64 Linux the KS
+without looking up the compiler.  With GCC 12 on x86-64 Linux the KS
 tangent kernel is compiled in clones for x86-64-v4, v3 and the
 baseline, and the CPU picks one at load time.  Without a compiler,
 when the compile fails, or when ``__pycache__`` holds no library and is
@@ -220,10 +220,10 @@ long lorenz_tangent(long m, long j0, long n, double h, const double *par,
 #define KB 8
 
 /* the KS tangent kernel in clones for x86-64-v4, v3 and the baseline,
-   picked by the CPU at load time; plain C where GCC's ifunc clones are
-   not available */
-#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) \
-    && defined(__gnu_linux__)
+   picked by the CPU at load time; plain C where GCC's ifunc clones of
+   ISA levels (GCC 12 on) are not available */
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12 \
+    && defined(__x86_64__) && defined(__gnu_linux__)
 #define CLONES __attribute__((target_clones("arch=x86-64-v4", \
                                             "arch=x86-64-v3", "default")))
 #else
