@@ -220,8 +220,8 @@ long lorenz_tangent(long m, long j0, long n, double h, const double *par,
 #define KB 8
 
 /* the KS tangent kernel in clones for x86-64-v4, v3 and the baseline,
-   picked by the CPU at load time; plain C where GCC's ifunc clones of
-   ISA levels (GCC 12 on) are not available */
+   picked by the CPU at load time through GCC's ifuncs on x86-64 Linux;
+   plain C elsewhere and before GCC 12, the oldest tried with them */
 #if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12 \
     && defined(__x86_64__) && defined(__gnu_linux__)
 #define CLONES __attribute__((target_clones("arch=x86-64-v4", \
