@@ -1,5 +1,6 @@
 """The single-state primal RK4 loops and the tangent and adjoint sweeps
-of Lorenz and Kuramoto-Sivashinsky in C, compiled at first use.
+of Lorenz and Kuramoto-Sivashinsky, and a band eigensolver, in C,
+compiled at first use.
 
 ``rk4`` runs n classical RK4 steps of one Lorenz or Kuramoto-Sivashinsky
 state with the element operations of ``timestep.rk4_kernel`` over
@@ -8,18 +9,21 @@ state with the element operations of ``timestep.rk4_kernel`` over
 ``timestep.tangent_step`` over ``jacobian_apply`` and ``param_deriv``,
 or adjoint rows with those of ``timestep.adjoint_step_at`` over
 ``jacobian_transpose_apply``, so all are bit-identical to the array
-loops, which stay the reference and the fallback.  The source below is
-compiled by ``sysconfig``'s C compiler at -O3, with flags that forbid
-contraction and reordering, at the first loop of a process, into a
-shared library in the package's ``__pycache__`` named by the CRC-32 of
-the source and the flags; the build removes the libraries of earlier
-sources from that folder, and later processes load it with ``ctypes``
-without looking up the compiler.  With GCC 12 on x86-64 Linux the KS
+loops, which stay the reference and the fallback.  ``band_eigh``, the
+eigensolver of analysis' band route, returns the eigenvalues of a
+symmetric band matrix and U^T y for its eigenvectors U and a block y,
+without forming U.  The source below is compiled by ``sysconfig``'s C
+compiler at -O3, with flags that forbid contraction and reordering, at
+the first loop of a process, into a shared library in the package's
+``__pycache__`` named by the CRC-32 of the source and the flags; the
+build removes the libraries of earlier sources from that folder, and
+later processes load it with ``ctypes`` without looking up the
+compiler.  With GCC 12 on x86-64 Linux the KS
 tangent kernel is compiled in clones for x86-64-v4, v3 and the
 baseline, and the CPU picks one at load time.  Without a compiler,
 when the compile fails, or when ``__pycache__`` holds no library and is
 not writable, ``serves`` and ``sweeps`` are false and the array loops
-run.
+run, and analysis takes its dense route.
 """
 
 import ctypes
@@ -30,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from .dynsys import KuramotoSivashinsky, Lorenz, own_model
-from .errors import DimensionMismatch, DivergenceError
+from .errors import DimensionMismatch, DivergenceError, ShadowingError
 
 _FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared", "-x", "c", "-",
           "-lm")
@@ -56,6 +60,7 @@ _FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared", "-x", "c", "-",
 # The Lorenz loops pass n = 3 as a literal, so that rk4 and adjoint
 # specialise for it.
 _SOURCE = r"""
+#include <float.h>
 #include <math.h>
 #include <stdlib.h>
 #include <string.h>
@@ -78,21 +83,22 @@ static void lorenz_f(long n, const double *par, double *x, double *q,
     out[2] = x[0] * x[1] - par[2] * x[2];
 }
 
-/* par: c, 2 dx, a4, b24, c24.  p = x - 2 gets zero boundary nodes and
+/* par: c, b1 = 1 / (2 dx), a4, b24, c24, read into locals where par
+   could alias an output.  p = x - 2 gets zero boundary nodes and
    mirrored ghosts as in _pad; out = -D1 q - (D2 + D4) p with
    q = p 0.5 p + p c, in the operations and order of
    KuramotoSivashinsky.rhs under timestep.rk4_kernel */
 static void ks_f(long n, const double *par, double *x, double *q,
                  double *out)
 {
-    double *p = x - 2;
+    double *p = x - 2, b1 = par[1];
     p[0] = p[2];
     p[n + 3] = p[n + 1];
     for (long i = 1; i < n + 3; i++)
         q[i] = p[i] * 0.5 * p[i] + p[i] * par[0];
     for (long i = 0; i < n; i++) {
         double v = (p[i + 4] + p[i]) * par[2] + (p[i + 3] + p[i + 1]) * par[3];
-        out[i] = (q[i + 1] - q[i + 3]) / par[1] - (v + p[i + 2] * par[4]);
+        out[i] = (q[i + 1] - q[i + 3]) * b1 - (v + p[i + 2] * par[4]);
     }
 }
 
@@ -110,12 +116,12 @@ static void lorenz_jt(long n, const double *par, const double *x, double *l,
 static void ks_jt(long n, const double *par, const double *x, double *l,
                   double *out)
 {
-    double *p = l - 2;
+    double *p = l - 2, b1 = par[1];
     p[0] = p[2];
     p[n + 3] = p[n + 1];
     for (long i = 0; i < n; i++) {
         double v = (p[i + 4] + p[i]) * par[2] + (p[i + 3] + p[i + 1]) * par[3];
-        out[i] = (x[i] + par[0]) * ((p[i + 3] - p[i + 1]) / par[1])
+        out[i] = (x[i] + par[0]) * ((p[i + 3] - p[i + 1]) * b1)
                  - (v + p[i + 2] * par[4]);
     }
 }
@@ -238,11 +244,12 @@ static inline void ks_lane(long n, const double *par, const double *r,
                            double *restrict t, double *restrict xc,
                            double *restrict fd, long rs)
 {
+    double b1 = par[1];
     memcpy(t + 2, r, n * sizeof(double));
     for (long i = 1; i < n + 3; i++)
         xc[i * rs] = t[i] + par[0];
     for (long i = 0; fd && i < n; i++)
-        fd[i * rs] = (t[i + 1] - t[i + 3]) / par[1];
+        fd[i * rs] = (t[i + 1] - t[i + 3]) * b1;
 }
 
 /* out (n, KB) = J p, plus fd when forced, for rows p (n + 4, KB) with
@@ -257,7 +264,7 @@ ks_j(long n, const double *par, const double *restrict xc,
      const double *restrict fd, long lanes, double *restrict p,
      double *restrict out)
 {
-    double dx2 = par[1], a4 = par[2], b24 = par[3], c24 = par[4];
+    double b1 = par[1], a4 = par[2], b24 = par[3], c24 = par[4];
     long rs = lanes ? KB : 1;
     for (int b = 0; b < KB; b++) {
         p[b] = p[2 * KB + b];
@@ -271,7 +278,7 @@ ks_j(long n, const double *par, const double *restrict xc,
             double v = (q[4 * KB + b] + q[b]) * a4
                        + (q[3 * KB + b] + q[KB + b]) * b24;
             o[b] = (x[rs + b * lanes] * q[KB + b]
-                    - x[3 * rs + b * lanes] * q[3 * KB + b]) / dx2
+                    - x[3 * rs + b * lanes] * q[3 * KB + b]) * b1
                    - (v + q[2 * KB + b] * c24);
         }
         if (fd)
@@ -399,6 +406,119 @@ long ks_adjoint(long n, long m, long j0, long steps, double h,
 {
     return adjoint(ks_jt, n, m, j0, steps, h, par, offs, u, s2, s3, s4, w);
 }
+
+/* (u_k, v_k) <- (c u_k + s v_k, c v_k - s u_k) for k < m */
+static void turn(double *u, double *v, long m, double c, double s)
+{
+    for (long k = 0; k < m; k++) {
+        double f = u[k];
+        u[k] = c * f + s * v[k];
+        v[k] = c * v[k] - s * f;
+    }
+}
+
+/* sqrt(f^2 + g^2), by hypot only where the squares could overflow or
+   lose their digits, as dlartg scales only there */
+static double norm2(double f, double g)
+{
+    double r = sqrt(f * f + g * g);
+    return r > 1e-150 && r < 1e150 ? r : hypot(f, g);
+}
+
+/* A <- G A G^T for G turning indices r and r + 1 by (c, s) as turn does,
+   A (n, n) held as its lower band at column stride w: a[j w + i] is
+   A[j + i][j], i < w */
+static void similar(double *a, long w, long n, long r, double c, double s)
+{
+    double *x = a + r * w, *z = x + w;
+    for (long k = r + 2 > w ? r + 2 - w : 0; k < r; k++)
+        turn(a + k * w + r - k, a + k * w + r - k + 1, 1, c, s);
+    turn(x + 2, z + 1, (n - r < w ? n - r : w) - 2, c, s);
+    double t0 = c * x[0] + s * x[1], t1 = c * x[1] + s * z[0];
+    double t2 = c * x[1] - s * x[0], t3 = c * z[0] - s * x[1];
+    x[0] = c * t0 + s * t1;
+    x[1] = c * t2 + s * t3;
+    z[0] = c * t3 - s * t2;
+}
+
+/* band_eigh(n, kd, m, ab, y, d) puts in d the eigenvalues, unordered, of
+   the symmetric (n, n) A whose lower band ab (kd + 1, n) holds A[j + i][j]
+   at ab[i n + j], turns the rows of y (n, m) by every rotation applied to
+   A, which leaves U^T y there, and returns 0; -1 when out of memory, 1
+   when QL has not converged after 30 n sweeps.  Givens rotations chase
+   each bulge down the band, kept with one more diagonal, to a tridiagonal
+   matrix (Schwarz 1968), and implicit-shift QL with LAPACK dsteqr's
+   deflation test |e_i|^2 <= eps^2 |d_i d_i+1| + safmin diagonalises it */
+long band_eigh(long n, long kd, long m, const double *ab, double *y, double *d)
+{
+    long w = kd + 2, left = 30 * n;
+    double *a = calloc(n * w + n, sizeof(double)), *e = a + n * w;
+    if (!a)
+        return -1;
+    for (long j = 0; j < n; j++)
+        for (long i = 0; i <= kd; i++)
+            a[j * w + i] = ab[i * n + j];
+    for (long j = 0; j + 2 < n; j++)
+        for (long i = kd < n - 1 - j ? kd : n - 1 - j; i >= 2; i--)
+            for (long col = j, q = j + i; q < n; col = q - 1, q += kd) {
+                /* zero A[q][col] against A[q - 1][col]; the rotation of
+                   q - 1 and q fills A[q + kd][q - 1], the next target */
+                double *x = a + col * w + q - 1 - col, r = norm2(x[0], x[1]);
+                if (x[1] == 0.0)
+                    break;
+                double c = x[0] / r, s = x[1] / r;
+                similar(a, w, n, q - 1, c, s);
+                x[0] = r;
+                x[1] = 0.0;
+                turn(y + (q - 1) * m, y + q * m, m, c, s);
+            }
+    for (long j = 0; j < n; j++) {
+        d[j] = a[j * w];
+        e[j] = j + 1 < n ? a[j * w + 1] : 0.0;
+    }
+    double eps2 = 0.25 * DBL_EPSILON * DBL_EPSILON;
+    for (long l = 0; l < n; l++)
+        for (;;) {
+            long mm = l;
+            while (mm + 1 < n && e[mm] * e[mm]
+                   > eps2 * fabs(d[mm]) * fabs(d[mm + 1]) + DBL_MIN)
+                mm++;
+            if (mm == l)
+                break;
+            if (left-- == 0) {
+                free(a);
+                return 1;
+            }
+            double g = (d[l + 1] - d[l]) / (2.0 * e[l]), r = norm2(g, 1.0);
+            double s = 1.0, c = 1.0, p = 0.0;
+            g = d[mm] - d[l] + e[l] / (g + copysign(r, g));
+            long i = mm - 1;
+            for (; i >= l; i--) {
+                double f = s * e[i], b = c * e[i];
+                e[i + 1] = r = norm2(f, g);
+                if (r == 0.0) {
+                    d[i + 1] -= p;
+                    e[mm] = 0.0;
+                    break;
+                }
+                s = f / r;
+                c = g / r;
+                g = d[i + 1] - p;
+                r = (d[i] - g) * s + 2.0 * c * b;
+                p = s * r;
+                d[i + 1] = g + p;
+                g = c * r - b;
+                turn(y + i * m, y + (i + 1) * m, m, c, -s);
+            }
+            if (r == 0.0 && i >= l)
+                continue;
+            d[l] -= p;
+            e[l] = g;
+            e[mm] = 0.0;
+        }
+    free(a);
+    return 0;
+}
 """
 
 # the loaded library; None before the first attempt, False after a
@@ -467,6 +587,8 @@ def _load():
             fn = getattr(lib, name)
             fn.restype = long
             fn.argtypes = (long,) * longs + (ctypes.c_double,) + (ptr,) * 7
+    lib.band_eigh.restype = long
+    lib.band_eigh.argtypes = (long,) * 3 + (ptr,) * 3
     return lib
 
 
@@ -501,7 +623,7 @@ def _model(system):
     """The C names' prefix and the parameters of system's own model."""
     if own_model(system, Lorenz):
         return "lorenz", (system.sigma, system.rho, system.beta)
-    return "ks", (system.c, 2.0 * system.dx, system._a4, system._b24,
+    return "ks", (system.c, system._b1, system._a4, system._b24,
                   system._c24)
 
 
@@ -563,3 +685,26 @@ def rk4(system, u, h, n, states=None, check_every=1, kept=None):
     if status:
         raise DivergenceError(status)
     return u
+
+
+def band_eigh(ab, y=None):
+    """(ascending eigenvalues, U^T y or None) of the symmetric matrix
+    whose lower band is ab (kd + 1, n), ab[i, j] = A[j + i, j], with U
+    its eigenvectors in the same order, for y (n, m) or None, in C for a
+    loaded library.  Neither U nor a dense (n, n) array is formed; a QL
+    that does not converge raises ShadowingError."""
+    ab = np.ascontiguousarray(ab, dtype=float)
+    n = ab.shape[1]
+    out = None if y is None else np.array(y, dtype=float, order="C")
+    if out is not None and (out.ndim != 2 or len(out) != n):
+        raise DimensionMismatch(f"need rows ({n}, m)")
+    eigs = np.empty(n)
+    status = library().band_eigh(
+        n, len(ab) - 1, 0 if out is None else out.shape[1], ab.ctypes.data,
+        None if out is None else out.ctypes.data, eigs.ctypes.data)
+    if status < 0:
+        raise MemoryError("band eigensolver work buffers")
+    if status:
+        raise ShadowingError("band QL did not converge in 30 n sweeps")
+    order = np.argsort(eigs, kind="stable")
+    return eigs[order], None if out is None else out[order]

@@ -141,7 +141,9 @@ class KuramotoSivashinsky(DynamicalSystem):
         # RK4 real-axis stability limit ~2.785 against the fourth-derivative
         # eigenvalue bound 16/dx^4
         self.max_stable_step = 2.785 * self.dx**4 / 16.0
-        # fused second+fourth derivative stencil coefficients
+        # first derivative and fused second+fourth derivative stencil
+        # coefficients
+        self._b1 = 1.0 / (2.0 * self.dx)
         self._a4 = 1.0 / self.dx**4
         self._b24 = 1.0 / self.dx**2 - 4.0 / self.dx**4
         self._c24 = -2.0 / self.dx**2 + 6.0 / self.dx**4
@@ -161,7 +163,7 @@ class KuramotoSivashinsky(DynamicalSystem):
 
     def _d1p(self, p):
         """First derivative from an already padded array."""
-        return (p[..., 3:-1] - p[..., 1:-3]) / (2.0 * self.dx)
+        return (p[..., 3:-1] - p[..., 1:-3]) * self._b1
 
     def _viscp(self, p):
         """Combined second plus fourth derivative from a padded array."""

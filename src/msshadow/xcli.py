@@ -238,6 +238,9 @@ class RunResult:
 
     ``wall_time`` covers prepare and solve; a request that reused the
     kept Problem (``trajectory_reused``) covers its solve only.
+    ``analysis_route`` names the route of its spectra, Picard table and
+    truncated curve: ``band`` (analysis.band_route), ``dense``,
+    ``lanczos`` (extreme eigenvalues past the cap) or ``off``.
     """
 
     config: ExperimentConfig
@@ -257,6 +260,7 @@ class RunResult:
     truncated: list
     wall_time: float
     trajectory_reused: bool
+    analysis_route: str
 
     @property
     def total_cost(self):
@@ -389,29 +393,35 @@ def solve(problem, cfg):
     spectra = {}
     picard_table = None
     truncated = None
+    route = "off"
     nk = system.dim * traj.n_segments
     scratch = shadow.CostLedger()
     if (cfg.spectrum or cfg.picard or cfg.truncated_sweep) and nk <= cfg.dense_cap:
-        # the eigh of S is the analysis' peak: U goes once U^T b and
-        # U^T (A weights) are taken, before the preconditioned matrix
-        s_dense = analysis.dense_constraint_matrix(
-            traj, scratch, cap=cfg.dense_cap, normal=True)
-        modes, eigs = analysis.constraint_modes(s_dense)
+        # the band route forms neither U nor a dense (N K)^2 array; the
+        # dense route's eigh of S, the analysis' peak, holds about four
+        band = analysis.band_route(system.dim, traj.n_segments)
+        route = "band" if band else "dense"
+        s_mat = analysis.dense_constraint_matrix(
+            traj, scratch, cap=cfg.dense_cap, normal=True, band=band)
+        y = None
+        if cfg.picard or cfg.truncated_sweep:
+            y = analysis.modal_inputs(traj, b, problem.functional)
+        modes, eigs = analysis.constraint_modes(s_mat, y, band=band)
         if cfg.picard:
-            picard_table = analysis.picard_data(b, modes)
+            picard_table = analysis.picard_data(modes)
         if cfg.truncated_sweep:
             ranks = sorted(set(
                 np.linspace(1, nk, min(nk, 40)).astype(int).tolist()
             ))
-            truncated = analysis.sensitivity_vs_rank(
-                traj, b, ranks, modes, (problem.functional, s0))
-        del modes
+            truncated = analysis.sensitivity_vs_rank(modes, ranks, s0,
+                                                     traj.span)
         if cfg.spectrum:
             spectra["raw"] = analysis.SpectrumReport.dense("raw", eigs)
             if pc is not None:
                 spectra["preconditioned"] = analysis.preconditioned_spectrum(
-                    s_dense, pc, label="preconditioned")
+                    s_mat, pc, label="preconditioned", band=band)
     elif cfg.spectrum:
+        route = "lanczos"
         # M^1/2 S M^1/2, similar to M S, keeps the operator symmetric
         def schur(x):
             return shadow.schur_apply(traj, scratch,
@@ -427,7 +437,7 @@ def solve(problem, cfg):
         preconditioner=pc, report=report, sensitivity=float(sens),
         j_bar=float(j_bar), ledger=ledger, precond_cost=precond_cost,
         solve_cost=solve_cost, spectra=spectra, picard=picard_table,
-        truncated=truncated,
+        truncated=truncated, analysis_route=route,
         wall_time=problem.prepare_s + time.perf_counter() - t0,
         trajectory_reused=problem.reused,
     )
@@ -475,6 +485,7 @@ def summarize(result):
         ("clamped_modes", "" if pc is None else pc.clamped_modes),
         ("trajectory_reused", result.trajectory_reused),
         ("primal_loop", result.trajectory.primal_loop),
+        ("analysis_route", result.analysis_route),
     ]
     for key, rep in result.spectra.items():
         rows.append((f"kappa_{key}", f"{rep.kappa:.17g}"))

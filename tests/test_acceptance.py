@@ -212,7 +212,7 @@ def test_criterion_05_ks_pipeline(ks_run, ks_raw_run, ks_fd_band):
 
 def test_criterion_06_truncated_svd_curve(ks_run, ks_dense):
     a, svd = ks_dense
-    _, sv, _ = svd
+    u, sv, _ = svd
     traj = ks_run.trajectory
     b = ks_run.rhs
     objective = xcli.build_objective(ks_run.config, traj.system)
@@ -225,11 +225,14 @@ def test_criterion_06_truncated_svd_curve(ks_run, ks_dense):
         [plateau_end, plateau_zone]
         + list(np.linspace(plateau_end, plateau_zone, 6).astype(int))
         + list(np.linspace(noise_start, nk, 6).astype(int))))
-    # the functional's weights and the zero stack's sensitivity s0
+    # the functional's weights, the zero stack's sensitivity s0, and the
+    # projections U^T b and U^T (A weights) on the SVD's U
     k, n = b.shape
-    functional = (ms.sensitivity_functional(traj, objective),
-                  ms.evaluate_sensitivity(traj, objective, np.zeros((k + 1, n))))
-    curve = dict(analysis.sensitivity_vs_rank(traj, b, ranks, svd, functional))
+    weights = ms.sensitivity_functional(traj, objective)
+    s0 = ms.evaluate_sensitivity(traj, objective, np.zeros((k + 1, n)))
+    aw = ms.constraint_apply(traj, ms.CostLedger(), weights)
+    modes = (sv, np.stack([u.T @ b.reshape(-1), u.T @ aw.reshape(-1)], axis=1))
+    curve = dict(analysis.sensitivity_vs_rank(modes, ranks, s0, traj.span))
     plateau_value = curve[plateau_end]
     in_plateau = [curve[r] for r in ranks if plateau_end <= r <= plateau_zone]
     assert all(abs(v - plateau_value) <= 0.01 * abs(plateau_value)

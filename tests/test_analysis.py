@@ -1,10 +1,11 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import msshadow as ms
-from msshadow import analysis, shadow, timestep, xcli
+from msshadow import _native, analysis, shadow, timestep, xcli
 from msshadow.errors import ShadowingError
 
 
@@ -29,9 +30,20 @@ def functional(traj, objective):
             ms.evaluate_sensitivity(traj, objective, zero))
 
 
-def modes(a):
-    """(U, sigma descending) of the dense constraint matrix a."""
-    return analysis.constraint_modes(a @ a.T)[0]
+def modes(traj, a, b, weights):
+    """constraint_modes' (sigma descending, P) of the dense constraint
+    matrix a through the eigh of a a^T, P's columns U^T b and
+    U^T (A weights)."""
+    y = analysis.modal_inputs(traj, b, weights)
+    return analysis.constraint_modes(a @ a.T, y)[0]
+
+
+def svd_modes(traj, b, weights, svd):
+    """(sigma descending, P) as modes gives, from an SVD (U, sigma, V^T)
+    of the dense constraint matrix, one product per column of P."""
+    u, s, _ = svd
+    y = analysis.modal_inputs(traj, b, weights)
+    return s, np.stack([u.T @ col for col in y.T], axis=1)
 
 
 def dense_sqrt(pc):
@@ -185,34 +197,37 @@ class TestTruncatedSVD:
 
     def test_sensitivity_vs_rank_runs(self, lorenz_dense):
         traj, a, b = lorenz_dense
-        out = analysis.sensitivity_vs_rank(traj, b, [1, 5, a.shape[0]],
-                                           modes(a),
-                                           functional(traj, ms.LorenzZ()))
+        weights, s0 = functional(traj, ms.LorenzZ())
+        out = analysis.sensitivity_vs_rank(modes(traj, a, b, weights),
+                                           [1, 5, a.shape[0]], s0, traj.span)
         assert [r for r, _ in out] == [1, 5, a.shape[0]]
         assert all(np.isfinite(s) for _, s in out)
 
 
 class TestPicard:
     def test_constructed_rhs_concentrates(self, lorenz_dense):
-        _, a, _ = lorenz_dense
+        traj, a, _ = lorenz_dense
         u, s, vt = np.linalg.svd(a, full_matrices=False)
         b = (u[:, 0] * s[0]).reshape(-1, 3)
-        table = analysis.picard_data(b, modes(a))
+        weights = functional(traj, ms.LorenzZ())[0]
+        table = analysis.picard_data(modes(traj, a, b, weights))
         assert table.projections[0] == pytest.approx(s[0], rel=1e-12)
         assert table.coefficients[0] == pytest.approx(1.0, rel=1e-12)
         assert np.abs(table.projections[1:]).max() <= 1e-10 * s[0]
 
     def test_sigma_descending_and_rows(self, lorenz_dense):
-        _, a, b = lorenz_dense
-        table = analysis.picard_data(b, modes(a))
+        traj, a, b = lorenz_dense
+        weights = functional(traj, ms.LorenzZ())[0]
+        table = analysis.picard_data(modes(traj, a, b, weights))
         assert (np.diff(table.sigma) <= 0).all()
         rows = list(table.rows())
         assert len(rows) == a.shape[0]
         assert rows[0][0] == 1
 
     def test_csv(self, lorenz_dense, tmp_path):
-        _, a, b = lorenz_dense
-        table = analysis.picard_data(b, modes(a))
+        traj, a, b = lorenz_dense
+        weights = functional(traj, ms.LorenzZ())[0]
+        table = analysis.picard_data(modes(traj, a, b, weights))
         path = tmp_path / "picard.csv"
         table.to_csv(path)
         header = path.read_text().splitlines()[0]
@@ -239,23 +254,24 @@ def modal_case(request, lorenz_dense, ks_traj, ks_small):
 
 class TestConstraintModes:
     def test_sigma_matches_svd(self, modal_case):
-        _, _, a, _ = modal_case
-        (u, sigma), eigs = analysis.constraint_modes(a @ a.T)
+        traj, objective, a, b = modal_case
+        y = analysis.modal_inputs(traj, b, functional(traj, objective)[0])
+        (sigma, proj), eigs = analysis.constraint_modes(a @ a.T, y)
         sv = np.linalg.svd(a, compute_uv=False)
         np.testing.assert_allclose(sigma, sv, rtol=1e-11)
         assert np.array_equal(sigma, np.sqrt(eigs[::-1]))
-        # U holds orthonormal left singular vectors: A^T u_i has norm sigma_i
-        np.testing.assert_allclose(u.T @ u, np.eye(a.shape[0]), atol=1e-12)
-        np.testing.assert_allclose(np.linalg.norm(a.T @ u, axis=0), sigma,
-                                   rtol=1e-11)
+        # P = U^T y for orthonormal U keeps the norms of y's columns
+        np.testing.assert_allclose(np.linalg.norm(proj, axis=0),
+                                   np.linalg.norm(y, axis=0), rtol=1e-12)
 
     def test_picard_projections_agree_per_cluster(self, modal_case):
         # inside a cluster of equal sigma only the projections' sum of
         # squares is basis-free, so compare that per cluster
-        _, _, a, b = modal_case
+        traj, objective, a, b = modal_case
+        weights = functional(traj, objective)[0]
         svd = np.linalg.svd(a, full_matrices=False)
-        ref = analysis.picard_data(b, svd)
-        table = analysis.picard_data(b, modes(a))
+        ref = analysis.picard_data(svd_modes(traj, b, weights, svd))
+        table = analysis.picard_data(modes(traj, a, b, weights))
         np.testing.assert_allclose(table.sigma, ref.sigma, rtol=1e-11)
         scale = np.linalg.norm(b) ** 2
         for lo, hi in _groups(ref.sigma):
@@ -272,8 +288,9 @@ class TestConstraintModes:
         ends = [hi for _, hi in _groups(svd[1])]
         ranks = [0, *ends]
         assert ranks[-1] == a.shape[0]
-        curve = analysis.sensitivity_vs_rank(traj, b, ranks, modes(a),
-                                             functional(traj, objective))
+        weights, s0 = functional(traj, objective)
+        curve = analysis.sensitivity_vs_rank(modes(traj, a, b, weights),
+                                             ranks, s0, traj.span)
         for rank, value in curve:
             v = truncated_svd_solution(a, b, rank, svd=svd)
             want = shadow.evaluate_sensitivity(traj, objective, v)
@@ -286,19 +303,21 @@ class TestConstraintModes:
 
     def test_ranks_out_of_range_raise(self, lorenz_dense):
         traj, a, b = lorenz_dense
+        weights, s0 = functional(traj, ms.LorenzZ())
         with pytest.raises(ValueError):
-            analysis.sensitivity_vs_rank(traj, b, [a.shape[0] + 1], modes(a),
-                                         functional(traj, ms.LorenzZ()))
+            analysis.sensitivity_vs_rank(modes(traj, a, b, weights),
+                                         [a.shape[0] + 1], s0, traj.span)
 
 
 def test_pipeline_runs_no_svd_of_the_constraint_matrix(monkeypatch):
     # the Picard table, the truncated curve and the raw spectrum come from
-    # one eigendecomposition of S; the preconditioner's small batched
-    # SVDs of (K, N, l + 2) stacks still run.  S and M^1/2 S M^1/2 come
-    # from N x N blocks, so the dense A is not placed
+    # one eigendecomposition of S, here on the band route (K = 24 is past
+    # BAND_RATIO) when the C library loads; the preconditioner's small
+    # batched SVDs of (K, N, l + 2) stacks still run.  S and M^1/2 S
+    # M^1/2 come from N x N blocks, so the dense A is not placed
     cfg = xcli.ExperimentConfig(
         model="lorenz", name="modes", seed=3, rho=28.0, spin_up=5.0,
-        window=6.0, segment=1.0, step=0.002, gamma=0.05, mode="pre",
+        window=6.0, segment=0.25, step=0.002, gamma=0.05, mode="pre",
         tol=1e-6, spectrum=True, picard=True, truncated_sweep=True)
     nk, cols = 3 * cfg.n_segments, 3 * (cfg.n_segments + 1)
     shapes = []
@@ -320,6 +339,7 @@ def test_pipeline_runs_no_svd_of_the_constraint_matrix(monkeypatch):
     monkeypatch.setattr(analysis, "dense_constraint_matrix", normal_only)
     result = xcli.run_pipeline(cfg)
     assert shapes and (nk, cols) not in shapes
+    assert result.analysis_route == ("band" if _native.library() else "dense")
     monkeypatch.undo()
     a = analysis.dense_constraint_matrix(result.trajectory, ms.CostLedger())
     sv = np.linalg.svd(a, compute_uv=False)
@@ -332,12 +352,172 @@ def test_pipeline_runs_no_svd_of_the_constraint_matrix(monkeypatch):
                                np.linalg.eigvalsh(0.5 * (sym + sym.T)),
                                rtol=1e-12)
     assert [r for r, _ in result.truncated][-1] == nk
-    # a spectrum-only run takes the raw spectrum from the same eigh
+    # a spectrum-only run takes the raw spectrum from the same band
+    # solve, which turns no projections then
     alone = xcli.run_pipeline(dataclasses.replace(
         cfg, picard=False, truncated_sweep=False))
     assert np.array_equal(alone.spectra["raw"].eigenvalues,
                           result.spectra["raw"].eigenvalues)
     assert alone.spectra["raw"].kappa == result.spectra["raw"].kappa
+
+
+def _library():
+    if _native.library() is None:
+        pytest.skip("no C compiler: the band route does not run")
+
+
+# the lorenz_conditioning instance: K = 200, N K = 600, bandwidth 5
+CONDITIONING = xcli.ExperimentConfig(
+    model="lorenz", name="band", seed=7, rho=40.0, spin_up=100.0,
+    window=200.0, segment=1.0, step=0.01, gamma=0.1, mode="pre", tol=1e-5,
+    spectrum=True, picard=True, truncated_sweep=True)
+
+
+@pytest.fixture(scope="module")
+def lorenz_200():
+    """A K = 200 Lorenz trajectory at the lorenz_conditioning settings."""
+    system = ms.Lorenz(rho=40.0)
+    u0 = ms.advance(system, np.ones(3), -100.0, 0.0, 0.01)
+    return ms.integrate(system, u0, 0.0, 200.0, 0.01, stride=100)
+
+
+class TestBandModes:
+    @pytest.fixture(params=["lorenz", "lorenz-200", "ks"])
+    def case(self, request, lorenz_dense, lorenz_200, ks_traj, ks_small):
+        """(traj, dense S, S's band, y = [b, A weights])."""
+        traj, objective = {
+            "lorenz": (lorenz_dense[0], ms.LorenzZ()),
+            "lorenz-200": (lorenz_200, ms.LorenzZ()),
+            "ks": (ks_traj, ms.SpatialMean(ks_small)),
+        }[request.param]
+        led = ms.CostLedger()
+        b = ms.assemble_rhs(traj, led)
+        y = analysis.modal_inputs(traj, b, functional(traj, objective)[0])
+        return (traj, analysis.dense_constraint_matrix(traj, led, normal=True),
+                analysis.dense_constraint_matrix(traj, led, normal=True,
+                                                 band=True), y)
+
+    def test_band_is_the_lower_band_of_s(self, case):
+        traj, s_mat, ab, _ = case
+        width, nk = 2 * traj.system.dim, len(s_mat)
+        assert ab.shape == (width, nk)
+        for d in range(width):
+            assert np.array_equal(ab[d, :nk - d], np.diagonal(s_mat, -d))
+            assert not ab[d, nk - d:].any()
+        assert not np.diagonal(s_mat, -width).any()
+        diag, below = analysis._blocks(ab)
+        assert np.array_equal(analysis._band(diag, below), ab)
+
+    def test_modes_match_eigh_per_cluster(self, case):
+        # both solves are backward stable, so each eigenvalue agrees to a
+        # few eps ||S||, eps kappa relative; inside a cluster of equal
+        # sigma only the sums over the cluster of (u^T b)^2 and of
+        # (u^T b)(u^T A weights) are basis-free
+        _library()
+        _, s_mat, ab, y = case
+        (sigma, proj), eigs = analysis.constraint_modes(ab, y, band=True)
+        (ref_sigma, ref), ref_eigs = analysis.constraint_modes(s_mat, y)
+        assert np.abs(eigs - ref_eigs).max() <= 1e-13 * ref_eigs[-1]
+        assert np.array_equal(sigma, np.sqrt(eigs[::-1]))
+        (_, none), alone = analysis.constraint_modes(ab, band=True)
+        assert none is None and np.array_equal(alone, eigs)
+        nb, na = np.linalg.norm(y, axis=0)
+        for lo, hi in _groups(ref_sigma):
+            got, want = proj[lo:hi], ref[lo:hi]
+            assert (abs((got[:, 0] ** 2).sum() - (want[:, 0] ** 2).sum())
+                    <= 1e-10 * nb ** 2), (lo, hi)
+            assert (abs((got[:, 0] * got[:, 1]).sum()
+                        - (want[:, 0] * want[:, 1]).sum())
+                    <= 1e-10 * nb * na), (lo, hi)
+
+    def test_preconditioned_band_matches_dense(self, case):
+        _library()
+        traj, s_mat, ab, _ = case
+        pc = ms.build_preconditioner(traj, ms.CostLedger(), 1, 2,
+                                     rng=np.random.default_rng(5))
+        want = analysis.preconditioned_spectrum(s_mat, pc).eigenvalues
+        got = analysis.preconditioned_spectrum(ab, pc, band=True).eigenvalues
+        assert np.abs(got - want).max() <= 1e-13 * want[-1]
+
+    @pytest.mark.parametrize("n, kd", [(1, 0), (2, 1), (7, 3), (40, 39),
+                                       (60, 5)])
+    def test_kernel_rotations_diagonalize(self, n, kd):
+        # with y = I the kernel returns U^T whole: orthogonal, and U^T A U
+        # is the diagonal of the eigenvalues
+        _library()
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n))
+        a = np.tril(np.triu(a + a.T, -kd), kd)
+        ab = np.zeros((kd + 1, n))
+        for d in range(kd + 1):
+            ab[d, :n - d] = np.diagonal(a, -d)
+        eigs, ut = _native.band_eigh(ab, np.eye(n))
+        scale = np.abs(eigs).max()
+        assert np.abs(eigs - np.linalg.eigvalsh(a)).max() <= 1e-13 * scale
+        assert np.abs(ut @ ut.T - np.eye(n)).max() <= 1e-13
+        assert np.abs(ut @ a @ ut.T - np.diag(eigs)).max() <= 1e-13 * scale
+        assert np.array_equal(_native.band_eigh(ab)[0], eigs)
+
+    def test_unconverged_ql_raises(self, monkeypatch):
+        # the kernel's status 1 (QL past 30 n sweeps) never returns values
+        class Unconverged:
+            def band_eigh(self, *args):
+                return 1
+
+        monkeypatch.setattr(_native, "_lib", Unconverged())
+        with pytest.raises(ShadowingError):
+            _native.band_eigh(np.ones((2, 3)))
+
+    def test_route_rule(self, monkeypatch):
+        _library()
+        # Lorenz, bandwidth 5: 3 K >= 12 * 5 from K = 20
+        assert analysis.BAND_RATIO == 12
+        assert analysis.band_route(3, 20) and not analysis.band_route(3, 19)
+        # ks_c08: N K = 1270 against 12 bandwidths of 253
+        assert not analysis.band_route(127, 10)
+        monkeypatch.setattr(_native, "_lib", False)
+        assert not analysis.band_route(3, 200)
+
+    def test_band_route_places_no_dense_square(self):
+        # the dense route holds S, LAPACK's copy, its workspace and U,
+        # each (N K)^2 float64; the band route none of them
+        _library()
+        problem = xcli.prepare(CONDITIONING)
+        nk = 3 * CONDITIONING.n_segments
+        tracemalloc.start()
+        try:
+            result = xcli.solve(problem, CONDITIONING)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.analysis_route == "band"
+        assert peak < nk * nk * 8, peak
+
+    def test_dense_route_without_library(self, monkeypatch):
+        # without the C library the dense route runs today's arithmetic:
+        # one eigh of S, U^T b and U^T (A weights) one product each, the
+        # preconditioned spectrum by eigvalsh
+        monkeypatch.setattr(_native, "_lib", False)
+        result = xcli.run_pipeline(CONDITIONING)
+        assert result.analysis_route == "dense"
+        traj = result.trajectory
+        s_mat = analysis.dense_constraint_matrix(traj, ms.CostLedger(),
+                                                 normal=True)
+        eigs, vecs = np.linalg.eigh(s_mat)
+        u, sigma = vecs[:, ::-1], np.sqrt(eigs[::-1])
+        b, s0 = ms.assemble_rhs(traj, ms.CostLedger(), ms.LorenzZ())
+        aw = ms.constraint_apply(traj, ms.CostLedger(),
+                                 xcli.prepare(CONDITIONING).functional)
+        ub, uaw = u.T @ b.reshape(-1), u.T @ aw.reshape(-1)
+        partial = np.concatenate(([0.0], np.cumsum(ub * uaw / sigma**2)))
+        assert np.array_equal(result.spectra["raw"].eigenvalues, eigs)
+        assert np.array_equal(result.picard.projections, np.abs(ub))
+        assert result.truncated == [(r, s0 + partial[r] / traj.span)
+                                    for r, _ in result.truncated]
+        assert np.array_equal(
+            result.spectra["preconditioned"].eigenvalues,
+            analysis.preconditioned_spectrum(
+                s_mat, result.preconditioner).eigenvalues)
 
 
 class TestSpectrum:

@@ -463,8 +463,8 @@ class TestPropagatorMatrices:
     def test_column_build_equals_row_build(self, ks_traj, monkeypatch):
         # the KS matrices, swept in C, equal the array loop's row build
         # bit for bit, at N = 31, at N = 63 and at N = 20 on L = 25, whose
-        # 2 dx is no power of two, and a second build in the same process
-        # repeats them
+        # 1 / (2 dx) is inexact, so a kernel that divided by 2 dx fails,
+        # and a second build in the same process repeats them
         trajs = [ks_traj]
         for n, length in ((63, 64.0), (20, 25.0)):
             ks = ms.KuramotoSivashinsky(n=n, length=length, c=0.5)

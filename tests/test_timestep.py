@@ -469,7 +469,9 @@ COMPILED = {
     "ks-1": (ms.KuramotoSivashinsky(n=1, length=2.0, c=0.5), 0.1),
     "ks-15": (ms.KuramotoSivashinsky(n=15, length=16.0, c=0.5), 0.1),
     "ks-127": (ms.KuramotoSivashinsky(n=127, length=128.0, c=0.8), 0.1),
-    # 2 dx = 50 / 21, no power of two: x / (2 dx) and x (1 / (2 dx)) differ
+    # 2 dx = 50 / 21, no power of two, so 1 / (2 dx) is inexact: a kernel
+    # that divided by 2 dx where the array loop multiplies by 1 / (2 dx)
+    # fails
     "ks-20": (ms.KuramotoSivashinsky(n=20, length=25.0, c=0.5), 0.1),
     "lorenz-28": (ms.Lorenz(rho=28.0), 0.005),
     "lorenz-40": (ms.Lorenz(rho=40.0), 0.005),
