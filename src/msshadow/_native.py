@@ -9,7 +9,10 @@ state with the element operations of ``timestep.rk4_kernel`` over
 ``timestep.tangent_step`` over ``jacobian_apply`` and ``param_deriv``,
 or adjoint rows with those of ``timestep.adjoint_step_at`` over
 ``jacobian_transpose_apply``, so all are bit-identical to the array
-loops, which stay the reference and the fallback.  ``band_eigh``, the
+loops, which stay the reference and the fallback.  A sweep runs a
+window of steps in one call, with no Python between them: the tangent
+sweep writes each step's rows into a table, the adjoint sweep adds a
+table's row after each step.  ``band_eigh``, the
 eigensolver of analysis' band route, returns the eigenvalues of a
 symmetric band matrix and U^T y for its eigenvectors U and a block y,
 without forming U.  The source below is compiled by ``sysconfig``'s C
@@ -29,7 +32,6 @@ run, and analysis takes its dense route.
 import ctypes
 import os
 import zlib
-from functools import partial
 
 import numpy as np
 
@@ -48,10 +50,8 @@ _FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared", "-x", "c", "-",
 # be NULL.  Stage i is u + w_i k_i and the update u + h/6 (((k1 + 2 k2)
 # + 2 k3) + k4): the order of timestep.rk4_kernel over Lorenz.rhs or
 # KuramotoSivashinsky.rhs.
-# lorenz_tangent(m, j0, n, h, par, offs, u, s2, s3, s4, v) runs steps j0
-# .. j0 + n - 1 of the discrete tangent RK4 map on each row i of v (m, 3)
-# in place, at the stage rows offs[i] + j of u, s2, s3 and s4, and
-# returns 0; par is sigma, rho, beta and 1 if forced, else 0.  Stage s
+# lorenz_tangent(n, m, j0, steps, h, par, offs, u, s2, s3, s4, v, trace)
+# is ks_tangent (see below) for Lorenz, n = 3, a row at a time: stage s
 # takes k_s = J(x_s) w_s + df/drho(x_s) at w_0 = v, w_s = v + k_{s-1}
 # c_s, and the update is v + (((k_0 + k_1 2) + k_2 2) + k_3) h/6, the
 # order of timestep.tangent_step.  Unforced, df/drho is -0.0, which
@@ -195,16 +195,17 @@ long ks_rk4(long n, long steps, long every, double h, const double *par,
     return rk4(ks_f, n, steps, every, h, par, u, states, fvals, s2, s3, s4);
 }
 
-long lorenz_tangent(long m, long j0, long n, double h, const double *par,
-                    const long *offs, const double *u, const double *s2,
-                    const double *s3, const double *s4, double *v)
+long lorenz_tangent(long n, long m, long j0, long steps, double h,
+                    const double *par, const long *offs, const double *u,
+                    const double *s2, const double *s3, const double *s4,
+                    double *v, double *trace)
 {
     const double *xs[4] = {u, s2, s3, s4};
     double c[4] = {0.0, 0.5 * h, 0.5 * h, h}, h6 = h / 6.0;
     double z = par[3] ? 0.0 : -0.0, k[4][3], w[3];
     for (long i = 0; i < m; i++) {
         double *r = v + 3 * i;
-        for (long j = j0; j < j0 + n; j++) {
+        for (long j = j0; j < j0 + steps; j++) {
             for (int s = 0; s < 4; s++) {
                 const double *x = xs[s] + 3 * (offs[i] + j);
                 for (int e = 0; e < 3; e++)
@@ -216,6 +217,7 @@ long lorenz_tangent(long m, long j0, long n, double h, const double *par,
             }
             for (int e = 0; e < 3; e++)
                 r[e] += (k[0][e] + k[1][e] * 2.0 + k[2][e] * 2.0 + k[3][e]) * h6;
+            put(trace, (j - j0) * m + i, r, 3);
         }
     }
     return 0;
@@ -288,20 +290,22 @@ ks_j(long n, const double *par, const double *restrict xc,
     }
 }
 
-/* ks_tangent(n, m, j0, steps, h, par, offs, u, s2, s3, s4, v) runs
-   steps j0 .. j0 + steps - 1 of the discrete tangent RK4 map on each
-   row i of v (m, n) in place, at the stage rows offs[i] + j, and returns
-   0, or -1 when out of memory; par is that of ks_rk4 and 1 if forced,
-   else 0.  Blocks of KB rows are stepped at once, entry-major, with
-   each stage state's x + c (and -D1 x) laid out once per stage and
-   step, one for the block when its rows share a segment.  The stage
-   derivative of each row is that of ks_j, and the update that of
-   timestep.rk4_kernel: w = v + k_1 h/2, w = v + k_2 h/2, w = v + k_3 h
-   with acc = ((k_1 + k_2 2) + k_3 2), and v + (acc + k_4) h/6 */
+/* ks_tangent(n, m, j0, steps, h, par, offs, u, s2, s3, s4, v, trace)
+   runs steps j0 .. j0 + steps - 1 of the discrete tangent RK4 map on
+   each row i of v (m, n) in place, at the stage rows offs[i] + j, writes
+   row i after step j to trace (steps, m, n) at [j - j0][i] when trace is
+   not NULL, and returns 0, or -1 when out of memory; par is that of
+   ks_rk4 and 1 if forced, else 0.  Blocks of KB rows are stepped at
+   once, entry-major, with each stage state's x + c (and -D1 x) laid out
+   once per stage and step, one for the block when its rows share a
+   segment.  The stage derivative of each row is that of ks_j, and the
+   update that of timestep.rk4_kernel: w = v + k_1 h/2, w = v + k_2 h/2,
+   w = v + k_3 h with acc = ((k_1 + k_2 2) + k_3 2), and v + (acc + k_4)
+   h/6 */
 CLONES long ks_tangent(long n, long m, long j0, long steps, double h,
                        const double *par, const long *offs, const double *u,
                        const double *s2, const double *s3, const double *s4,
-                       double *v)
+                       double *v, double *trace)
 {
     long e = n + 4;
     double *buf = calloc((3 * e + 3 * n) * KB + e, sizeof(double));
@@ -345,6 +349,9 @@ CLONES long ks_tangent(long n, long m, long j0, long steps, double h,
             }
             for (long i = 0; i < n * KB; i++)
                 pv[2 * KB + i] = pv[2 * KB + i] + (acc[i] + k[i]) * h6;
+            for (int b = 0; trace && b < rows; b++)
+                for (long i = 0, at = ((j - j0) * m + r0 + b) * n; i < n; i++)
+                    trace[at + i] = pv[(i + 2) * KB + b];
         }
         for (long i = 0; i < n; i++)
             for (int b = 0; b < rows; b++)
@@ -359,11 +366,12 @@ CLONES long ks_tangent(long n, long m, long j0, long steps, double h,
    when out of memory.  par is that of the model's rk4.  Stage s takes
    t_s = J(x_s)^T l_s at l_4 = w h/6, l_3 = w h/3 + t_4 h, l_2 = w h/3 +
    t_3 h/2, l_1 = w h/6 + t_2 h/2, and the update is (((w + t_1) + t_2) +
-   t_3) + t_4: the order of timestep.adjoint_step_at */
+   t_3) + t_4: the order of timestep.adjoint_step_at.  When src (steps,
+   m, n) is not NULL, row i then gets + src[j - j0][i] */
 static long adjoint(jt_fn jt, long n, long m, long j0, long steps, double h,
                     const double *par, const long *offs, const double *u,
                     const double *s2, const double *s3, const double *s4,
-                    double *w)
+                    double *w, const double *src)
 {
     /* t_1..t_4, then l with two zero slots either side */
     double *t = calloc(5 * n + 4, sizeof(double));
@@ -385,6 +393,8 @@ static long adjoint(jt_fn jt, long n, long m, long j0, long steps, double h,
             }
             for (long e = 0; e < n; e++)
                 r[e] = r[e] + t[e] + t[n + e] + t[2 * n + e] + t[3 * n + e];
+            for (long e = 0; src && e < n; e++)
+                r[e] = r[e] + src[((j - j0) * m + i) * n + e];
         }
     }
     free(t);
@@ -394,17 +404,19 @@ static long adjoint(jt_fn jt, long n, long m, long j0, long steps, double h,
 long lorenz_adjoint(long n, long m, long j0, long steps, double h,
                     const double *par, const long *offs, const double *u,
                     const double *s2, const double *s3, const double *s4,
-                    double *w)
+                    double *w, const double *src)
 {
-    return adjoint(lorenz_jt, 3, m, j0, steps, h, par, offs, u, s2, s3, s4, w);
+    return adjoint(lorenz_jt, 3, m, j0, steps, h, par, offs, u, s2, s3, s4, w,
+                   src);
 }
 
 long ks_adjoint(long n, long m, long j0, long steps, double h,
                 const double *par, const long *offs, const double *u,
                 const double *s2, const double *s3, const double *s4,
-                double *w)
+                double *w, const double *src)
 {
-    return adjoint(ks_jt, n, m, j0, steps, h, par, offs, u, s2, s3, s4, w);
+    return adjoint(ks_jt, n, m, j0, steps, h, par, offs, u, s2, s3, s4, w,
+                   src);
 }
 
 /* (u_k, v_k) <- (c u_k + s v_k, c v_k - s u_k) for k < m */
@@ -581,12 +593,13 @@ def _load():
     except OSError:
         return None
     long, ptr = ctypes.c_long, ctypes.c_void_p
-    for names, longs in ((("lorenz_rk4", "ks_rk4", "lorenz_tangent"), 3),
-                         (("ks_tangent", "lorenz_adjoint", "ks_adjoint"), 4)):
+    for names, longs, ptrs in ((("lorenz_rk4", "ks_rk4"), 3, 7),
+                               (("lorenz_tangent", "ks_tangent",
+                                 "lorenz_adjoint", "ks_adjoint"), 4, 8)):
         for name in names:
             fn = getattr(lib, name)
             fn.restype = long
-            fn.argtypes = (long,) * longs + (ctypes.c_double,) + (ptr,) * 7
+            fn.argtypes = (long,) * longs + (ctypes.c_double,) + (ptr,) * ptrs
     lib.band_eigh.restype = long
     lib.band_eigh.argtypes = (long,) * 3 + (ptr,) * 3
     return lib
@@ -627,29 +640,24 @@ def _model(system):
                   system._c24)
 
 
-def sweep(traj, segments, v, on_step=None, forcing=False, adjoint=False):
-    """timestep.tangent_sweep_many of the rows of v (m, N), or with
-    ``adjoint`` its adjoint_sweep_many, checked by it, in C for a
-    trajectory that ``sweeps``: one call for all steps, or one per step
-    followed by on_step(j, rows) when on_step is given."""
+def sweep(traj, segments, v, j0, g, forcing=False, adjoint=False,
+          table=None):
+    """timestep.tangent_sweep_many of the rows of v (m, N) over steps j0
+    .. j0 + g - 1, with its trace ``table``, or with ``adjoint`` its
+    adjoint_sweep_many, with its source ``table``, checked by it, in C
+    for a trajectory that ``sweeps``: one call for all g steps."""
     name, par = _model(traj.system)
     fn = getattr(library(), f"{name}_{'adjoint' if adjoint else 'tangent'}")
     if not adjoint:
         par = (*par, float(forcing))
-    if (name, adjoint) != ("lorenz", False):
-        fn = partial(fn, traj.system.dim)
-    stride = traj.stride
-    offs = np.asarray(segments * stride, dtype=ctypes.c_long)
+    offs = np.asarray(segments * traj.stride, dtype=ctypes.c_long)
     par, out = np.array(par), np.array(v, dtype=float, order="C")
-    # referenced here, so alive through the calls
+    # referenced here, so alive through the call
     args = [a.ctypes.data for a in (par, offs, traj.states, *traj.stages(),
                                     out)]
-    n = stride if on_step is None else 1
-    for j in range(stride - n, -1, -n) if adjoint else range(0, stride, n):
-        if fn(len(out), j, n, traj.h, *args) < 0:
-            raise MemoryError("sweep work buffers")
-        if on_step is not None:
-            on_step(j, out)
+    if fn(traj.system.dim, len(out), j0, g, traj.h, *args,
+          None if table is None else table.ctypes.data) < 0:
+        raise MemoryError("sweep work buffers")
     return out
 
 

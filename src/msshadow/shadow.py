@@ -280,31 +280,41 @@ def _end_correction(traj, objective):
     return f_end, (f_end * f_end).sum(axis=-1), j_bar - j_vals[end]
 
 
+def _trapezoid(traj):
+    """Trapezoid weights of a segment's stride + 1 states: h, and h/2 at
+    both ends."""
+    c = np.full(traj.stride + 1, traj.h)
+    c[[0, -1]] = 0.5 * traj.h
+    return c
+
+
 def _forced_sweep(traj, v, objective=None):
     """Forced tangent sweep of every segment from the rows of v (K, N)
     at the segment starts: the rows at the segment ends and, with an
     objective, the sensitivity of the checkpoint stack whose first K rows
     are v (else None): each row's trapezoidal integral of <dJ/du, v'>
     along its segment, plus the checkpoint correction <f, v'> / |f|^2 *
-    (Jbar - J) at each segment end, over T, + dJ/ds."""
-    k, stride, h = traj.n_segments, traj.stride, traj.h
+    (Jbar - J) at each segment end, over T, + dJ/ds.  The sweep runs in
+    chunks of steps, each tracing its rows into one table for
+    gradient_dot, whose weighted terms are added in step order."""
+    k, stride = traj.n_segments, traj.stride
     segments = np.arange(k)
     if objective is None:
         return timestep.tangent_sweep_many(traj, segments, v,
                                            forcing=True), None
-    dot = objective.gradient_dot
-    acc = 0.5 * h * dot(traj.states[segments * stride], v)
     after = traj.states[1:].reshape(k, stride, -1)
-
-    def accumulate(j, vv):
-        nonlocal acc
-        acc += (h if j < stride - 1 else 0.5 * h) * dot(after[:, j], vv)
-
-    end = timestep.tangent_sweep_many(traj, segments, v, forcing=True,
-                                      on_step=accumulate)
+    c = _trapezoid(traj)[:, None]
+    acc = c[0] * objective.gradient_dot(traj.states[segments * stride], v)
+    for j0, g in timestep._chunks(stride, v.size):
+        trace = np.empty((g, *v.shape))
+        v = timestep.tangent_sweep_many(traj, segments, v, forcing=True,
+                                        window=(j0, g), trace=trace)
+        acc = timestep._add_in_order(acc, c[j0 + 1:j0 + g + 1] * (
+            objective.gradient_dot(after[:, j0:j0 + g].swapaxes(0, 1),
+                                   trace)))
     f_end, ff, dj = _end_correction(traj, objective)
-    corr = (f_end * end).sum(axis=-1) / ff * dj
-    return end, (acc.sum() + corr.sum()) / traj.span + objective.param_deriv
+    corr = (f_end * v).sum(axis=-1) / ff * dj
+    return v, (acc.sum() + corr.sum()) / traj.span + objective.param_deriv
 
 
 def evaluate_sensitivity(traj, objective, v):
@@ -323,19 +333,21 @@ def sensitivity_functional(traj, objective):
     assemble_rhs.  a is the transpose of the forward quadrature, one
     adjoint sweep per segment seeded at its end with h/2 dJ/du +
     (Jbar - J_end) / |f_end|^2 f_end, adding after each step the
-    trapezoid weight (h, or h/2 at the segment start) times dJ/du.  The
-    only producer of the weights; charges no products."""
-    k, n, h, stride = traj.n_segments, traj.system.dim, traj.h, traj.stride
+    trapezoid weight (h, or h/2 at the segment start) times dJ/du, a
+    chunk of steps' source taken as one table.  The only producer of
+    the weights; charges no products."""
+    k, n, stride = traj.n_segments, traj.system.dim, traj.stride
     starts = traj.states[:-1].reshape(k, stride, -1)
     f_end, ff, dj = _end_correction(traj, objective)
     grad = objective.gradient
-    w = (0.5 * h * grad(traj.states[stride::stride])
-         + (dj / ff)[:, None] * f_end)
-
-    def source(j, rows):
-        rows += (h if j else 0.5 * h) * grad(starts[:, j])
-
+    c = _trapezoid(traj)[:, None, None]
+    w = c[-1] * grad(traj.states[stride::stride]) + (dj / ff)[:, None] * f_end
+    for j0, g in reversed(timestep._chunks(stride, w.size)):
+        source = np.empty((g, k, n))
+        np.multiply(c[j0:j0 + g], grad(starts[:, j0:j0 + g].swapaxes(0, 1)),
+                    out=source)
+        w = timestep.adjoint_sweep_many(traj, np.arange(k), w,
+                                        window=(j0, g), source=source)
     a = np.zeros((k + 1, n))
-    a[:k] = timestep.adjoint_sweep_many(traj, np.arange(k), w,
-                                        on_step=source)
+    a[:k] = w
     return a

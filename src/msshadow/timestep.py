@@ -70,26 +70,43 @@ def rk4_kernel(h, w, deriv):
     return step
 
 
-def _rk4(system, u, h, n, states=None, check_every=1, on_step=None,
-         kept=None):
+# floats in one chunk's per-step table (traced rows, adjoint source or
+# primal states): a whole segment's would be as large as the trajectory,
+# and at 2^15 the Lorenz workloads' peak resident set rose by 0.3 MB
+_TABLE = 1 << 14
+
+
+def _chunks(n, width):
+    """(j0, g) windows covering steps 0..n-1 in order, each g at most
+    max(1, _TABLE // width) steps, for tables of width floats a step."""
+    g = max(1, _TABLE // width)
+    return [(j, min(g, n - j)) for j in range(0, n, g)]
+
+
+def _add_in_order(acc, terms):
+    """acc + terms[0] + terms[1] + ... in that order (cumsum's)."""
+    total = np.concatenate(([acc], terms))
+    return np.cumsum(total, axis=0, out=total)[-1]
+
+
+def _rk4(system, u, h, n, states=None, check_every=1, kept=None):
     """n classical RK4 steps from u (left unchanged); the primal loop.
 
     Row j + 1 of ``states``, when given, receives the state after j + 1
-    steps, and ``on_step``, when given, is called with it after its
-    check.  A non-finite state raises DivergenceError; the check runs
+    steps.  A non-finite state raises DivergenceError; the check runs
     every ``check_every`` steps and after the last one.
 
-    A single state (N,) without ``on_step``, of a system the C loop
-    ``_native.serves`` (Lorenz's or KuramotoSivashinsky's own model and
-    a working C compiler), runs that loop, which performs the element
-    operations of rk4_kernel over ``rhs`` in their order, so its states
-    are bit-identical; ``kept`` = (fvals, s2, s3, s4), when given, is
-    then filled as ``_native.rk4`` says.  Everything else runs the array
-    loop below, the reference.
+    A single state (N,) of a system the C loop ``_native.serves``
+    (Lorenz's or KuramotoSivashinsky's own model and a working C
+    compiler) runs that loop, which performs the element operations of
+    rk4_kernel over ``rhs`` in their order, so its states are
+    bit-identical; ``kept`` = (fvals, s2, s3, s4), when given, is then
+    filled as ``_native.rk4`` says.  Everything else runs the array loop
+    below, the reference.
     """
     if check_every < 1:
         raise ValueError(f"check_every must be at least 1, got {check_every}")
-    if u.ndim == 1 and on_step is None:
+    if u.ndim == 1:
         from . import _native  # loaded at the first primal loop
         if _native.serves(system):
             return _native.rk4(system, u, h, n, states, check_every, kept)
@@ -105,8 +122,6 @@ def _rk4(system, u, h, n, states=None, check_every=1, on_step=None,
                 states[j + 1] = u
             if j % check_every == 0 and not np.isfinite(u).all():
                 raise DivergenceError(j + 1)
-            if on_step is not None:
-                on_step(u)
     if not np.isfinite(u).all():
         raise DivergenceError(n)
     return u
@@ -124,6 +139,11 @@ def advance(system, u0, t_start, t_end, h, check_every=64):
                 check_every=check_every)
 
 
+def _check_stride(n_steps, stride):
+    if stride < 1 or n_steps % stride != 0:
+        raise ValueError(f"segment stride {stride} does not divide {n_steps} steps")
+
+
 class Trajectory:
     """Stored nonlinear solution on a uniform step grid.
 
@@ -135,11 +155,7 @@ class Trajectory:
     """
 
     def __init__(self, system, t_start, h, states, fvals, stride):
-        n_steps = states.shape[0] - 1
-        if stride < 1 or n_steps % stride != 0:
-            raise ValueError(
-                f"segment stride {stride} does not divide {n_steps} steps"
-            )
+        _check_stride(states.shape[0] - 1, stride)
         if states.shape != fvals.shape or states.shape[1] != system.dim:
             raise DimensionMismatch("trajectory storage shape mismatch")
         self.system = system
@@ -192,6 +208,7 @@ def integrate(system, u0, t_start, t_end, h, stride=1):
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (system.dim,):
         raise DimensionMismatch(f"initial state must have shape ({system.dim},)")
+    _check_stride(n, stride)
     states = np.empty((n + 1, system.dim))
     states[0] = u0
     from . import _native  # loaded at the first primal loop
@@ -259,54 +276,73 @@ def _stage_rows(traj, segments):
     return lambda j: [a[offs + j] for a in arrays]
 
 
-def tangent_sweep_many(traj, segments, v, forcing=False, on_step=None):
+def _window(traj, window, table, shape):
+    """(j0, g) of a sweep's window, (0, stride) for None, checked against
+    the segment, and the table against a writeable C-contiguous float
+    array (g, *shape), which C may fill."""
+    j0, g = window or (0, traj.stride)
+    if not 0 <= j0 < j0 + g <= traj.stride:
+        raise IndexError(f"window {j0, g} is not within a segment")
+    if table is not None and (table.shape != (g, *shape)
+                              or table.dtype != float or not table.flags.carray):
+        raise DimensionMismatch(f"need a writeable C-contiguous float {(g, *shape)}")
+    return j0, g
+
+
+def tangent_sweep_many(traj, segments, v, forcing=False, window=None,
+                       trace=None):
     """Propagate rows of v across their segments with the discrete tangent.
 
     v has shape (m, N); row i is advanced from the start to the end of
-    segment segments[i].  Returns v at the segment ends (before any
-    projection).  ``on_step``, when given, is called with (j, rows)
-    after step j of every segment; the rows may be a view that the
-    next step overwrites.  A trajectory of Lorenz's or KS's own model
-    runs the C sweep of ``_native`` when it ``sweeps``, bit-identical to
-    the array loop below, the reference.
+    segment segments[i], or with ``window`` = (j0, g) through steps j0
+    .. j0 + g - 1 of it alone.  Returns v after the last step (before
+    any projection).  ``trace``, when given, is a writeable C-contiguous
+    float array (g, m, N) whose row j - j0 receives the rows after step
+    j.  A trajectory of Lorenz's or KS's own model runs the C sweep of
+    ``_native`` when it ``sweeps``, bit-identical to the array loop
+    below, the reference.
     """
     segments = _check_segments(traj, segments)
     if v.shape != (segments.size, traj.system.dim):
         raise DimensionMismatch("tangent batch shape mismatch")
+    j0, g = _window(traj, window, trace, v.shape)
     from . import _native  # loaded at first use, as in _rk4
     if _native.sweeps(traj):
-        return _native.sweep(traj, segments, v, on_step, forcing)
+        return _native.sweep(traj, segments, v, j0, g, forcing,
+                             table=trace)
     rows = _stage_rows(traj, segments)
     out = v.copy()
     step = tangent_step(traj.system, traj.h, out.shape, forcing)
-    for j in range(traj.stride):
+    for j in range(j0, j0 + g):
         step(out, rows(j))
-        if on_step is not None:
-            on_step(j, out)
+        if trace is not None:
+            trace[j - j0] = out
     return out
 
 
-def adjoint_sweep_many(traj, segments, w, on_step=None):
+def adjoint_sweep_many(traj, segments, w, window=None, source=None):
     """Transpose counterpart of tangent_sweep_many (homogeneous only).
 
-    Row i carries a terminal value at the end of segment segments[i]
-    backwards to the segment start.  ``on_step``, when given, is called
-    with (j, rows) after backward step j and may change the rows in
-    place.  The C sweep serves the trajectories that tangent_sweep_many's
-    does.
+    Row i carries a terminal value at the end of segment segments[i], or
+    after step j0 + g - 1 of its ``window`` (j0, g), backwards to the
+    segment start, or to step j0.  ``source``, when given, is such a
+    table, whose row j - j0 is added to the rows after backward step j.
+    The C sweep serves the trajectories that tangent_sweep_many's does.
     """
     segments = _check_segments(traj, segments)
     if w.shape != (segments.size, traj.system.dim):
         raise DimensionMismatch("adjoint batch shape mismatch")
+    j0, g = _window(traj, window, source, w.shape)
     from . import _native  # loaded at first use, as in _rk4
     if _native.sweeps(traj):
-        return _native.sweep(traj, segments, w, on_step, adjoint=True)
+        return _native.sweep(traj, segments, w, j0, g, adjoint=True,
+                             table=source)
     rows = _stage_rows(traj, segments)
     out = w.copy()
-    for j in range(traj.stride - 1, -1, -1):
+    for j in range(j0 + g - 1, j0 - 1, -1):
         out = adjoint_step_at(traj.system, traj.h, *rows(j), out)
-        if on_step is not None:
-            on_step(j, out)
+        if source is not None:
+            out += source[j - j0]
     return out
 
 

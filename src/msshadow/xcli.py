@@ -536,17 +536,20 @@ def _integrate_average(system, objective, u0, t_start, t_end, h):
     without storing the trajectory.
 
     ``u0`` is one state (N,) or a batch (m, N) advanced in lockstep;
-    each row's average is the one it would get on its own.
+    each row's average is the one it would get on its own.  The path is
+    stepped in chunks, each stored in one table whose values are added
+    to the running sum in step order.
     """
     n = timestep._n_steps(t_start, t_end, h)
-    u0 = np.asarray(u0, dtype=float)
-    acc = 0.5 * objective.value(u0)
-
-    def accumulate(u):
-        nonlocal acc
-        acc += objective.value(u)
-
-    u = timestep._rk4(system, u0, h, n, on_step=accumulate)
+    u = np.asarray(u0, dtype=float)
+    acc = 0.5 * objective.value(u)
+    for j0, g in timestep._chunks(n, u.size):
+        states = np.empty((g + 1, *u.shape))
+        try:
+            u = timestep._rk4(system, u, h, g, states=states)
+        except DivergenceError as exc:
+            raise DivergenceError(j0 + exc.step) from None
+        acc = timestep._add_in_order(acc, objective.value(states[1:]))
     acc -= 0.5 * objective.value(u)
     return acc * h / (t_end - t_start)
 
@@ -557,22 +560,31 @@ def fd_sample(make_system, make_objective, u0, param, delta, spin_up,
 
     The +/- runs share the initial state; each spins up at its own
     parameter before averaging over the horizon.  A batch of initial
-    states (m, N) gives m estimates, integrated in lockstep.
+    states (m, N) gives m estimates: one state at a time where the C loop
+    serves the system, else integrated in lockstep (on the array loop,
+    in a fifth of the time criterion 05's KS states take one at a time).
+    A horizon that is no multiple of h raises ValueError before any step.
     """
+    timestep._n_steps(0.0, horizon, h)
+    from . import _native  # loaded at the first primal loop
     averages = []
     for sign in (1.0, -1.0):
         system = make_system(param + sign * delta)
+        objective = make_objective(system)
         u = np.asarray(u0, dtype=float)
+        parts = u if u.ndim == 2 and _native.serves(system) else [u]
         if spin_up > 0:
-            u = timestep.advance(system, u, -spin_up, 0.0, h)
-        averages.append(_integrate_average(
-            system, make_objective(system), u, 0.0, horizon, h))
+            parts = [timestep.advance(system, p, -spin_up, 0.0, h)
+                     for p in parts]
+        averages.append(np.reshape(
+            [_integrate_average(system, objective, p, 0.0, horizon, h)
+             for p in parts], u.shape[:-1]))
     return (averages[0] - averages[1]) / (2.0 * delta)
 
 
 def finite_difference_reference(cfg, delta, n_samples, horizon):
     """Mean and standard error of the central-difference sensitivity
-    over seeded random initial conditions, integrated as one batch."""
+    over seeded random initial conditions (see fd_sample)."""
     if not 0 < delta < np.inf:
         raise ConfigError("finite-difference delta must be finite and > 0")
     if n_samples < 1:

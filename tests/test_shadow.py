@@ -286,6 +286,109 @@ class TestBatchedSensitivity:
         assert s0 == ms.evaluate_sensitivity(traj, objective, 0.0 * stacks[0])
 
 
+def _step_loop(traj, objective, v):
+    """The per-step loop that the chunked tables replaced, the reference
+    they match bit for bit: (the forced rows at the segment ends from the
+    rows v (K, N), the sensitivity of _forced_sweep, the weights of
+    sensitivity_functional), each step's quadrature term or adjoint
+    source added in Python right after the step."""
+    k, n, h, stride = (traj.n_segments, traj.system.dim, traj.h,
+                       traj.stride)
+    segments = np.arange(k)
+    rows = timestep._stage_rows(traj, segments)
+    dot, grad = objective.gradient_dot, objective.gradient
+    v = v.copy()
+    acc = 0.5 * h * dot(traj.states[segments * stride], v)
+    after = traj.states[1:].reshape(k, stride, -1)
+    step = timestep.tangent_step(traj.system, h, v.shape, forcing=True)
+    for j in range(stride):
+        step(v, rows(j))
+        acc += (h if j < stride - 1 else 0.5 * h) * dot(after[:, j], v)
+    f_end, ff, dj = shadow._end_correction(traj, objective)
+    corr = (f_end * v).sum(axis=-1) / ff * dj
+    sens = (acc.sum() + corr.sum()) / traj.span + objective.param_deriv
+    starts = traj.states[:-1].reshape(k, stride, -1)
+    w = (0.5 * h * grad(traj.states[stride::stride])
+         + (dj / ff)[:, None] * f_end)
+    for j in range(stride - 1, -1, -1):
+        w = timestep.adjoint_step_at(traj.system, h, *rows(j), w)
+        w += (h if j else 0.5 * h) * grad(starts[:, j])
+    a = np.zeros((k + 1, n))
+    a[:k] = w
+    return v, sens, a
+
+
+class TestChunkedTables:
+    """The forced quadrature and the functional's source, taken a chunk
+    of steps at a time as one table, against the per-step loop."""
+
+    OBJECTIVES = {
+        "lorenz-z": ("lorenz_traj", lambda system: ms.LorenzZ()),
+        "ks-mean": ("ks_traj", ms.SpatialMean),
+        # a gradient that depends on the state, so a table row taken at
+        # the wrong step shows
+        "ks-square": ("ks_traj", ms.SpatialMeanSquare),
+    }
+
+    @pytest.mark.parametrize("steps", [1, 7, None])
+    @pytest.mark.parametrize("case", sorted(OBJECTIVES))
+    def test_matches_step_loop(self, request, case, steps, monkeypatch):
+        # b, s0, a stack's sensitivity and the weights are np.array_equal
+        # to the step loop's, on the compiled sweeps and the array loops,
+        # in chunks of one step, of 7 (no divisor of the stride) and of
+        # the default bound
+        name, make = self.OBJECTIVES[case]
+        traj = request.getfixturevalue(name)
+        objective = make(traj.system)
+        k, n = traj.n_segments, traj.system.dim
+        if steps:
+            monkeypatch.setattr(timestep, "_TABLE", steps * k * n)
+        stack = np.random.default_rng(14).standard_normal((k + 1, n))
+        end, s0, weights = _step_loop(traj, objective, np.zeros((k, n)))
+        b = ms.project_off_flow(shadow._endpoint_f(traj, np.arange(k)), end)
+        sens = _step_loop(traj, objective, stack[:-1])[1]
+        for lib in (_native.library() or False, False):
+            monkeypatch.setattr(_native, "_lib", lib)
+            got_b, got_s0 = ms.assemble_rhs(traj, ms.CostLedger(), objective)
+            assert np.array_equal(got_b, b) and got_s0 == s0
+            assert ms.evaluate_sensitivity(traj, objective, stack) == sens
+            assert np.array_equal(
+                shadow.sensitivity_functional(traj, objective), weights)
+
+    @pytest.mark.parametrize("steps", [7, None])
+    def test_one_library_call_per_chunk(self, lorenz_traj, ks_traj, steps,
+                                        monkeypatch):
+        # a forced rhs sweep with the quadrature, and the functional's
+        # adjoint sweep, call the library once per chunk of g steps:
+        # ceil(stride / g) calls, one on these fixtures at the default
+        # bound
+        if _native.library() is None:
+            pytest.skip("no C compiler")
+        calls = []
+        sweep = _native.sweep
+
+        def counted(*args, **kwargs):
+            calls.append(args[4])
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(_native, "sweep", counted)
+        square = ms.SpatialMeanSquare(ks_traj.system)
+        for traj, objective in ((lorenz_traj, ms.LorenzZ()),
+                                (ks_traj, square)):
+            k, n, stride = traj.n_segments, traj.system.dim, traj.stride
+            if steps:
+                monkeypatch.setattr(timestep, "_TABLE", steps * k * n)
+            g = max(1, timestep._TABLE // (k * n))
+            runs = (lambda: ms.assemble_rhs(traj, ms.CostLedger(), objective),
+                    lambda: shadow.sensitivity_functional(traj, objective))
+            for run in runs:
+                calls.clear()
+                run()
+                assert len(calls) == -(-stride // g) == (stride // 7 + 1
+                                                        if steps else 1)
+                assert sum(calls) == stride
+
+
 def _fresh(traj):
     """The same stored trajectory without cached propagators."""
     return timestep.Trajectory(traj.system, traj.t_start, traj.h,

@@ -61,6 +61,36 @@ class GenericLorenz(ms.Lorenz):
         return super().jacobian_apply(u, v)
 
 
+def _traced(traj, segments, v, forcing, width):
+    """tangent_sweep_many over windows of at most width steps, each from
+    the last one's rows: (the rows at the segment ends, the trace of
+    every step (stride, m, N))."""
+    trace = np.empty((traj.stride, *v.shape))
+    for j0 in range(0, traj.stride, width):
+        g = min(width, traj.stride - j0)
+        v = timestep.tangent_sweep_many(traj, segments, v, forcing,
+                                        window=(j0, g),
+                                        trace=trace[j0:j0 + g])
+    return v, trace
+
+
+def _fed(traj, segments, w, source, width):
+    """adjoint_sweep_many over windows of at most width steps, last
+    window first, each from the next one's rows and fed its part of
+    source (stride, m, N), or of no source for None."""
+    for j0 in reversed(range(0, traj.stride, width)):
+        g = min(width, traj.stride - j0)
+        w = timestep.adjoint_sweep_many(
+            traj, segments, w, window=(j0, g),
+            source=None if source is None else source[j0:j0 + g])
+    return w
+
+
+# window widths of the table tests: the whole segment, one step, and 7
+# steps, which divide no stride of the fixtures
+WIDTHS = (None, 1, 7)
+
+
 class TestIntegrate:
     def test_linear_exact_solution(self):
         sys_ = LinearDecay()
@@ -119,8 +149,13 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             ms.integrate(LinearDecay(), np.array([1.0]), 0.0, 1.0, 0.3)
 
-    def test_stride_must_divide(self, lorenz28):
-        with pytest.raises(ValueError):
+    def test_stride_must_divide(self, lorenz28, monkeypatch):
+        # checked before the first step
+        def stepped(*args, **kwargs):
+            raise AssertionError("integration started")
+
+        monkeypatch.setattr(timestep, "_rk4", stepped)
+        with pytest.raises(ValueError, match="stride 33 does not divide"):
             ms.integrate(lorenz28, np.ones(3), 0.0, 1.0, 0.01, stride=33)
 
     def test_ks_stability_guard(self):
@@ -247,26 +282,58 @@ class TestLorenzTangentKernel:
     @pytest.mark.parametrize("kind", sorted(ROWS))
     def test_matches_generic_step(self, lorenz_traj, kind, forcing):
         # the compiled sweep (Lorenz) and the generic step (GenericLorenz)
-        # agree bit for bit at the segment ends and in the rows handed to
-        # on_step, and with each row swept alone
+        # agree bit for bit at the segment ends and on every trace row,
+        # over the whole segment or in windows, whose last trace row is
+        # the end; so do the source-fed adjoints, and each row swept alone
         segments = self.ROWS[kind]
-        v = np.random.default_rng(6).standard_normal((segments.size, 3))
-        ends, seen = [], []
-        for traj in (lorenz_traj, self._generic(lorenz_traj)):
-            rows = []
-            ends.append(timestep.tangent_sweep_many(
-                traj, segments, v, forcing=forcing,
-                on_step=lambda j, r, rows=rows: rows.append((j, r.copy()))))
-            seen.append(rows)
-        assert np.array_equal(ends[0], ends[1])
+        rng = np.random.default_rng(6)
+        v = rng.standard_normal((segments.size, 3))
+        source = rng.standard_normal((lorenz_traj.stride, segments.size, 3))
+        generic = self._generic(lorenz_traj)
+        assert _native.sweeps(lorenz_traj) == (_native.library() is not None)
+        ref, ref_trace = _traced(generic, segments, v, forcing, 1)
+        ref_back = _fed(generic, segments, v, source, 1)
+        assert np.array_equal(ref, ref_trace[-1])
+        for traj in (lorenz_traj, generic):
+            for width in WIDTHS:
+                end, trace = _traced(traj, segments, v, forcing,
+                                     width or traj.stride)
+                assert np.array_equal(end, ref)
+                assert np.array_equal(trace, ref_trace)
+                assert np.array_equal(
+                    _fed(traj, segments, v, source, width or traj.stride),
+                    ref_back)
+        assert not np.array_equal(ref_back, timestep.adjoint_sweep_many(
+            generic, segments, v))
         alone = [timestep.tangent_sweep_many(lorenz_traj, [seg], v[i:i + 1],
                                              forcing=forcing)
                  for i, seg in enumerate(segments)]
-        assert np.array_equal(ends[0], np.concatenate(alone))
-        assert len(seen[0]) == len(seen[1]) == lorenz_traj.stride
-        for (j0, r0), (j1, r1) in zip(*seen):
-            assert j0 == j1 and r0.shape == (segments.size, 3)
-            assert np.array_equal(r0, r1)
+        assert np.array_equal(ref, np.concatenate(alone))
+
+    def test_window_and_table_checked(self, lorenz_traj):
+        # a window past the segment, or a table of the wrong shape or
+        # layout, raises before any step
+        v = np.zeros((2, 3))
+        for window in [(0, 0), (-1, 2), (499, 2), (0, 501)]:
+            with pytest.raises(IndexError):
+                timestep.tangent_sweep_many(lorenz_traj, [0, 1], v,
+                                            window=window)
+            with pytest.raises(IndexError):
+                timestep.adjoint_sweep_many(lorenz_traj, [0, 1], v,
+                                            window=window)
+        with pytest.raises(ms.DimensionMismatch):
+            timestep.tangent_sweep_many(lorenz_traj, [0, 1], v, window=(0, 3),
+                                        trace=np.empty((2, 2, 3)))
+        with pytest.raises(ms.DimensionMismatch):
+            timestep.adjoint_sweep_many(lorenz_traj, [0, 1], v, window=(0, 3),
+                                        source=np.empty((3, 1, 3)))
+        read_only = np.empty((3, 2, 3))
+        read_only.flags.writeable = False
+        for trace in (np.empty((3, 3, 2)).swapaxes(1, 2),
+                      np.empty((3, 2, 3), dtype=np.float32), read_only):
+            with pytest.raises(ms.DimensionMismatch):
+                timestep.tangent_sweep_many(lorenz_traj, [0, 1], v,
+                                            window=(0, 3), trace=trace)
 
     @pytest.mark.parametrize("case", ["no_library", "subclass",
                                       "strided_states"])
@@ -347,34 +414,35 @@ class TestCompiledAdjoint:
     @pytest.mark.parametrize("order", ["in_order", "gathered"])
     def test_matches_array_loop(self, traj, order, monkeypatch):
         # the compiled sweep and the array loop agree bit for bit at the
-        # segment starts and in the rows handed to on_step, and on_step's
-        # changes to the rows carry into the next step
+        # segment starts, with and without a source, over the whole
+        # segment or in windows, and the source adds into the next step
         k, n = traj.n_segments, traj.system.dim
         segments = np.arange(k) if order == "in_order" else np.array(
             [k - 1, 0, 2, 2])
-        w = np.random.default_rng(9).standard_normal((segments.size, n))
+        rng = np.random.default_rng(9)
+        w = rng.standard_normal((segments.size, n))
+        source = rng.standard_normal((traj.stride, segments.size, n))
         assert _native.sweeps(traj) == (
             _native.library() is not None)
 
         def run():
-            seen = []
+            return [[_fed(traj, segments, w, src, width or traj.stride)
+                     for width in WIDTHS] for src in (None, source)]
 
-            def on_step(j, rows):
-                seen.append((j, rows.copy()))
-                rows *= 0.5
-
-            return timestep.adjoint_sweep_many(traj, segments, w,
-                                               on_step=on_step), seen
-
-        (out, seen), (ref, ref_seen) = _loops(monkeypatch, run)
-        assert np.array_equal(out, ref)
-        assert [j for j, _ in seen] == list(range(traj.stride - 1, -1, -1))
-        assert [j for j, _ in ref_seen] == [j for j, _ in seen]
-        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(seen,
-                                                                  ref_seen))
-        whole, ref_whole = _loops(monkeypatch, lambda: (
-            timestep.adjoint_sweep_many(traj, segments, w)))
-        assert np.array_equal(whole, ref_whole)
+        out, ref = _loops(monkeypatch, run)
+        plain, fed = ref[0][0], ref[1][0]
+        for ends in (out, ref):
+            assert all(np.array_equal(a, plain) for a in ends[0])
+            assert all(np.array_equal(a, fed) for a in ends[1])
+        assert not np.array_equal(plain, fed)
+        # one backward step fed its source equals the step, then the add
+        last = timestep.adjoint_sweep_many(traj, segments, w,
+                                           window=(traj.stride - 1, 1))
+        assert np.array_equal(
+            timestep.adjoint_sweep_many(traj, segments, w,
+                                        window=(traj.stride - 1, 1),
+                                        source=source[-1:]),
+            last + source[-1])
 
     @pytest.mark.parametrize("case", ["no_library", "subclass",
                                       "strided_states"])
@@ -512,28 +580,26 @@ class TestCompiledKSTangent:
     @pytest.mark.parametrize("rows", sorted(ROWS))
     def test_matches_array_loop(self, traj, rows, forcing, monkeypatch):
         # the compiled sweep and the array loop agree bit for bit at the
-        # segment ends and in the rows handed to on_step
+        # segment ends and on every trace row, over the whole segment or
+        # in windows, whose last trace row is the end; so do the
+        # source-fed adjoints
         segments = self.ROWS[rows](traj.n_segments)
-        v = np.random.default_rng(11).standard_normal(
-            (segments.size, traj.system.dim))
+        rng = np.random.default_rng(11)
+        v = rng.standard_normal((segments.size, traj.system.dim))
+        source = rng.standard_normal((traj.stride, *v.shape))
         assert _native.sweeps(traj) == (_native.library() is not None)
 
         def run():
-            seen = []
-            end = timestep.tangent_sweep_many(
-                traj, segments, v, forcing=forcing,
-                on_step=lambda j, r: seen.append((j, r.copy())))
-            return end, seen, timestep.tangent_sweep_many(
-                traj, segments, v, forcing=forcing)
+            return [(*_traced(traj, segments, v, forcing,
+                              width or traj.stride),
+                     _fed(traj, segments, v, source, width or traj.stride))
+                    for width in WIDTHS]
 
-        (end, seen, whole), (ref, ref_seen, ref_whole) = _loops(monkeypatch,
-                                                                run)
-        assert np.array_equal(ref, ref_whole)
-        assert np.array_equal(end, ref) and np.array_equal(whole, ref)
-        assert [j for j, _ in seen] == list(range(traj.stride))
-        assert [j for j, _ in ref_seen] == [j for j, _ in seen]
-        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(seen,
-                                                                  ref_seen))
+        out, ref = _loops(monkeypatch, run)
+        end, trace, back = ref[0]
+        assert np.array_equal(end, trace[-1])
+        for got in out + ref:
+            assert all(map(np.array_equal, got, (end, trace, back)))
 
     @pytest.mark.parametrize("case", ["no_library", "subclass"])
     def test_array_loop_gives_the_same_bits(self, ks_traj, case,

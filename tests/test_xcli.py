@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import msshadow as ms
-from msshadow import analysis, shadow, timestep, xcli
+from msshadow import _native, analysis, shadow, timestep, xcli
 from msshadow.errors import ConfigError, DivergenceError
 
 LORENZ_INI = """\
@@ -143,6 +143,53 @@ class StateObjective(ms.Objective):
         return np.ones_like(u)
 
 
+# (make_system, param, make_objective, initial states, step) of the
+# fd_sample tests
+FD_CASES = {
+    "lorenz": (lambda s: ms.Lorenz(rho=s), 28.0, lambda system: ms.LorenzZ(),
+               np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.001],
+                         [-2.0, 0.5, 20.0]]), 0.002),
+    "ks": (lambda s: ms.KuramotoSivashinsky(15, 16.0, s), 0.5,
+           ms.SpatialMean, np.random.default_rng(8).uniform(0.0, 1.0, (3, 15)),
+           0.02),
+    # a value that squares the state, summed over 31 nodes
+    "ks-square": (lambda s: ms.KuramotoSivashinsky(31, 32.0, s), 0.5,
+                  ms.SpatialMeanSquare,
+                  np.random.default_rng(9).uniform(0.0, 1.0, (2, 31)), 0.02),
+}
+
+
+def _fd_step_loop(make_system, make_objective, u0, param, delta, spin_up,
+                  horizon, h):
+    """fd_sample as the per-step loop computed it, the reference of the
+    chunked tables: the batch in lockstep on the array loop, each step's
+    value added to the running sum in Python right after the step."""
+    averages = []
+    for sign in (1.0, -1.0):
+        system = make_system(param + sign * delta)
+        objective = make_objective(system)
+        u = np.array(u0, dtype=float)
+        step = timestep.rk4_kernel(h, np.empty(u.shape),
+                                   lambda x, i, y, out: np.copyto(
+                                       out, system.rhs(y)))
+        for _ in range(timestep._n_steps(-spin_up, 0.0, h)):
+            step(u, None)
+        acc = 0.5 * objective.value(u)
+        for _ in range(timestep._n_steps(0.0, horizon, h)):
+            step(u, None)
+            acc += objective.value(u)
+        acc -= 0.5 * objective.value(u)
+        averages.append(acc * h / horizon)
+    return (averages[0] - averages[1]) / (2.0 * delta)
+
+
+class Blowup(LinearRelax):
+    """du/dt = u^2: from u = 1 it leaves the floats before t = 1."""
+
+    def rhs(self, u):
+        return u * u
+
+
 class TestFiniteDifferenceReference:
     def test_linear_model_exact_derivative(self):
         # after spin-up the transient is gone and dJbar/ds = 1 exactly;
@@ -157,21 +204,65 @@ class TestFiniteDifferenceReference:
     def test_batch_matches_single_states(self, model):
         # a batch of initial states gives each row the estimate it gets
         # on its own, bit for bit
-        if model == "lorenz":
-            make, param = (lambda s: ms.Lorenz(rho=s)), 28.0
-            objective = lambda system: ms.LorenzZ()
-            u0 = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.001],
-                           [-2.0, 0.5, 20.0]])
-            h = 0.002
-        else:
-            make, param = (lambda s: ms.KuramotoSivashinsky(15, 16.0, s)), 0.5
-            objective = ms.SpatialMean
-            u0 = np.random.default_rng(8).uniform(0.0, 1.0, (3, 15))
-            h = 0.02
+        make, param, objective, u0, h = FD_CASES[model]
         batch = xcli.fd_sample(make, objective, u0, param, 0.1, 2.0, 4.0, h)
         single = [xcli.fd_sample(make, objective, u, param, 0.1, 2.0, 4.0, h)
                   for u in u0]
         assert np.array_equal(batch, single)
+
+    @pytest.mark.parametrize("steps", [1, 7, None])
+    @pytest.mark.parametrize("case", sorted(FD_CASES))
+    def test_matches_step_loop(self, case, steps, monkeypatch):
+        # the samples, summed a chunk of steps at a time from one table,
+        # one state at a time through the compiled loop or, without it,
+        # the array loop, are np.array_equal to the step loop's, in
+        # chunks of one step, of 7 (no divisor of the step count) and of
+        # the default bound
+        make, param, objective, u0, h = FD_CASES[case]
+        if steps:
+            monkeypatch.setattr(timestep, "_TABLE", steps * u0.shape[1])
+        want = _fd_step_loop(make, objective, u0, param, 0.1, 2.0, 4.0, h)
+        for lib in (_native.library() or False, False):
+            monkeypatch.setattr(_native, "_lib", lib)
+            assert np.array_equal(
+                xcli.fd_sample(make, objective, u0, param, 0.1, 2.0, 4.0, h),
+                want)
+
+    @pytest.mark.parametrize("case", ["lorenz", "ks"])
+    def test_own_models_step_in_c(self, case, monkeypatch):
+        # with the library loaded, every step of the spin-up and of the
+        # averages runs the compiled single-state loop
+        if _native.library() is None:
+            pytest.skip("no C compiler")
+        make, param, objective, u0, h = FD_CASES[case]
+        want = xcli.fd_sample(make, objective, u0, param, 0.1, 2.0, 4.0, h)
+
+        def array_step(*args):
+            raise AssertionError("an array-loop step ran")
+
+        monkeypatch.setattr(timestep, "rk4_kernel", array_step)
+        assert np.array_equal(
+            xcli.fd_sample(make, objective, u0, param, 0.1, 2.0, 4.0, h),
+            want)
+
+    def test_bad_horizon_fails_before_spin_up(self, monkeypatch):
+        make, param, objective, u0, h = FD_CASES["lorenz"]
+        _forbid_integration(monkeypatch)
+        with pytest.raises(ValueError, match="not an integer multiple"):
+            xcli.fd_sample(make, objective, u0, param, 0.1, 2.0, 4.001, h)
+
+    @pytest.mark.parametrize("steps", [7, None])
+    def test_divergence_reports_step(self, steps, monkeypatch):
+        # a blow-up in a later chunk is reported at its step of the
+        # horizon, the step the whole loop reports
+        with pytest.raises(DivergenceError) as whole:
+            timestep._rk4(Blowup(0.0), np.array([1.0]), 0.01, 200)
+        if steps:
+            monkeypatch.setattr(timestep, "_TABLE", steps)
+        with pytest.raises(DivergenceError) as err:
+            xcli._integrate_average(Blowup(0.0), StateObjective(),
+                                    np.array([1.0]), 0.0, 2.0, 0.01)
+        assert err.value.step == whole.value.step > 7
 
     def test_reference_statistics(self, lorenz_ini):
         cfg = xcli.load_config(lorenz_ini)
