@@ -1,19 +1,20 @@
-"""The single-state primal RK4 loops and the tangent and adjoint sweeps
-of Lorenz and Kuramoto-Sivashinsky, and a band eigensolver, in C,
-compiled at first use.
+"""The primal RK4 loop and the tangent and adjoint sweeps of Lorenz and
+Kuramoto-Sivashinsky, and a band eigensolver, in C, compiled at first
+use.
 
-``rk4`` runs n classical RK4 steps of one Lorenz or Kuramoto-Sivashinsky
-state with the element operations of ``timestep.rk4_kernel`` over
-``Lorenz.rhs`` or ``KuramotoSivashinsky.rhs`` in their order, and
-``sweep`` steps tangent rows of either model with those of
-``timestep.tangent_step`` over ``jacobian_apply`` and ``param_deriv``,
-or adjoint rows with those of ``timestep.adjoint_step_at`` over
-``jacobian_transpose_apply``, so all are bit-identical to the array
-loops, which stay the reference and the fallback.  A sweep runs a
-window of steps in one call, with no Python between them: the tangent
-sweep writes each step's rows into a table, the adjoint sweep adds a
-table's row after each step.  ``band_eigh``, the
-eigensolver of analysis' band route, returns the eigenvalues of a
+The library exports three entries, ``primal``, ``sweep`` and
+``band_eigh``; the model, the direction and the forcing are arguments,
+and each loop takes what its array loop takes.  ``rk4`` steps each row
+of a stack of states with the element operations of
+``timestep.rk4_kernel`` over the model's ``rhs`` in their order, and
+``sweep`` tangent rows with those of ``timestep.tangent_step`` over
+``jacobian_apply`` and ``param_deriv``, or adjoint rows with those of
+``timestep.adjoint_step_at`` over ``jacobian_transpose_apply``, so all
+are bit-identical to the array loops, which stay the reference and the
+fallback.  A sweep runs a window of steps in one call, with no Python
+between them: the tangent sweep writes each step's rows into a table,
+the adjoint sweep adds a table's row after each step.  ``band_eigh``,
+the eigensolver of analysis' band route, returns the eigenvalues of a
 symmetric band matrix and U^T y for its eigenvectors U and a block y,
 without forming U.  The source below is compiled by ``sysconfig``'s C
 compiler at -O3, with flags that forbid contraction and reordering, at
@@ -21,12 +22,12 @@ the first loop of a process, into a shared library in the package's
 ``__pycache__`` named by the CRC-32 of the source and the flags; the
 build removes the libraries of earlier sources from that folder, and
 later processes load it with ``ctypes`` without looking up the
-compiler.  With GCC 12 on x86-64 Linux the KS
-tangent kernel is compiled in clones for x86-64-v4, v3 and the
-baseline, and the CPU picks one at load time.  Without a compiler,
-when the compile fails, or when ``__pycache__`` holds no library and is
-not writable, ``serves`` and ``sweeps`` are false and the array loops
-run, and analysis takes its dense route.
+compiler.  With GCC 12 on x86-64 Linux the KS tangent kernel is
+compiled in clones for x86-64-v4, v3 and the baseline, and the CPU
+picks one at load time.  Without a compiler, when the compile fails, or
+when ``__pycache__`` holds no library and is not writable, ``serves``
+and ``sweeps`` are false and the array loops run, and analysis takes
+its dense route.
 """
 
 import ctypes
@@ -41,24 +42,22 @@ from .errors import DimensionMismatch, DivergenceError, ShadowingError
 _FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared", "-x", "c", "-",
           "-lm")
 
-# lorenz_rk4 and ks_rk4(n, steps, every, h, par, u, states, fvals, s2,
-# s3, s4) step u (n,) in place and return 0, the step of a divergence
-# (checked after step j + 1 when j % every == 0 and after the last), or
-# -1 when out of memory.  Row j of states gets the state after j + 1
-# steps, rows j of fvals, s2, s3 and s4 the rhs and RK4 stages 2-4 of
-# step j, and fvals row steps the rhs of the end state.  Any output may
-# be NULL.  Stage i is u + w_i k_i and the update u + h/6 (((k1 + 2 k2)
-# + 2 k3) + k4): the order of timestep.rk4_kernel over Lorenz.rhs or
-# KuramotoSivashinsky.rhs.
-# lorenz_tangent(n, m, j0, steps, h, par, offs, u, s2, s3, s4, v, trace)
-# is ks_tangent (see below) for Lorenz, n = 3, a row at a time: stage s
-# takes k_s = J(x_s) w_s + df/drho(x_s) at w_0 = v, w_s = v + k_{s-1}
-# c_s, and the update is v + (((k_0 + k_1 2) + k_2 2) + k_3) h/6, the
-# order of timestep.tangent_step.  Unforced, df/drho is -0.0, which
-# leaves every value as it is; forced, param_deriv's (+0.0, x, +0.0).
-# ks_tangent: see below; lorenz_adjoint and ks_adjoint: see adjoint.
-# The Lorenz loops pass n = 3 as a literal, so that rk4 and adjoint
-# specialise for it.
+# The library exports three entries; the model (0 Lorenz, 1 KS), the
+# direction and the forcing are arguments.  primal(model, n, m, steps,
+# every, h, par, u, states, fvals, s2, s3, s4) steps the rows of u (m,
+# n) in place, in lockstep as the array loop does, and returns 0, the
+# step at which a row is found non-finite (checked after step j + 1 when
+# j % every == 0 and after the last), or -1 when out of memory.  Row r
+# after step j goes to slot j m + r of states, the rhs and RK4 stages
+# 2-4 of that step to slot j m + r of fvals, s2, s3 and s4, and fvals
+# slot steps m + r gets the rhs of row r's end state.  Any output may be
+# NULL.  Stage i is u + w_i k_i and the update u + h/6 (((k1 + 2 k2) +
+# 2 k3) + k4): the order of timestep.rk4_kernel over Lorenz.rhs or
+# KuramotoSivashinsky.rhs.  sweep(model, transpose, forcing, n, m, j0,
+# steps, h, par, offs, u, s2, s3, s4, v, table) runs lorenz_tangent or
+# ks_tangent (table their trace), or with transpose adjoint (table its
+# source); see there.  The Lorenz loops pass n = 3 as a literal, so that
+# rk4 and adjoint specialise for it.
 _SOURCE = r"""
 #include <float.h>
 #include <math.h>
@@ -140,8 +139,8 @@ static void put(double *rows, long j, const double *u, long n)
         memcpy(rows + j * n, u, n * sizeof(double));
 }
 
-static long rk4(rhs_fn f, long n, long steps, long every, double h,
-                const double *par, double *u, double *states,
+static long rk4(rhs_fn f, long n, long m, long steps, long every,
+                double h, const double *par, double *u, double *states,
                 double *fvals, double *s2, double *s3, double *s4)
 {
     /* k1..k4, then x with two zero slots either side, then q */
@@ -153,56 +152,65 @@ static long rk4(rhs_fn f, long n, long steps, long every, double h,
     double *stage[3] = {s2, s3, s4};
     long status = 0;
     for (long j = 0; j < steps && !status; j++) {
-        memcpy(x, u, n * sizeof(double));
-        f(n, par, x, q, k);
-        put(fvals, j, k, n);
-        for (int s = 0; s < 3; s++) {
-            const double *ks = k + s * n;
+        for (long r = 0; r < m; r++) {
+            double *v = u + r * n;
+            memcpy(x, v, n * sizeof(double));
+            f(n, par, x, q, k);
+            put(fvals, j * m + r, k, n);
+            /* unrolled, the Lorenz loop keeps w and stage in registers:
+               30 against 43 ns a step with GCC 12 on a Xeon VM */
+            #pragma GCC unroll 3
+            for (int s = 0; s < 3; s++) {
+                const double *ks = k + s * n;
+                for (long i = 0; i < n; i++)
+                    x[i] = v[i] + w[s] * ks[i];
+                put(stage[s], j * m + r, x, n);
+                f(n, par, x, q, k + (s + 1) * n);
+            }
             for (long i = 0; i < n; i++)
-                x[i] = u[i] + w[s] * ks[i];
-            put(stage[s], j, x, n);
-            f(n, par, x, q, k + (s + 1) * n);
+                v[i] += h6 * (k[i] + 2.0 * k[n + i] + 2.0 * k[2 * n + i]
+                              + k[3 * n + i]);
         }
-        for (long i = 0; i < n; i++)
-            u[i] += h6 * (k[i] + 2.0 * k[n + i] + 2.0 * k[2 * n + i]
-                          + k[3 * n + i]);
-        put(states, j, u, n);
-        if (j % every == 0 && !all_finite(u, n))
+        put(states, j, u, m * n);
+        if (j % every == 0 && !all_finite(u, m * n))
             status = j + 1;
     }
-    if (!status && fvals) {
-        memcpy(x, u, n * sizeof(double));
-        f(n, par, x, q, fvals + steps * n);
+    for (long r = 0; r < m && !status && fvals; r++) {
+        memcpy(x, u + r * n, n * sizeof(double));
+        f(n, par, x, q, fvals + (steps * m + r) * n);
     }
     free(k);
-    if (!status && !all_finite(u, n))
+    if (!status && !all_finite(u, m * n))
         status = steps;
     return status;
 }
 
-long lorenz_rk4(long n, long steps, long every, double h, const double *par,
-                double *u, double *states, double *fvals, double *s2,
-                double *s3, double *s4)
+long primal(long model, long n, long m, long steps, long every, double h,
+            const double *par, double *u, double *states, double *fvals,
+            double *s2, double *s3, double *s4)
 {
-    return rk4(lorenz_f, 3, steps, every, h, par, u, states, fvals, s2, s3,
-               s4);
+    if (model)
+        return rk4(ks_f, n, m, steps, every, h, par, u, states, fvals, s2,
+                   s3, s4);
+    return rk4(lorenz_f, 3, m, steps, every, h, par, u, states, fvals, s2,
+               s3, s4);
 }
 
-long ks_rk4(long n, long steps, long every, double h, const double *par,
-            double *u, double *states, double *fvals, double *s2,
-            double *s3, double *s4)
-{
-    return rk4(ks_f, n, steps, every, h, par, u, states, fvals, s2, s3, s4);
-}
-
-long lorenz_tangent(long n, long m, long j0, long steps, double h,
-                    const double *par, const long *offs, const double *u,
-                    const double *s2, const double *s3, const double *s4,
-                    double *v, double *trace)
+/* lorenz_tangent is ks_tangent (see below) for Lorenz, n = 3, a row at
+   a time: stage s takes k_s = J(x_s) w_s + df/drho(x_s) at w_0 = v, w_s
+   = v + k_{s-1} c_s, and the update is v + (((k_0 + k_1 2) + k_2 2) +
+   k_3) h/6, the order of timestep.tangent_step.  Unforced, df/drho is
+   -0.0, which leaves every value as it is; forced, param_deriv's (+0.0,
+   x, +0.0) */
+static long lorenz_tangent(long m, long j0, long steps, double h,
+                           long forcing, const double *par, const long *offs,
+                           const double *u, const double *s2,
+                           const double *s3, const double *s4, double *v,
+                           double *trace)
 {
     const double *xs[4] = {u, s2, s3, s4};
     double c[4] = {0.0, 0.5 * h, 0.5 * h, h}, h6 = h / 6.0;
-    double z = par[3] ? 0.0 : -0.0, k[4][3], w[3];
+    double z = forcing ? 0.0 : -0.0, k[4][3], w[3];
     for (long i = 0; i < m; i++) {
         double *r = v + 3 * i;
         for (long j = j0; j < j0 + steps; j++) {
@@ -212,7 +220,7 @@ long lorenz_tangent(long n, long m, long j0, long steps, double h,
                     w[e] = s ? r[e] + k[s - 1][e] * c[s] : r[e];
                 k[s][0] = par[0] * (w[1] - w[0]) + z;
                 k[s][1] = (par[1] - x[2]) * w[0] - w[1] - x[0] * w[2]
-                          + (par[3] ? x[0] : z);
+                          + (forcing ? x[0] : z);
                 k[s][2] = x[1] * w[0] + x[0] * w[1] - par[2] * w[2] + z;
             }
             for (int e = 0; e < 3; e++)
@@ -290,29 +298,30 @@ ks_j(long n, const double *par, const double *restrict xc,
     }
 }
 
-/* ks_tangent(n, m, j0, steps, h, par, offs, u, s2, s3, s4, v, trace)
-   runs steps j0 .. j0 + steps - 1 of the discrete tangent RK4 map on
-   each row i of v (m, n) in place, at the stage rows offs[i] + j, writes
-   row i after step j to trace (steps, m, n) at [j - j0][i] when trace is
-   not NULL, and returns 0, or -1 when out of memory; par is that of
-   ks_rk4 and 1 if forced, else 0.  Blocks of KB rows are stepped at
+/* ks_tangent(n, m, j0, steps, h, forcing, par, offs, u, s2, s3, s4, v,
+   trace) runs steps j0 .. j0 + steps - 1 of the discrete tangent RK4 map,
+   forced or not, on each row i of v (m, n) in place, at the stage rows
+   offs[i] + j, writes row i after step j to trace (steps, m, n) at [j -
+   j0][i] when trace is not NULL, and returns 0, or -1 when out of
+   memory; par is that of ks_f.  Blocks of KB rows are stepped at
    once, entry-major, with each stage state's x + c (and -D1 x) laid out
    once per stage and step, one for the block when its rows share a
    segment.  The stage derivative of each row is that of ks_j, and the
    update that of timestep.rk4_kernel: w = v + k_1 h/2, w = v + k_2 h/2,
    w = v + k_3 h with acc = ((k_1 + k_2 2) + k_3 2), and v + (acc + k_4)
    h/6 */
-CLONES long ks_tangent(long n, long m, long j0, long steps, double h,
-                       const double *par, const long *offs, const double *u,
-                       const double *s2, const double *s3, const double *s4,
-                       double *v, double *trace)
+CLONES static long ks_tangent(long n, long m, long j0, long steps, double h,
+                              long forcing, const double *par,
+                              const long *offs, const double *u,
+                              const double *s2, const double *s3,
+                              const double *s4, double *v, double *trace)
 {
     long e = n + 4;
     double *buf = calloc((3 * e + 3 * n) * KB + e, sizeof(double));
     if (!buf)
         return -1;
     double *pv = buf, *pw = pv + e * KB, *xc = pw + e * KB, *acc = xc + e * KB;
-    double *k = acc + n * KB, *fd = par[5] ? k + n * KB : NULL;
+    double *k = acc + n * KB, *fd = forcing ? k + n * KB : NULL;
     double *t = k + 2 * n * KB;
     const double *xs[4] = {u, s2, s3, s4};
     double c[3] = {0.5 * h, 0.5 * h, h}, h6 = h / 6.0;
@@ -363,7 +372,7 @@ CLONES long ks_tangent(long n, long m, long j0, long steps, double h,
 
 /* steps j0 + steps - 1 down to j0 of the adjoint RK4 map on each row i
    of w (m, n) in place, at the stage rows offs[i] + j; returns 0, or -1
-   when out of memory.  par is that of the model's rk4.  Stage s takes
+   when out of memory.  par is that of the model's rhs.  Stage s takes
    t_s = J(x_s)^T l_s at l_4 = w h/6, l_3 = w h/3 + t_4 h, l_2 = w h/3 +
    t_3 h/2, l_1 = w h/6 + t_2 h/2, and the update is (((w + t_1) + t_2) +
    t_3) + t_4: the order of timestep.adjoint_step_at.  When src (steps,
@@ -401,22 +410,20 @@ static long adjoint(jt_fn jt, long n, long m, long j0, long steps, double h,
     return 0;
 }
 
-long lorenz_adjoint(long n, long m, long j0, long steps, double h,
-                    const double *par, const long *offs, const double *u,
-                    const double *s2, const double *s3, const double *s4,
-                    double *w, const double *src)
+long sweep(long model, long transpose, long forcing, long n, long m,
+           long j0, long steps, double h, const double *par, const long *offs,
+           const double *u, const double *s2, const double *s3,
+           const double *s4, double *v, double *table)
 {
-    return adjoint(lorenz_jt, 3, m, j0, steps, h, par, offs, u, s2, s3, s4, w,
-                   src);
-}
-
-long ks_adjoint(long n, long m, long j0, long steps, double h,
-                const double *par, const long *offs, const double *u,
-                const double *s2, const double *s3, const double *s4,
-                double *w, const double *src)
-{
-    return adjoint(ks_jt, n, m, j0, steps, h, par, offs, u, s2, s3, s4, w,
-                   src);
+    if (transpose)
+        return model ? adjoint(ks_jt, n, m, j0, steps, h, par, offs, u, s2,
+                               s3, s4, v, table)
+                     : adjoint(lorenz_jt, 3, m, j0, steps, h, par, offs, u,
+                               s2, s3, s4, v, table);
+    return model ? ks_tangent(n, m, j0, steps, h, forcing, par, offs, u, s2,
+                              s3, s4, v, table)
+                 : lorenz_tangent(m, j0, steps, h, forcing, par, offs, u, s2,
+                                  s3, s4, v, table);
 }
 
 /* (u_k, v_k) <- (c u_k + s v_k, c v_k - s u_k) for k < m */
@@ -593,13 +600,9 @@ def _load():
     except OSError:
         return None
     long, ptr = ctypes.c_long, ctypes.c_void_p
-    for names, longs, ptrs in ((("lorenz_rk4", "ks_rk4"), 3, 7),
-                               (("lorenz_tangent", "ks_tangent",
-                                 "lorenz_adjoint", "ks_adjoint"), 4, 8)):
-        for name in names:
-            fn = getattr(lib, name)
-            fn.restype = long
-            fn.argtypes = (long,) * longs + (ctypes.c_double,) + (ptr,) * ptrs
+    for fn, longs, ptrs in ((lib.primal, 5, 7), (lib.sweep, 7, 8)):
+        fn.restype = long
+        fn.argtypes = (long,) * longs + (ctypes.c_double,) + (ptr,) * ptrs
     lib.band_eigh.restype = long
     lib.band_eigh.argtypes = (long,) * 3 + (ptr,) * 3
     return lib
@@ -616,8 +619,8 @@ def library():
 
 
 def serves(system):
-    """Whether the C loop steps system's single states: it has Lorenz's
-    or KuramotoSivashinsky's own model (dynsys.own_model) and the library
+    """Whether the C loop steps system's states: it has Lorenz's or
+    KuramotoSivashinsky's own model (dynsys.own_model) and the library
     is loaded."""
     return (any(own_model(system, c) for c in (Lorenz, KuramotoSivashinsky))
             and library() is not None)
@@ -633,11 +636,11 @@ def sweeps(traj):
 
 
 def _model(system):
-    """The C names' prefix and the parameters of system's own model."""
+    """The C model number (0 Lorenz, 1 KS) and the parameters of
+    system's own model."""
     if own_model(system, Lorenz):
-        return "lorenz", (system.sigma, system.rho, system.beta)
-    return "ks", (system.c, system._b1, system._a4, system._b24,
-                  system._c24)
+        return 0, (system.sigma, system.rho, system.beta)
+    return 1, (system.c, system._b1, system._a4, system._b24, system._c24)
 
 
 def sweep(traj, segments, v, j0, g, forcing=False, adjoint=False,
@@ -646,47 +649,44 @@ def sweep(traj, segments, v, j0, g, forcing=False, adjoint=False,
     .. j0 + g - 1, with its trace ``table``, or with ``adjoint`` its
     adjoint_sweep_many, with its source ``table``, checked by it, in C
     for a trajectory that ``sweeps``: one call for all g steps."""
-    name, par = _model(traj.system)
-    fn = getattr(library(), f"{name}_{'adjoint' if adjoint else 'tangent'}")
-    if not adjoint:
-        par = (*par, float(forcing))
+    model, par = _model(traj.system)
     offs = np.asarray(segments * traj.stride, dtype=ctypes.c_long)
     par, out = np.array(par), np.array(v, dtype=float, order="C")
     # referenced here, so alive through the call
     args = [a.ctypes.data for a in (par, offs, traj.states, *traj.stages(),
                                     out)]
-    if fn(traj.system.dim, len(out), j0, g, traj.h, *args,
-          None if table is None else table.ctypes.data) < 0:
+    if library().sweep(model, adjoint, forcing, traj.system.dim, len(out), j0,
+                       g, traj.h, *args,
+                       None if table is None else table.ctypes.data) < 0:
         raise MemoryError("sweep work buffers")
     return out
 
 
 def rk4(system, u, h, n, states=None, check_every=1, kept=None):
-    """n RK4 steps of one state u (N,), left unchanged, in C, for a
-    system the loop ``serves``; returns the end state.
+    """n RK4 steps of each row of a stack of states u (..., N), left
+    unchanged, in C, for a system the loop ``serves``; returns the end
+    states.
 
-    ``states`` rows 1..n, when given, receive the states after each
-    step.  ``kept``, when given, is (fvals, s2, s3, s4): fvals (n + 1,
-    N) receives the rhs at every state, s2, s3 and s4 (n, N) the RK4
-    stage states of every step; they match ``rhs`` and
-    ``Trajectory.stages`` element for element, up to the sign of an
-    exact zero.  A non-finite state raises DivergenceError at the step
-    timestep._rk4 reports.
+    ``states`` (n + 1, *u.shape), when given, receives the states after
+    each step in rows 1..n.  ``kept``, when given, is (fvals, s2, s3,
+    s4): fvals (n + 1, *u.shape) receives the rhs at every state, s2, s3
+    and s4 (n, *u.shape) the RK4 stage states of every step; they match
+    ``rhs`` and ``Trajectory.stages`` element for element, up to the
+    sign of an exact zero.  A non-finite state raises DivergenceError at
+    the step timestep._rk4's array loop reports for the whole stack.
     """
-    name, par = _model(system)
-    u = np.array(u, dtype=float)
-    if u.shape != (system.dim,):
-        raise DimensionMismatch(f"expected one state of shape ({system.dim},)")
+    model, par = _model(system)
+    u = np.array(u, dtype=float, order="C")
     outs = (None if states is None else states[1:], *(kept or (None,) * 4))
     for a, rows in zip(outs, (n, n + 1, n, n, n)):
-        if a is not None and (a.shape != (rows, system.dim)
-                              or a.dtype != float
-                              or not a.flags.c_contiguous):
+        if a is not None and (a.shape != (rows, *u.shape)
+                              or a.dtype != float or not a.flags.carray):
             raise DimensionMismatch(
-                f"need C-contiguous float rows ({rows}, {system.dim})")
+                f"need a writeable C-contiguous float {(rows, *u.shape)}")
     par = np.array(par)  # referenced here, so alive through the call
-    status = getattr(library(), f"{name}_rk4")(
-        system.dim, n, check_every, h, par.ctypes.data, u.ctypes.data,
+    status = library().primal(
+        model, system.dim, u.size // system.dim, n, check_every, h,
+        par.ctypes.data, u.ctypes.data,
         *(None if a is None else a.ctypes.data for a in outs))
     if status < 0:
         raise MemoryError("RK4 work buffers")

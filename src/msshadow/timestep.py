@@ -15,8 +15,8 @@ per-segment parallelism of the method.  A sweep over all segments in
 order reads each step's stage states as strided views of the stored
 arrays; other row patterns gather them.  Every array loop, primal or
 tangent, takes its RK4 step from ``rk4_kernel`` and supplies only the
-stage derivative; the C loops of ``_native``, the primal loop of a
-Lorenz or KS state and the tangent sweeps of both models, repeat its
+stage derivative; the C loops of ``_native``, the primal loop of
+Lorenz or KS states and the tangent sweeps of both models, repeat its
 operations, and their adjoint sweeps those of ``adjoint_step_at``.
 """
 
@@ -90,38 +90,43 @@ def _add_in_order(acc, terms):
 
 
 def _rk4(system, u, h, n, states=None, check_every=1, kept=None):
-    """n classical RK4 steps from u (left unchanged); the primal loop.
+    """n classical RK4 steps of each row of u (..., N), left unchanged,
+    in lockstep; the primal loop.
 
-    Row j + 1 of ``states``, when given, receives the state after j + 1
-    steps.  A non-finite state raises DivergenceError; the check runs
-    every ``check_every`` steps and after the last one.
-
-    A single state (N,) of a system the C loop ``_native.serves``
-    (Lorenz's or KuramotoSivashinsky's own model and a working C
-    compiler) runs that loop, which performs the element operations of
-    rk4_kernel over ``rhs`` in their order, so its states are
-    bit-identical; ``kept`` = (fvals, s2, s3, s4), when given, is then
-    filled as ``_native.rk4`` says.  Everything else runs the array loop
-    below, the reference.
+    Row j + 1 of ``states`` (n + 1, *u.shape), when given, receives the
+    states after j + 1 steps, and ``kept`` = (fvals, s2, s3, s4) the rhs
+    at every state and the RK4 stages 2-4 of every step.  A non-finite
+    state raises DivergenceError; the check runs every ``check_every``
+    steps and after the last one.  A system the C loop
+    ``_native.serves`` (Lorenz's or KS's own model and a working C
+    compiler) runs that loop, with the element operations of rk4_kernel
+    over ``rhs`` in their order, so its outputs are bit-identical;
+    everything else the array loop below, the reference.
     """
     if check_every < 1:
         raise ValueError(f"check_every must be at least 1, got {check_every}")
-    if u.ndim == 1:
-        from . import _native  # loaded at the first primal loop
-        if _native.serves(system):
-            return _native.rk4(system, u, h, n, states, check_every, kept)
-    if u.shape[-1] != system.dim:
+    if u.shape[-1:] != (system.dim,):
         raise DimensionMismatch(f"expected trailing dimension {system.dim}")
+    from . import _native  # loaded at the first primal loop
+    if _native.serves(system):
+        return _native.rk4(system, u, h, n, states, check_every, kept)
     u = u.copy()
-    step = rk4_kernel(h, np.empty(u.shape),
-                      lambda x, i, y, out: np.copyto(out, system.rhs(y)))
+
+    def deriv(j, i, y, out):
+        np.copyto(out, system.rhs(y))
+        if kept is not None:  # the rhs at stage 0, else the stage state
+            kept[i][j] = y if i else out
+
+    step = rk4_kernel(h, np.empty(u.shape), deriv)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n):
-            step(u, None)
+            step(u, j)
             if states is not None:
                 states[j + 1] = u
             if j % check_every == 0 and not np.isfinite(u).all():
                 raise DivergenceError(j + 1)
+        if kept is not None:
+            kept[0][n] = system.rhs(u)
     if not np.isfinite(u).all():
         raise DivergenceError(n)
     return u
@@ -131,7 +136,7 @@ def advance(system, u0, t_start, t_end, h, check_every=64):
     """Integrate without storing the path; returns the final state.
 
     Used for spin-up, where only the end state matters.  ``u0`` may be
-    one state (N,) or a batch (m, N) advanced in lockstep.
+    one state (N,) or a stack (..., N) advanced in lockstep by _rk4.
     """
     _check_stable(system, h)
     n = _n_steps(t_start, t_end, h)
@@ -200,9 +205,9 @@ class Trajectory:
 
 
 def integrate(system, u0, t_start, t_end, h, stride=1):
-    """Classical RK4 with full storage of states and rhs values.  The C
-    loop also keeps the RK4 stages it steps through as the trajectory's
-    stages()."""
+    """Classical RK4 with full storage of states, rhs values and the RK4
+    stages, which the primal loop keeps as it steps (the trajectory's
+    stages())."""
     _check_stable(system, h)
     n = _n_steps(t_start, t_end, h)
     u0 = np.asarray(u0, dtype=float)
@@ -211,18 +216,14 @@ def integrate(system, u0, t_start, t_end, h, stride=1):
     _check_stride(n, stride)
     states = np.empty((n + 1, system.dim))
     states[0] = u0
-    from . import _native  # loaded at the first primal loop
-    if _native.serves(system):
-        fvals = np.empty_like(states)
-        stages = tuple(np.empty((n, system.dim)) for _ in range(3))
-        _rk4(system, u0, h, n, states=states, kept=(fvals, *stages))
-        traj = Trajectory(system, t_start, h, states, fvals, stride)
-        traj._stages, traj.primal_loop = stages, "compiled"
-        return traj
-    _rk4(system, u0, h, n, states=states)
-    with np.errstate(over="ignore", invalid="ignore"):
-        fvals = system.rhs(states)
-    return Trajectory(system, t_start, h, states, fvals, stride)
+    fvals = np.empty_like(states)
+    stages = tuple(np.empty((n, system.dim)) for _ in range(3))
+    _rk4(system, u0, h, n, states=states, kept=(fvals, *stages))
+    traj = Trajectory(system, t_start, h, states, fvals, stride)
+    from . import _native  # loaded by the primal loop
+    traj._stages, traj.primal_loop = stages, (
+        "compiled" if _native.serves(system) else "numpy")
+    return traj
 
 
 def tangent_step(system, h, shape, forcing=False):

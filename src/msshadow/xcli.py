@@ -535,10 +535,11 @@ def _integrate_average(system, objective, u0, t_start, t_end, h):
     """Trapezoidal time average of the objective along an RK4 path,
     without storing the trajectory.
 
-    ``u0`` is one state (N,) or a batch (m, N) advanced in lockstep;
-    each row's average is the one it would get on its own.  The path is
-    stepped in chunks, each stored in one table whose values are added
-    to the running sum in step order.
+    ``u0`` is one state (N,) or a batch (m, N) advanced in lockstep by
+    the primal loop (in C for Lorenz's and KS's own models); each row's
+    average is the one it would get on its own.  The path is stepped in
+    chunks, each stored in one table whose values are added to the
+    running sum in step order.
     """
     n = timestep._n_steps(t_start, t_end, h)
     u = np.asarray(u0, dtype=float)
@@ -560,25 +561,19 @@ def fd_sample(make_system, make_objective, u0, param, delta, spin_up,
 
     The +/- runs share the initial state; each spins up at its own
     parameter before averaging over the horizon.  A batch of initial
-    states (m, N) gives m estimates: one state at a time where the C loop
-    serves the system, else integrated in lockstep (on the array loop,
-    in a fifth of the time criterion 05's KS states take one at a time).
-    A horizon that is no multiple of h raises ValueError before any step.
+    states (m, N) gives m estimates, integrated in lockstep: each row
+    gets the estimate it gets on its own.  A horizon that is no multiple
+    of h raises ValueError before any step.
     """
     timestep._n_steps(0.0, horizon, h)
-    from . import _native  # loaded at the first primal loop
     averages = []
     for sign in (1.0, -1.0):
         system = make_system(param + sign * delta)
-        objective = make_objective(system)
         u = np.asarray(u0, dtype=float)
-        parts = u if u.ndim == 2 and _native.serves(system) else [u]
         if spin_up > 0:
-            parts = [timestep.advance(system, p, -spin_up, 0.0, h)
-                     for p in parts]
-        averages.append(np.reshape(
-            [_integrate_average(system, objective, p, 0.0, horizon, h)
-             for p in parts], u.shape[:-1]))
+            u = timestep.advance(system, u, -spin_up, 0.0, h)
+        averages.append(_integrate_average(system, make_objective(system), u,
+                                           0.0, horizon, h))
     return (averages[0] - averages[1]) / (2.0 * delta)
 
 
@@ -721,6 +716,8 @@ def main(argv=None):
                 values = [float(v) for v in args.values.split(",") if v.strip()]
             except ValueError as exc:
                 raise ConfigError(f"bad --values {args.values!r}: {exc}") from exc
+            if not values:
+                raise ConfigError(f"--values {args.values!r} lists no value")
             rows = sweep(cfg, args.axis, values)
             failed = [r for r in rows if r["error"]]
             for row in rows:

@@ -11,6 +11,7 @@ import pytest
 import msshadow as ms
 from msshadow import _native, shadow, timestep
 from msshadow.errors import DivergenceError
+from msshadow.timestep import rk4_kernel
 
 
 class LinearDecay(ms.DynamicalSystem):
@@ -124,25 +125,29 @@ class TestIntegrate:
         (ms.KuramotoSivashinsky(n=31, length=32.0, c=0.5),
          np.random.default_rng(4).uniform(0.0, 1.0, 31), 0.02),
     ], ids=["lorenz", "ks"])
-    def test_single_state_path_matches_array_loop(self, system, u0, h):
+    def test_single_state_path_matches_array_loop(self, system, u0, h,
+                                                  monkeypatch):
         # a single state runs the compiled loop (the array loop without a
-        # C compiler), a batch of one row the array loop, which is the
+        # C compiler), a batch of one row on the array loop is the
         # reference: equal bit for bit, and a blow-up from a large state
         # is reported at the same, later step
+        def blow_up(start):
+            with pytest.raises(DivergenceError) as err:
+                ms.advance(system, start, 0.0, 1.0, 0.01, check_every=1)
+            return err.value.step
+
+        large = np.full(system.dim, 1e3)
         single = ms.advance(system, u0, 0.0, 5.0, h)
+        traj = ms.integrate(system, u0, 0.0, 5.0, h)
+        steps = [blow_up(large)]
+        monkeypatch.setattr(_native, "_lib", False)
+        steps.append(blow_up(large[None, :]))
         batch = ms.advance(system, u0[None, :], 0.0, 5.0, h)
         assert np.array_equal(single, batch[0])
-        traj = ms.integrate(system, u0, 0.0, 5.0, h)
         rows = np.empty((traj.n_steps + 1, 1, system.dim))
         rows[0] = u0
         timestep._rk4(system, u0[None, :], h, traj.n_steps, states=rows)
         assert np.array_equal(traj.states, rows[:, 0])
-        large = np.full(system.dim, 1e3)
-        steps = []
-        for start in (large, large[None, :]):
-            with pytest.raises(DivergenceError) as err:
-                ms.advance(system, start, 0.0, 1.0, 0.01, check_every=1)
-            steps.append(err.value.step)
         assert steps[0] == steps[1] > 1
 
     def test_span_must_be_step_multiple(self):
@@ -635,15 +640,18 @@ class TestCompiledLoop:
     def test_matches_array_loop(self, name, monkeypatch):
         # end states and stored states equal the array loop's on a batch
         # of one row bit for bit, with and without stored states, checked
-        # every step or every 64; integrate's fvals and stages equal its
-        # rhs and a fresh stages() recompute
+        # every step or every 64; integrate's fvals and stages, which
+        # either loop keeps as it steps, equal its rhs and a fresh
+        # stages() recompute
         system, h = COMPILED[name]
-        compiled = _native.library() is not None
         n = 600
         u0 = np.random.default_rng(5).uniform(-1.0, 1.0, system.dim)
         ref_path = np.empty((n + 1, 1, system.dim))
         ref_path[0] = u0
+        lib = _native.library() or False
+        monkeypatch.setattr(_native, "_lib", False)
         timestep._rk4(system, u0[None, :], h, n, states=ref_path)
+        monkeypatch.setattr(_native, "_lib", lib)
         for every in (1, 64):
             end = timestep._rk4(system, u0, h, n, check_every=every)
             states = np.empty((n + 1, system.dim))
@@ -656,12 +664,87 @@ class TestCompiledLoop:
             monkeypatch, lambda: ms.integrate(system, u0, 0.0, n * h, h))
         assert np.array_equal(traj.states, ref_path[:, 0])
         assert np.array_equal(ref.states, ref_path[:, 0])
-        assert np.array_equal(traj.fvals, ref.fvals)
-        assert ref.primal_loop == "numpy"
-        assert traj.primal_loop == ("compiled" if compiled else "numpy")
+        assert ref.primal_loop == "numpy" and ref._stages is not None
+        assert traj.primal_loop == ("compiled" if lib else "numpy")
         fresh = ms.Trajectory(system, 0.0, h, traj.states,
                               system.rhs(traj.states), 1)
-        assert all(map(np.array_equal, traj.stages(), fresh.stages()))
+        for got in (traj, ref):
+            assert np.array_equal(got.fvals, fresh.fvals)
+            assert all(map(np.array_equal, got.stages(), fresh.stages()))
+
+    @pytest.mark.parametrize("name", sorted(COMPILED))
+    def test_stack_matches_array_loop(self, name, monkeypatch):
+        # a stack of states, 2-D or 3-D, steps each row as it steps
+        # alone: end states, stored states, rhs values and stages are
+        # np.array_equal to the lockstep array loop's and to each single
+        # state's on the compiled loop
+        system, h = COMPILED[name]
+        compiled, n = _native.library() or False, 50
+
+        def run(u):
+            states = np.empty((n + 1, *u.shape))
+            kept = (np.empty((n + 1, *u.shape)), *np.empty((3, n, *u.shape)))
+            end = timestep._rk4(system, u, h, n, states, kept=kept)
+            return [end[None], states[1:], *kept]
+
+        rng = np.random.default_rng(14)
+        for shape in ((3,), (2, 3)):
+            u0 = rng.uniform(-1.0, 1.0, (*shape, system.dim))
+            stack, ref = _loops(monkeypatch, lambda: run(u0))
+            assert all(map(np.array_equal, stack, ref))
+            monkeypatch.setattr(_native, "_lib", compiled)
+            for i, u in enumerate(u0.reshape(-1, system.dim)):
+                rows = [a.reshape(len(a), -1, system.dim)[:, i] for a in stack]
+                assert all(map(np.array_equal, rows, run(u)))
+
+    @pytest.mark.parametrize("name", ["ks-15", "lorenz-28"])
+    def test_stack_steps_in_c(self, name, monkeypatch):
+        # advance and the primal loop send an own-model stack to C: no
+        # array-loop step runs while the library loads
+        if _native.library() is None:
+            pytest.skip("no C compiler")
+        system, h = COMPILED[name]
+        u0 = np.random.default_rng(15).uniform(-1.0, 1.0, (4, system.dim))
+        compiled = _native.library()
+        want = _loops(monkeypatch, lambda: ms.advance(system, u0, 0.0, 2.0,
+                                                      h))[1]
+
+        def array_step(*args):
+            raise AssertionError("an array-loop step ran")
+
+        monkeypatch.setattr(_native, "_lib", compiled)
+        monkeypatch.setattr(timestep, "rk4_kernel", array_step)
+        assert np.array_equal(ms.advance(system, u0, 0.0, 2.0, h), want)
+
+    def test_stack_tables_checked(self):
+        # the C loop fills a stack's tables of the stack's shape, and
+        # rejects a table of the wrong shape or layout before any step
+        if _native.library() is None:
+            pytest.skip("no C compiler")
+        system, h = COMPILED["lorenz-28"]
+        u = np.random.default_rng(16).uniform(-1.0, 1.0, (2, 3))
+        states = np.empty((11, 2, 3))
+        end = _native.rk4(system, u, h, 10, states)
+        assert np.array_equal(states[-1], end)
+        for bad in (np.empty((11, 3)), np.empty((11, 3, 2)),
+                    np.empty((11, 3, 2)).swapaxes(1, 2)):
+            with pytest.raises(ms.DimensionMismatch):
+                _native.rk4(system, u, h, 10, bad)
+        kept = (np.empty((10, 2, 3)), *np.empty((3, 10, 2, 3)))
+        with pytest.raises(ms.DimensionMismatch):
+            _native.rk4(system, u, h, 10, kept=kept)
+
+    def test_library_exports_three_entries(self):
+        # one primal loop, one sweep and the band eigensolver; the model,
+        # the direction and the forcing are arguments
+        lib = _native.library()
+        if lib is None:
+            pytest.skip("no C compiler")
+        assert all(hasattr(lib, name) for name in ("primal", "sweep",
+                                                   "band_eigh"))
+        assert not any(hasattr(lib, f"{model}_{loop}")
+                       for model in ("lorenz", "ks")
+                       for loop in ("rk4", "tangent", "adjoint"))
 
     def test_check_every_must_be_positive(self):
         system = COMPILED["ks-15"][0]
@@ -672,23 +755,34 @@ class TestCompiledLoop:
     @pytest.mark.parametrize("start, n, every", [
         ("nan", 100, 1), ("nan", 100, 64), ("large", 200, 1),
         ("large", 200, 7), ("large", 200, 64), ("large", 50, 64),
+        ("stack", 200, 1), ("stack", 200, 7), ("stack", 50, 64),
     ])
     @pytest.mark.parametrize("name", ["ks-15", "lorenz-40"])
     def test_divergence_step_matches(self, name, start, n, every,
                                      monkeypatch):
         # a NaN start fails at the first check; a large state blows up
         # after some steps, reported at the next check or after the last
-        # step, on both loops alike
+        # step, on both loops alike, and so does a stack whose middle
+        # row blows up, the compiled loop running no array-loop step
         system = COMPILED[name][0]
         u0 = np.full(system.dim, np.nan if start == "nan" else 1e3)
+        if start == "stack":
+            u0 = np.stack([np.zeros(system.dim), u0, np.ones(system.dim)])
+        compiled, kernels = _native.library() is not None, []
+
+        def kernel(*args):
+            kernels.append(_native._lib)  # the library an array loop ran under
+            return rk4_kernel(*args)
 
         def run():
             with pytest.raises(DivergenceError) as err:
                 timestep._rk4(system, u0, 0.01, n, check_every=every)
             return err.value.step
 
+        monkeypatch.setattr(timestep, "rk4_kernel", kernel)
         steps = _loops(monkeypatch, run)
         assert steps[0] == steps[1]
+        assert kernels == [False] * (1 if compiled else 2)
         if start == "nan":
             assert steps[0] == 1
 

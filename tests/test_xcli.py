@@ -214,10 +214,10 @@ class TestFiniteDifferenceReference:
     @pytest.mark.parametrize("case", sorted(FD_CASES))
     def test_matches_step_loop(self, case, steps, monkeypatch):
         # the samples, summed a chunk of steps at a time from one table,
-        # one state at a time through the compiled loop or, without it,
-        # the array loop, are np.array_equal to the step loop's, in
-        # chunks of one step, of 7 (no divisor of the step count) and of
-        # the default bound
+        # the batch stepped in lockstep through the compiled loop or,
+        # without it, the array loop, are np.array_equal to the step
+        # loop's, in chunks of one step, of 7 (no divisor of the step
+        # count) and of the default bound
         make, param, objective, u0, h = FD_CASES[case]
         if steps:
             monkeypatch.setattr(timestep, "_TABLE", steps * u0.shape[1])
@@ -231,7 +231,7 @@ class TestFiniteDifferenceReference:
     @pytest.mark.parametrize("case", ["lorenz", "ks"])
     def test_own_models_step_in_c(self, case, monkeypatch):
         # with the library loaded, every step of the spin-up and of the
-        # averages runs the compiled single-state loop
+        # averages runs the compiled loop
         if _native.library() is None:
             pytest.skip("no C compiler")
         make, param, objective, u0, h = FD_CASES[case]
@@ -828,6 +828,18 @@ class TestSweep:
         code = xcli.main(["sweep", "--config", str(lorenz_ini),
                           "--axis", "gamma", "--values", "0.1,foo"])
         assert code == xcli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("values", ["", ",", " , "])
+    def test_main_rejects_empty_values_before_integration(
+            self, lorenz_ini, monkeypatch, capsys, tmp_path, values):
+        # a list with no value is a config error, not a sweep of nothing
+        # with a header-only table
+        _forbid_integration(monkeypatch)
+        code = xcli.main(["sweep", "--config", str(lorenz_ini),
+                          "--axis", "gamma", "--values", values])
+        assert code == xcli.EXIT_CONFIG
+        assert "lists no value" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("horizon", ["0", "-1.0", "10.001"])
     def test_main_fd_ref_rejects_bad_horizon_before_integration(
