@@ -22,12 +22,14 @@ the first loop of a process, into a shared library in the package's
 ``__pycache__`` named by the CRC-32 of the source and the flags; the
 build removes the libraries of earlier sources from that folder, and
 later processes load it with ``ctypes`` without looking up the
-compiler.  With GCC 12 on x86-64 Linux the KS tangent kernel is
-compiled in clones for x86-64-v4, v3 and the baseline, and the CPU
-picks one at load time.  Without a compiler, when the compile fails, or
-when ``__pycache__`` holds no library and is not writable, ``serves``
-and ``sweeps`` are false and the array loops run, and analysis takes
-its dense route.
+compiler; the source needs GNU C's vector extension (GCC or Clang).
+The KS tangent kernel makes one pass over a block of rows per RK4
+stage, with the stencil read through a register window; with GCC 12 on
+x86-64 Linux it is built for x86-64-v4 and v3 besides the baseline, and
+the CPU picks one at each sweep.  Without a compiler, when the compile
+fails, or when ``__pycache__`` holds no library and is not writable,
+``serves`` and ``sweeps`` are false and the array loops run, and
+analysis takes its dense route.
 """
 
 import ctypes
@@ -57,7 +59,8 @@ _FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared", "-x", "c", "-",
 # steps, h, par, offs, u, s2, s3, s4, v, table) runs lorenz_tangent or
 # ks_tangent (table their trace), or with transpose adjoint (table its
 # source); see there.  The Lorenz loops pass n = 3 as a literal, so that
-# rk4 and adjoint specialise for it.
+# rk4 and adjoint specialise for it; the KS tangent kernel takes the
+# stage and the forcing as literals, and its vector width per build.
 _SOURCE = r"""
 #include <float.h>
 #include <math.h>
@@ -235,66 +238,111 @@ static long lorenz_tangent(long m, long j0, long steps, double h,
    KB rows on the inner one, so each stencil loop runs across rows */
 #define KB 8
 
-/* the KS tangent kernel in clones for x86-64-v4, v3 and the baseline,
-   picked by the CPU at load time through GCC's ifuncs on x86-64 Linux;
-   plain C elsewhere and before GCC 12, the oldest tried with them */
-#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12 \
-    && defined(__x86_64__) && defined(__gnu_linux__)
-#define CLONES __attribute__((target_clones("arch=x86-64-v4", \
-                                            "arch=x86-64-v3", "default")))
-#else
-#define CLONES
-#endif
+/* inlined at each call, so that the literals passed specialise it */
+#define INLINE static inline __attribute__((always_inline))
 
-/* x + c and -D1 x of the stage row r, padded as in _pad into t, whose
-   slots 1 and n + 2 stay zero, to xc (nodes 1 .. n + 2) and fd (nodes
-   0 .. n - 1) at node stride rs: KuramotoSivashinsky.jacobian_apply's
-   pu + c and param_deriv */
-static inline void ks_lane(long n, const double *par, const double *r,
-                           double *restrict t, double *restrict xc,
-                           double *restrict fd, long rs)
+/* a block's buffers: its rows v (n + 4, KB) from node 2, with zero
+   nodes 1 and n + 2, the next stage's input w likewise, the stage sum
+   acc, and the stage state's padded rows t with their x + c and -D1 x */
+struct ks_block {
+    double *v, *w, *acc, *t, *xc, *fd;
+};
+
+/* KuramotoSivashinsky.jacobian_apply's pu + c and param_deriv of the
+   stage state rows r[b] of a block, padded as in _pad, into xc (nodes 1
+   .. n + 2) and, when forced, fd (nodes 0 .. n - 1) at node stride ls:
+   KB, a column per row, or 1, one column for rows that share a state */
+INLINE void ks_lay(long n, const double *par, const double *const *r,
+                   long ls, int forced, struct ks_block *k)
 {
-    double b1 = par[1];
-    memcpy(t + 2, r, n * sizeof(double));
-    for (long i = 1; i < n + 3; i++)
-        xc[i * rs] = t[i] + par[0];
-    for (long i = 0; fd && i < n; i++)
-        fd[i * rs] = (t[i + 1] - t[i + 3]) * b1;
+    double *restrict t = k->t, *restrict xc = k->xc, *restrict fd = k->fd;
+    for (long b = 0; b < ls; b++) {
+        t[ls + b] = t[(n + 2) * ls + b] = 0.0;
+        xc[ls + b] = xc[(n + 2) * ls + b] = 0.0 + par[0];
+    }
+    for (long i = 0; i < n; i++)
+        for (long b = 0; b < ls; b++)
+            xc[(i + 2) * ls + b] = (t[(i + 2) * ls + b] = r[b][i]) + par[0];
+    for (long i = 0; forced && i < n * ls; i++)
+        fd[i] = (t[i + ls] - t[i + 3 * ls]) * par[1];
 }
 
-/* out (n, KB) = J p, plus fd when forced, for rows p (n + 4, KB) with
-   entries from node 2 and zero nodes 1 and n + 2: -D1 q - (D2 + D4) p
-   with q = (x + c) p, in the order of ks_f.  xc and fd hold a column
-   per row (lanes 1, node stride KB) or one column for all rows (lanes
-   0, node stride 1); each call site passes a literal, so that the
-   loops specialise.  The row loop is not unrolled, so that it, not the
-   node loop, is vectorised */
-static inline void
-ks_j(long n, const double *par, const double *restrict xc,
-     const double *restrict fd, long lanes, double *restrict p,
-     double *restrict out)
+/* lanes h .. h + W - 1 of node i of a block buffer, and x in every lane
+   (x - +0 is x, -0 included) */
+#define AT(p, i) (*(vec *)((p) + (i) * KB + h))
+#define SPLAT(x) ((x) - (vec){0})
+#define XC(i) (wide ? AT(xc, i) : SPLAT(xc[i]))
+
+/* ks_window##W(n, par, s, forced, wide, hc, k): stage s of a block in one
+   pass per W of its rows, W lanes a vector.  At each node it takes the
+   derivative of the stage input p (w, or v at s = 0): J p, -D1 q - (D2
+   + D4) p with q = (x + c) p in the order of ks_f, plus fd when forced,
+   with xc and fd as ks_lay laid them out (wide: a column per row), and
+   applies the update that follows it in the order of
+   timestep.rk4_kernel: w = v + d hc and acc = d (s = 0) or acc + d 2 (s
+   = 1, 2), after the last stage v + (acc + d) hc.  The five stencil
+   nodes and q at three of them stay in registers as the pass moves up,
+   so w is overwritten at a node only after the window holds it.  s,
+   forced and wide are literals at each call, so that each body
+   specialises */
+#define KS_WINDOW(W)                                                        \
+INLINE void ks_window##W(long n, const double *par, int s, int forced,     \
+                         int wide, double hc, struct ks_block *k)          \
+{                                                                           \
+    typedef double vec __attribute__((vector_size(W * sizeof(double))));    \
+    double *p = s ? k->w : k->v, *w = k->w, *restrict v = k->v;             \
+    double *restrict acc = k->acc;                                          \
+    const double *restrict xc = k->xc, *restrict fd = k->fd;                \
+    vec b1 = SPLAT(par[1]), a4 = SPLAT(par[2]), b24 = SPLAT(par[3]);        \
+    vec c24 = SPLAT(par[4]), c = SPLAT(hc), two = SPLAT(2.0);               \
+    for (long h = 0; h < KB; h += W) {                                      \
+        AT(p, 0) = AT(p, 2);                                                \
+        AT(p, n + 3) = AT(p, n + 1);                                        \
+        vec p0 = AT(p, 0), p1 = AT(p, 1), p2 = AT(p, 2), p3 = AT(p, 3);     \
+        vec q1 = XC(1) * p1, q2 = XC(2) * p2;                               \
+        for (long i = 0; i < n; i++) {                                      \
+            vec p4 = AT(p, i + 4), q3 = XC(i + 3) * p3;                     \
+            vec d = (q1 - q3) * b1                                          \
+                    - ((p4 + p0) * a4 + (p3 + p1) * b24 + p2 * c24);        \
+            if (forced)                                                     \
+                d = d + (wide ? AT(fd, i) : SPLAT(fd[i]));                  \
+            if (s < 3)                                                      \
+                AT(w, i + 2) = AT(v, i + 2) + d * c;                        \
+            if (s == 0)                                                     \
+                AT(acc, i) = d;                                             \
+            else if (s < 3)                                                 \
+                AT(acc, i) = AT(acc, i) + d * two;                          \
+            else                                                            \
+                AT(v, i + 2) = AT(v, i + 2) + (AT(acc, i) + d) * c;         \
+            p0 = p1, p1 = p2, p2 = p3, p3 = p4, q1 = q2, q2 = q3;           \
+        }                                                                   \
+    }                                                                       \
+}
+
+KS_WINDOW(2)
+KS_WINDOW(4)
+KS_WINDOW(8)
+#define KS_PASS(W, ...) (W == 8 ? ks_window8(__VA_ARGS__)                    \
+                         : W == 4 ? ks_window4(__VA_ARGS__)                 \
+                         : ks_window2(__VA_ARGS__))
+
+/* one RK4 step of a block: each stage's states laid out, then its pass;
+   the middle stages share a body */
+INLINE void ks_step(long n, const double *par, int W, int forced, int wide,
+                    long j, const double *const *xs, const long *lane,
+                    const double *hc, struct ks_block *k)
 {
-    double b1 = par[1], a4 = par[2], b24 = par[3], c24 = par[4];
-    long rs = lanes ? KB : 1;
-    for (int b = 0; b < KB; b++) {
-        p[b] = p[2 * KB + b];
-        p[(n + 3) * KB + b] = p[(n + 1) * KB + b];
-    }
-    for (long i = 0; i < n; i++) {
-        const double *q = p + i * KB, *x = xc + i * rs;
-        double *o = out + i * KB;
-#pragma GCC unroll 1
-        for (int b = 0; b < KB; b++) {
-            double v = (q[4 * KB + b] + q[b]) * a4
-                       + (q[3 * KB + b] + q[KB + b]) * b24;
-            o[b] = (x[rs + b * lanes] * q[KB + b]
-                    - x[3 * rs + b * lanes] * q[3 * KB + b]) * b1
-                   - (v + q[2 * KB + b] * c24);
-        }
-        if (fd)
-#pragma GCC unroll 1
-            for (int b = 0; b < KB; b++)
-                o[b] = o[b] + fd[i * rs + b * lanes];
+    for (int s = 0; s < 4; s++) {
+        const double *r[KB];
+        for (int b = 0; b < KB; b++)
+            r[b] = xs[s] + n * (lane[b] + j);
+        ks_lay(n, par, r, wide ? KB : 1, forced, k);
+        if (s == 0)
+            KS_PASS(W, n, par, 0, forced, wide, hc[s], k);
+        else if (s < 3)
+            KS_PASS(W, n, par, 1, forced, wide, hc[s], k);
+        else
+            KS_PASS(W, n, par, 3, forced, wide, hc[s], k);
     }
 }
 
@@ -303,28 +351,25 @@ ks_j(long n, const double *par, const double *restrict xc,
    forced or not, on each row i of v (m, n) in place, at the stage rows
    offs[i] + j, writes row i after step j to trace (steps, m, n) at [j -
    j0][i] when trace is not NULL, and returns 0, or -1 when out of
-   memory; par is that of ks_f.  Blocks of KB rows are stepped at
-   once, entry-major, with each stage state's x + c (and -D1 x) laid out
-   once per stage and step, one for the block when its rows share a
-   segment.  The stage derivative of each row is that of ks_j, and the
-   update that of timestep.rk4_kernel: w = v + k_1 h/2, w = v + k_2 h/2,
-   w = v + k_3 h with acc = ((k_1 + k_2 2) + k_3 2), and v + (acc + k_4)
-   h/6 */
-CLONES static long ks_tangent(long n, long m, long j0, long steps, double h,
-                              long forcing, const double *par,
-                              const long *offs, const double *u,
-                              const double *s2, const double *s3,
-                              const double *s4, double *v, double *trace)
+   memory; par is that of ks_f.  Blocks of KB rows are stepped at once,
+   entry-major, one pass per RK4 stage, in vectors of W lanes, with each
+   stage state's x + c (and -D1 x) laid out once per stage and step, one
+   column for the block when its rows share a segment */
+INLINE long ks_blocks(long n, long m, long j0, long steps, double h,
+                      long forcing, const double *par, const long *offs,
+                      const double *u, const double *s2, const double *s3,
+                      const double *s4, double *v, double *trace, int W)
 {
-    long e = n + 4;
-    double *buf = calloc((3 * e + 3 * n) * KB + e, sizeof(double));
+    long e = (n + 4) * KB;
+    /* 64-byte aligned, so that no vector of a node's rows splits */
+    double *buf = aligned_alloc(64, 6 * e * sizeof(double));
     if (!buf)
         return -1;
-    double *pv = buf, *pw = pv + e * KB, *xc = pw + e * KB, *acc = xc + e * KB;
-    double *k = acc + n * KB, *fd = forcing ? k + n * KB : NULL;
-    double *t = k + 2 * n * KB;
+    memset(buf, 0, 6 * e * sizeof(double));
+    struct ks_block k = {buf, buf + e, buf + 2 * e, buf + 3 * e, buf + 4 * e,
+                         buf + 5 * e};
     const double *xs[4] = {u, s2, s3, s4};
-    double c[3] = {0.5 * h, 0.5 * h, h}, h6 = h / 6.0;
+    double hc[4] = {0.5 * h, 0.5 * h, h, h / 6.0};
     for (long r0 = 0; r0 < m; r0 += KB) {
         /* lanes past the last row repeat its segment and step zeros */
         long rows = m - r0 < KB ? m - r0 : KB, lane[KB];
@@ -335,39 +380,59 @@ CLONES static long ks_tangent(long n, long m, long j0, long steps, double h,
         }
         for (long i = 0; i < n; i++)
             for (int b = 0; b < KB; b++)
-                pv[(i + 2) * KB + b] = b < rows ? v[(r0 + b) * n + i] : 0.0;
+                k.v[(i + 2) * KB + b] = b < rows ? v[(r0 + b) * n + i] : 0.0;
         for (long j = j0; j < j0 + steps; j++) {
-            for (int s = 0; s < 4; s++) {
-                double *in = s ? pw : pv, *out = s ? k : acc;
-                if (shared) {
-                    ks_lane(n, par, xs[s] + n * (lane[0] + j), t, xc, fd, 1);
-                    ks_j(n, par, xc, fd, 0, in, out);
-                } else {
-                    for (int b = 0; b < KB; b++)
-                        ks_lane(n, par, xs[s] + n * (lane[b] + j), t, xc + b,
-                                fd ? fd + b : NULL, KB);
-                    ks_j(n, par, xc, fd, 1, in, out);
-                }
-                if (s == 3)
-                    break;
-                for (long i = 0; i < n * KB; i++) {
-                    pw[2 * KB + i] = pv[2 * KB + i] + out[i] * c[s];
-                    if (s)
-                        acc[i] = acc[i] + k[i] * 2.0;
-                }
-            }
-            for (long i = 0; i < n * KB; i++)
-                pv[2 * KB + i] = pv[2 * KB + i] + (acc[i] + k[i]) * h6;
+            /* forced sweeps lay out a column per row, which saves the
+               compile of a fourth body */
+            if (forcing)
+                ks_step(n, par, W, 1, 1, j, xs, lane, hc, &k);
+            else if (shared)
+                ks_step(n, par, W, 0, 0, j, xs, lane, hc, &k);
+            else
+                ks_step(n, par, W, 0, 1, j, xs, lane, hc, &k);
             for (int b = 0; trace && b < rows; b++)
                 for (long i = 0, at = ((j - j0) * m + r0 + b) * n; i < n; i++)
-                    trace[at + i] = pv[(i + 2) * KB + b];
+                    trace[at + i] = k.v[(i + 2) * KB + b];
         }
         for (long i = 0; i < n; i++)
             for (int b = 0; b < rows; b++)
-                v[(r0 + b) * n + i] = pv[(i + 2) * KB + b];
+                v[(r0 + b) * n + i] = k.v[(i + 2) * KB + b];
     }
     free(buf);
     return 0;
+}
+
+#define KS_ARGS long n, long m, long j0, long steps, double h, long forcing, \
+    const double *par, const long *offs, const double *u, const double *s2, \
+    const double *s3, const double *s4, double *v, double *trace
+#define KS_CALL n, m, j0, steps, h, forcing, par, offs, u, s2, s3, s4, v, trace
+
+/* with GCC 12 or later (the oldest tried) on x86-64 Linux, the kernel is
+   built for AVX-512 (x86-64-v4) in vectors of 8 lanes and for AVX2
+   (x86-64-v3) in vectors of 4, and the CPU picks at each sweep; in
+   vectors of 2 elsewhere and in the baseline, where wider windows
+   spill */
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12 \
+    && defined(__x86_64__) && defined(__gnu_linux__)
+__attribute__((target("arch=x86-64-v4"))) static long ks_tangent8(KS_ARGS)
+{
+    return ks_blocks(KS_CALL, 8);
+}
+
+__attribute__((target("arch=x86-64-v3"))) static long ks_tangent4(KS_ARGS)
+{
+    return ks_blocks(KS_CALL, 4);
+}
+#define ISA(level, f) if (__builtin_cpu_supports(level)) return f(KS_CALL)
+#else
+#define ISA(level, f)
+#endif
+
+static long ks_tangent(KS_ARGS)
+{
+    ISA("x86-64-v4", ks_tangent8);
+    ISA("x86-64-v3", ks_tangent4);
+    return ks_blocks(KS_CALL, 2);
 }
 
 /* steps j0 + steps - 1 down to j0 of the adjoint RK4 map on each row i

@@ -106,15 +106,14 @@ def _endpoint_f(traj, segments):
 def _build_propagators(traj):
     """Projected propagators of all segments as a (K, N, N) array.
 
-    The N unit rows of every segment, swept in one batch grouped by
-    segment, give the stack of F_i^T; it is projected and transposed in
-    place into Phi_i = P_i F_i, ceil(K / N) segments at a time, so the
-    projection's temporaries hold about K * N floats, one (K, N) batch.
+    The N unit rows of every segment, swept across it
+    (timestep._unit_sweeps), give the stack of F_i^T; it is projected
+    and transposed in place into Phi_i = P_i F_i, ceil(K / N) segments
+    at a time, so the projection's temporaries hold about K * N floats,
+    one (K, N) batch.
     """
     n, k = traj.system.dim, traj.n_segments
-    mats = timestep.tangent_sweep_many(traj, np.repeat(np.arange(k), n),
-                                       np.tile(np.eye(n), (k, 1)))
-    mats = mats.reshape(k, n, n)
+    mats = timestep._unit_sweeps(traj)
     f_end = _endpoint_f(traj, np.arange(k))[:, None]
     step = -(-k // n)
     for i in range(0, k, step):

@@ -267,13 +267,16 @@ def _check_segments(traj, segments):
 def _stage_rows(traj, segments):
     """rows(j): the stored state and RK4 stages 2-4 at step j of each
     row's segment, four (m, N) arrays.  Strided views when the rows are
-    the segments 0..K-1 in order, gathers otherwise."""
+    the segments 0..K-1 in order, (1, N) views that broadcast when all
+    rows share one segment, gathers otherwise."""
     k, stride = traj.n_segments, traj.stride
     arrays = (traj.states, *traj.stages())
     if segments.size == k and (segments == np.arange(k)).all():
         blocks = [a[:k * stride].reshape(k, stride, -1) for a in arrays]
         return lambda j: [b[:, j] for b in blocks]
     offs = segments * stride
+    if segments.size and (segments == segments[0]).all():
+        return lambda j: [a[offs[0] + j:offs[0] + j + 1] for a in arrays]
     return lambda j: [a[offs + j] for a in arrays]
 
 
@@ -344,6 +347,28 @@ def adjoint_sweep_many(traj, segments, w, window=None, source=None):
         out = adjoint_step_at(traj.system, traj.h, *rows(j), out)
         if source is not None:
             out += source[j - j0]
+    return out
+
+
+def _unit_sweeps(traj):
+    """(K, N, N): row j of [i] is the unit row e_j swept across segment
+    i, so [i] is F_i^T.  One sweep of all K N rows where the C sweep
+    runs; the array loop sweeps whole segments, as many as fit a table
+    of _TABLE floats, so that at KS sizes its temporaries are (N, N)
+    arrays with stage states that broadcast (_stage_rows), not (K N, N)
+    ones."""
+    n, k = traj.system.dim, traj.n_segments
+    from . import _native  # loaded at first use, as in _rk4
+    g = k if _native.sweeps(traj) else max(1, _TABLE // (n * n))
+    if g >= k:
+        return tangent_sweep_many(traj, np.repeat(np.arange(k), n),
+                                  np.tile(np.eye(n), (k, 1))).reshape(k, n, n)
+    out = np.empty((k, n, n))
+    for i in range(0, k, g):
+        part = out[i:i + g]
+        part[...] = tangent_sweep_many(
+            traj, np.repeat(np.arange(i, i + len(part)), n),
+            np.tile(np.eye(n), (len(part), 1))).reshape(part.shape)
     return out
 
 

@@ -540,6 +540,10 @@ class DampedKS(ms.KuramotoSivashinsky):
 # (system, step) of each system the compiled loop serves
 COMPILED = {
     "ks-1": (ms.KuramotoSivashinsky(n=1, length=2.0, c=0.5), 0.1),
+    # the KS tangent kernel's five-node window reaches the ghost nodes
+    # from both ends of the row
+    "ks-2": (ms.KuramotoSivashinsky(n=2, length=3.0, c=0.5), 0.1),
+    "ks-4": (ms.KuramotoSivashinsky(n=4, length=5.0, c=0.5), 0.1),
     "ks-15": (ms.KuramotoSivashinsky(n=15, length=16.0, c=0.5), 0.1),
     "ks-127": (ms.KuramotoSivashinsky(n=127, length=128.0, c=0.8), 0.1),
     # 2 dx = 50 / 21, no power of two, so 1 / (2 dx) is inexact: a kernel
@@ -859,8 +863,9 @@ class TestCompiledLoop:
             [path.name, *keep])
 
     def test_builds_without_isa_clones(self, monkeypatch, tmp_path):
-        # with the clone guard off the source builds as plain C, with no
-        # load-time resolver, and its sweeps give the same bits
+        # with the ISA guard off the source builds as plain C, with no
+        # AVX-512 or AVX2 build of the KS kernel, and its sweeps give the
+        # same bits
         if _native.library() is None:
             pytest.skip("no C compiler")
         traj = _ks_trajectory(127, 0.1)
@@ -876,10 +881,63 @@ class TestCompiledLoop:
         monkeypatch.setattr(_native, "_path", lambda: str(path))
         monkeypatch.setattr(_native, "_lib", None)
         assert _native.library() is not None
-        assert b"ks_tangent.resolver" not in path.read_bytes()
+        assert b"ks_tangent8" not in path.read_bytes()
+        assert b"ks_tangent4" not in path.read_bytes()
         for forcing, end in zip((False, True), want):
             assert np.array_equal(timestep.tangent_sweep_many(
                 traj, [2, 0, 2], v, forcing=forcing), end)
+
+    @pytest.fixture(scope="class")
+    def ks_c08(self):
+        """A trajectory of the benchmark's KS size (N = 127, K = 10, 100
+        steps a segment), the array loop's unit-row build on it, and its
+        forced, traced sweep of rows whose blocks mix segments."""
+        ks = ms.KuramotoSivashinsky(n=127, length=128.0, c=0.8)
+        u0 = np.random.default_rng(5).uniform(0.0, 1.0, 127)
+        traj = ms.integrate(ks, u0, 0.0, 100.0, 0.1, stride=100)
+        segments = np.arange(23) % traj.n_segments
+        v = np.random.default_rng(14).standard_normal((23, 127))
+        lib, _native._lib = _native._lib, False
+        try:
+            want = (timestep._unit_sweeps(traj),
+                    *_traced(traj, segments, v, True, traj.stride))
+        finally:
+            _native._lib = lib
+        return traj, segments, v, want
+
+    @pytest.mark.parametrize("build", ["x86-64-v4", "x86-64-v3", "plain"])
+    def test_every_isa_build_matches_array_loop(self, build, ks_c08,
+                                                monkeypatch, tmp_path):
+        # the KS tangent kernel narrowed to one build at a time, the AVX-512
+        # and the AVX2 one (each run whatever the CPU would pick) and plain
+        # C, as test_builds_without_isa_clones narrows the guard: each
+        # gives the array loop's unit-row build and forced, traced sweep
+        if _native.library() is None:
+            pytest.skip("no C compiler")
+        guard = 'ISA("x86-64-'
+        assert _native._SOURCE.count(guard) == 2
+        if build == "plain":
+            source = _native._SOURCE.replace("#if defined(__GNUC__)",
+                                             "#if 0 && defined(__GNUC__)")
+        elif not _cpu_runs(build):
+            pytest.skip(f"the CPU lacks {build}")
+        else:
+            source = "\n".join(
+                line for line in _native._SOURCE.splitlines()
+                if guard not in line or f'ISA("{build}",' in line)
+            source = source.replace("if (__builtin_cpu_supports(level))",
+                                    "if (1)")
+        path = tmp_path / "__pycache__" / "isa.so"
+        monkeypatch.setattr(_native, "_SOURCE", source)
+        monkeypatch.setattr(_native, "_path", lambda: str(path))
+        monkeypatch.setattr(_native, "_lib", None)
+        assert _native.library() is not None
+        assert (b"ks_tangent8" in path.read_bytes()) == (build == "x86-64-v4")
+        assert (b"ks_tangent4" in path.read_bytes()) == (build == "x86-64-v3")
+        traj, segments, v, want = ks_c08
+        got = (timestep._unit_sweeps(traj),
+               *_traced(traj, segments, v, True, traj.stride))
+        assert all(map(np.array_equal, got, want))
 
     def test_second_load_reuses_cached_file(self, monkeypatch):
         # a warm cache is loaded without starting, or even looking up,
@@ -909,6 +967,21 @@ class TestCompiledLoop:
         assert np.array_equal(single, batch[0])
         assert not np.allclose(single, ms.advance(base, u0, 0.0, 3.0, h))
         assert ms.integrate(own, u0, 0.0, 3.0, h).primal_loop == "numpy"
+
+
+def _cpu_runs(level):
+    """Whether /proc/cpuinfo lists the features of x86-64 level v4 or v3
+    that GCC's __builtin_cpu_supports asks of it."""
+    need = {"x86-64-v4": {"avx512f", "avx512bw", "avx512cd", "avx512dq",
+                          "avx512vl"},
+            "x86-64-v3": {"avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "abm",
+                          "movbe", "xsave"}}[level]
+    try:
+        with open("/proc/cpuinfo") as f:
+            flags = next(line for line in f if line.startswith("flags"))
+    except (OSError, StopIteration):
+        return False
+    return need <= set(flags.split())
 
 
 _COLD_REQUEST = """\
