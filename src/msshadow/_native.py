@@ -22,7 +22,8 @@ the first loop of a process, into a shared library in the package's
 ``__pycache__`` named by the CRC-32 of the source and the flags; the
 build removes the libraries of earlier sources from that folder, and
 later processes load it with ``ctypes`` without looking up the
-compiler; the source needs GNU C's vector extension (GCC or Clang).
+compiler; the source needs GNU C's vector extension (built with GCC;
+Clang untried).
 The KS tangent kernel makes one pass over a block of rows per RK4
 stage, with the stencil read through a register window; with GCC 12 on
 x86-64 Linux it is built for x86-64-v4 and v3 besides the baseline, and

@@ -267,8 +267,8 @@ def _check_segments(traj, segments):
 def _stage_rows(traj, segments):
     """rows(j): the stored state and RK4 stages 2-4 at step j of each
     row's segment, four (m, N) arrays.  Strided views when the rows are
-    the segments 0..K-1 in order, (1, N) views that broadcast when all
-    rows share one segment, gathers otherwise."""
+    the segments 0..K-1 in order, read-only views of one row broadcast
+    to (m, N) when all rows share one segment, gathers otherwise."""
     k, stride = traj.n_segments, traj.stride
     arrays = (traj.states, *traj.stages())
     if segments.size == k and (segments == np.arange(k)).all():
@@ -276,7 +276,9 @@ def _stage_rows(traj, segments):
         return lambda j: [b[:, j] for b in blocks]
     offs = segments * stride
     if segments.size and (segments == segments[0]).all():
-        return lambda j: [a[offs[0] + j:offs[0] + j + 1] for a in arrays]
+        shape = (segments.size, arrays[0].shape[1])
+        return lambda j: [np.broadcast_to(a[offs[0] + j], shape)
+                          for a in arrays]
     return lambda j: [a[offs + j] for a in arrays]
 
 
@@ -352,17 +354,12 @@ def adjoint_sweep_many(traj, segments, w, window=None, source=None):
 
 def _unit_sweeps(traj):
     """(K, N, N): row j of [i] is the unit row e_j swept across segment
-    i, so [i] is F_i^T.  One sweep of all K N rows where the C sweep
-    runs; the array loop sweeps whole segments, as many as fit a table
-    of _TABLE floats, so that at KS sizes its temporaries are (N, N)
-    arrays with stage states that broadcast (_stage_rows), not (K N, N)
-    ones."""
+    i, so [i] is F_i^T.  Swept as many whole segments at a time as fit a
+    table of _TABLE floats: at KS sizes one segment's N rows a sweep,
+    whose stage states are one row each (_stage_rows) and whose blocks
+    in the C sweep never mix segments."""
     n, k = traj.system.dim, traj.n_segments
-    from . import _native  # loaded at first use, as in _rk4
-    g = k if _native.sweeps(traj) else max(1, _TABLE // (n * n))
-    if g >= k:
-        return tangent_sweep_many(traj, np.repeat(np.arange(k), n),
-                                  np.tile(np.eye(n), (k, 1))).reshape(k, n, n)
+    g = max(1, _TABLE // (n * n))
     out = np.empty((k, n, n))
     for i in range(0, k, g):
         part = out[i:i + g]

@@ -478,10 +478,9 @@ class TestPropagatorMatrices:
 
     def test_ks_within_budget_builds_at_first_product(self, monkeypatch):
         # N * N * K = 63 * 63 * 10 fits _MATRIX_BUDGET, so the first Schur
-        # product builds the matrices from one sweep of the N unit rows of
-        # every segment (on the array loop, of as many whole segments as
-        # fit timestep._TABLE floats a sweep), and no product is ever
-        # swept
+        # product builds the matrices from sweeps of the N unit rows of
+        # every segment, as many whole segments a sweep as fit
+        # timestep._TABLE floats, and no product is ever swept
         ks = ms.KuramotoSivashinsky(n=63, length=64.0, c=0.5)
         u0 = np.random.default_rng(4).uniform(0.0, 1.0, 63)
         traj = ms.integrate(ks, u0, 0.0, 2.0, 0.02, stride=10)
@@ -497,7 +496,7 @@ class TestPropagatorMatrices:
         dense = ms.schur_apply(traj, led, w)
         assert traj._propagators is not None
         assert led.snapshot() == (k, k)
-        g = k if _native.sweeps(traj) else timestep._TABLE // (n * n)
+        g = timestep._TABLE // (n * n)
         assert sweeps == [("tangent", min(g, k - i) * n)
                           for i in range(0, k, g)]
         np.testing.assert_allclose(dense, swept, rtol=0,

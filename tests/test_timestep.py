@@ -62,6 +62,23 @@ class GenericLorenz(ms.Lorenz):
         return super().jacobian_apply(u, v)
 
 
+class RowwiseKS(ms.KuramotoSivashinsky):
+    """KS whose Jacobian actions fill a result sized from u one row at a
+    time, as a subclass may: they need u of the rows' shape."""
+
+    def jacobian_apply(self, u, v):
+        out = np.empty_like(u)
+        for r in range(len(u)):
+            out[r] = super().jacobian_apply(u[r], v[r])
+        return out
+
+    def jacobian_transpose_apply(self, u, w):
+        out = np.empty_like(u)
+        for r in range(len(u)):
+            out[r] = super().jacobian_transpose_apply(u[r], w[r])
+        return out
+
+
 def _traced(traj, segments, v, forcing, width):
     """tangent_sweep_many over windows of at most width steps, each from
     the last one's rows: (the rows at the segment ends, the trace of
@@ -225,6 +242,21 @@ class TestTangentAdjoint:
         a = ms.tangent_sweep(ks_traj, 1, v, forcing=True)
         b = ms.tangent_sweep(ks_traj, 1, v, forcing=True)
         assert np.array_equal(a, b)
+
+    def test_rows_of_one_segment_see_stage_states_of_their_shape(self):
+        # rows that share one segment get stage states of their own shape,
+        # (m, N), so a subclass that sizes its results from u sweeps each
+        # row as it would sweep it alone
+        ks = RowwiseKS(n=31, length=32.0, c=0.5)
+        u0 = np.random.default_rng(6).uniform(0.0, 1.0, 31)
+        traj = ms.integrate(ks, u0, 0.0, 0.6, 0.02, stride=10)
+        v = np.random.default_rng(7).standard_normal((3, 31))
+        rows = timestep.tangent_sweep_many(traj, [1, 1, 1], v, forcing=True)
+        assert np.array_equal(rows, [timestep.tangent_sweep_many(
+            traj, [1], v[r:r + 1], forcing=True)[0] for r in range(3)])
+        rows = timestep.adjoint_sweep_many(traj, [1, 1, 1], v)
+        assert np.array_equal(rows, [timestep.adjoint_sweep_many(
+            traj, [1], v[r:r + 1])[0] for r in range(3)])
 
     def test_segment_range_checked(self, lorenz_traj):
         with pytest.raises(IndexError):
@@ -862,31 +894,6 @@ class TestCompiledLoop:
         assert sorted(p.name for p in cache.iterdir()) == sorted(
             [path.name, *keep])
 
-    def test_builds_without_isa_clones(self, monkeypatch, tmp_path):
-        # with the ISA guard off the source builds as plain C, with no
-        # AVX-512 or AVX2 build of the KS kernel, and its sweeps give the
-        # same bits
-        if _native.library() is None:
-            pytest.skip("no C compiler")
-        traj = _ks_trajectory(127, 0.1)
-        v = np.random.default_rng(13).standard_normal((3, 127))
-        want = [timestep.tangent_sweep_many(traj, [2, 0, 2], v,
-                                            forcing=forcing)
-                for forcing in (False, True)]
-        guard = "#if defined(__GNUC__)"
-        assert _native._SOURCE.count(guard) == 1
-        path = tmp_path / "__pycache__" / "plain.so"
-        monkeypatch.setattr(_native, "_SOURCE", _native._SOURCE.replace(
-            guard, "#if 0 && defined(__GNUC__)"))
-        monkeypatch.setattr(_native, "_path", lambda: str(path))
-        monkeypatch.setattr(_native, "_lib", None)
-        assert _native.library() is not None
-        assert b"ks_tangent8" not in path.read_bytes()
-        assert b"ks_tangent4" not in path.read_bytes()
-        for forcing, end in zip((False, True), want):
-            assert np.array_equal(timestep.tangent_sweep_many(
-                traj, [2, 0, 2], v, forcing=forcing), end)
-
     @pytest.fixture(scope="class")
     def ks_c08(self):
         """A trajectory of the benchmark's KS size (N = 127, K = 10, 100
@@ -905,39 +912,67 @@ class TestCompiledLoop:
             _native._lib = lib
         return traj, segments, v, want
 
-    @pytest.mark.parametrize("build", ["x86-64-v4", "x86-64-v3", "plain"])
-    def test_every_isa_build_matches_array_loop(self, build, ks_c08,
-                                                monkeypatch, tmp_path):
-        # the KS tangent kernel narrowed to one build at a time, the AVX-512
-        # and the AVX2 one (each run whatever the CPU would pick) and plain
-        # C, as test_builds_without_isa_clones narrows the guard: each
-        # gives the array loop's unit-row build and forced, traced sweep
-        if _native.library() is None:
-            pytest.skip("no C compiler")
-        guard = 'ISA("x86-64-'
-        assert _native._SOURCE.count(guard) == 2
-        if build == "plain":
-            source = _native._SOURCE.replace("#if defined(__GNUC__)",
-                                             "#if 0 && defined(__GNUC__)")
-        elif not _cpu_runs(build):
-            pytest.skip(f"the CPU lacks {build}")
-        else:
-            source = "\n".join(
-                line for line in _native._SOURCE.splitlines()
-                if guard not in line or f'ISA("{build}",' in line)
-            source = source.replace("if (__builtin_cpu_supports(level))",
-                                    "if (1)")
-        path = tmp_path / "__pycache__" / "isa.so"
+    @staticmethod
+    def _load(monkeypatch, path, source):
+        """Build source into path and load it as the library."""
         monkeypatch.setattr(_native, "_SOURCE", source)
         monkeypatch.setattr(_native, "_path", lambda: str(path))
         monkeypatch.setattr(_native, "_lib", None)
         assert _native.library() is not None
-        assert (b"ks_tangent8" in path.read_bytes()) == (build == "x86-64-v4")
-        assert (b"ks_tangent4" in path.read_bytes()) == (build == "x86-64-v3")
+
+    @staticmethod
+    def _matches(ks_c08):
+        """Whether the loaded library gives the bits of ks_c08's array
+        loop."""
         traj, segments, v, want = ks_c08
         got = (timestep._unit_sweeps(traj),
                *_traced(traj, segments, v, True, traj.stride))
-        assert all(map(np.array_equal, got, want))
+        return all(map(np.array_equal, got, want))
+
+    def test_builds_without_isa_clones(self, ks_c08, monkeypatch, tmp_path):
+        # with the ISA guard off the source builds as plain C, with no
+        # AVX-512 or AVX2 build of the KS kernel, and its sweeps give the
+        # same bits, the array loop's at the benchmark's KS size too
+        if _native.library() is None:
+            pytest.skip("no C compiler")
+        traj = _ks_trajectory(127, 0.1)
+        v = np.random.default_rng(13).standard_normal((3, 127))
+        want = [timestep.tangent_sweep_many(traj, [2, 0, 2], v,
+                                            forcing=forcing)
+                for forcing in (False, True)]
+        guard = "#if defined(__GNUC__)"
+        assert _native._SOURCE.count(guard) == 1
+        path = tmp_path / "__pycache__" / "plain.so"
+        self._load(monkeypatch, path, _native._SOURCE.replace(
+            guard, "#if 0 && defined(__GNUC__)"))
+        assert b"ks_tangent8" not in path.read_bytes()
+        assert b"ks_tangent4" not in path.read_bytes()
+        for forcing, end in zip((False, True), want):
+            assert np.array_equal(timestep.tangent_sweep_many(
+                traj, [2, 0, 2], v, forcing=forcing), end)
+        assert self._matches(ks_c08)
+
+    @pytest.mark.parametrize("build", ["x86-64-v4", "x86-64-v3"])
+    def test_every_isa_build_matches_array_loop(self, build, ks_c08,
+                                                monkeypatch, tmp_path):
+        # the KS tangent kernel narrowed to one ISA build, the AVX-512 or
+        # the AVX2 one, run whatever the CPU would pick: it gives the array
+        # loop's unit-row build and forced, traced sweep, as the plain C
+        # build does (test_builds_without_isa_clones)
+        if _native.library() is None:
+            pytest.skip("no C compiler")
+        if not _cpu_runs(build):
+            pytest.skip(f"the CPU lacks {build}")
+        guard = 'ISA("x86-64-'
+        assert _native._SOURCE.count(guard) == 2
+        source = "\n".join(line for line in _native._SOURCE.splitlines()
+                           if guard not in line or f'ISA("{build}",' in line)
+        path = tmp_path / "__pycache__" / "isa.so"
+        self._load(monkeypatch, path, source.replace(
+            "if (__builtin_cpu_supports(level))", "if (1)"))
+        assert (b"ks_tangent8" in path.read_bytes()) == (build == "x86-64-v4")
+        assert (b"ks_tangent4" in path.read_bytes()) == (build == "x86-64-v3")
+        assert self._matches(ks_c08)
 
     def test_second_load_reuses_cached_file(self, monkeypatch):
         # a warm cache is loaded without starting, or even looking up,
