@@ -7,27 +7,23 @@ Each diagonal block of the preconditioner acts as
 where (U_i, S_i) are the leading singular pairs of the projected
 segment propagator, so the product with the per-segment normal operator
 deflates its largest eigenvalues towards one while leaving the rest
-untouched.  The factors are computed matrix-free with a restarted
-Lanczos bidiagonalization:
+untouched.  The factors are computed matrix-free by one Golub-Kahan-
+Lanczos bidiagonalization of q min(l+2, N) steps, q the ``cycles``,
+with full reorthogonalization (classical Gram-Schmidt, twice); the
+Ritz pairs come from the SVD of the projected bidiagonal matrix.  At a
+breakdown (a new direction of norm at most CLAMP_RATIO times the
+largest coefficient so far, as when the start vector lies in an
+invariant subspace or the recursion exceeds the operator's rank) the
+direction becomes a zero vector with coefficient 0, and so does every
+later one up to the end of its cycle of min(l+2, N) steps.  At each
+cycle boundary a dead direction is refilled with the unit vector e_k
+least covered by the basis, orthogonalized against it; once the basis
+spans the space it stays zero.
 
-  cycle 1   Golub-Kahan-Lanczos recursion with full reorthogonalization,
-            subspace dimension min(l+2, N), Ritz pairs from the SVD of the
-            projected bidiagonal matrix.  At a breakdown (a new direction
-            of norm at most CLAMP_RATIO times the largest coefficient so
-            far, as when the start vector lies in an invariant subspace
-            or the subspace exceeds the operator's rank) the recursion
-            stops growing: the direction becomes a zero column with
-            coefficient 0;
-  cycle 2+  thick restart: the whole Ritz block is refreshed by one
-            two-sided subspace iteration (orthonormalize the forward
-            image, then the adjoint image) followed by Rayleigh-Ritz
-            on the projected cross matrix.  Its QR refills a dead
-            direction.
-
-Every cycle applies the propagator and its adjoint exactly min(l+2, N)
-times per segment, so the build cost charged to the ledger is exactly
-2 K q min(l+2, N) products.  Builds for distinct segments are independent;
-they are executed in lockstep as one batched sweep here.
+Every step applies the propagator and its adjoint once per segment, so
+the build cost charged to the ledger is exactly 2 K q min(l+2, N)
+products.  Builds for distinct segments are independent; they are
+executed in lockstep as one batched sweep here.
 """
 
 import numpy as np
@@ -52,102 +48,97 @@ def predict_costs(n_segments, cycles, retained, iterations, dim=None):
     )
 
 
-def _orthogonalize(x, basis, n_cols):
-    """Remove from rows of x their components along the first n_cols
-    basis columns (classical Gram-Schmidt, applied twice)."""
-    if n_cols == 0:
-        return x
-    b = basis[:, :, :n_cols]
+def _orthogonalize(x, basis):
+    """Remove from rows of x, (m, N), their components along the rows of
+    basis, (m, j, N) (classical Gram-Schmidt, applied twice)."""
     for _ in range(2):
-        x = x - np.einsum("mnj,mj->mn", b, np.einsum("mn,mnj->mj", x, b))
+        coeff = np.matmul(basis, x[:, :, None]).transpose(0, 2, 1)
+        x = x - np.matmul(coeff, basis)[:, 0]
     return x
 
 
 def _normalize_column(x, scale):
-    """Rows of x as unit basis columns, with their norms as coefficients;
+    """Rows of x as unit basis vectors, with their norms as coefficients;
     a row of norm at most CLAMP_RATIO * scale has broken down and gives
-    a zero column with coefficient 0."""
-    nrm = np.linalg.norm(x, axis=1)
+    a zero vector with coefficient 0."""
+    nrm = np.sqrt(np.einsum("ij,ij->i", x, x))
     ok = nrm > CLAMP_RATIO * scale
-    col = np.zeros_like(x)
-    col[ok] = x[ok] / nrm[ok, None]
-    return col, np.where(ok, nrm, 0.0)
+    return x / np.where(ok, nrm, np.inf)[:, None], np.where(ok, nrm, 0.0)
 
 
-def _batched_partial_svd(fwd, adj, segments, dim, subspace, cycles, rng):
-    """Leading singular triplets of one operator per row, in lockstep.
+def _refill(v, basis):
+    """Zero rows of v, (m, N), replaced in place by the unit vector e_k
+    least covered by the row's basis, (m, j, N), orthogonalized against
+    it; a row whose basis spans the space stays zero."""
+    dead = np.flatnonzero(~v.any(axis=1))
+    if dead.size:
+        b = basis[dead]
+        e = np.zeros((dead.size, v.shape[1]))
+        e[np.arange(dead.size), np.argmin((b * b).sum(axis=1), axis=1)] = 1.0
+        v[dead] = _normalize_column(_orthogonalize(e, b), 1.0)[0]
 
-    fwd/adj map (rows, dim) arrays to (rows, dim) arrays given the
-    per-row segment indices.  Returns (values, left): values (m,
-    subspace) descending and left (m, dim, subspace).
+
+def _batched_partial_svd(fwd, adj, m, dim, subspace, cycles, rng):
+    """Leading singular triplets of m operators, one per row, in lockstep.
+
+    fwd/adj map (m, dim) arrays to (m, dim) arrays, row i through
+    operator i.  Returns (values, left): values (m, subspace) descending
+    and left (m, dim, subspace).
     """
-    m = len(segments)
-    p = subspace
+    steps = subspace * cycles
 
-    big_v = np.zeros((m, dim, p + 1))
-    big_u = np.zeros((m, dim, p))
-    alpha = np.zeros((m, p))
-    beta = np.zeros((m, p))
+    # one basis vector per row, so that each prefix is a (m, j, dim) stack
+    big_v = np.zeros((m, steps + 1, dim))
+    big_u = np.zeros((m, steps, dim))
+    alpha = np.zeros((m, steps))
+    beta = np.zeros((m, steps))
 
     v = rng.standard_normal((m, dim))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    big_v[:, :, 0] = v
+    big_v[:, 0] = v / np.linalg.norm(v, axis=1, keepdims=True)
     scale = np.full(m, 1e-300)
 
-    for j in range(p):
-        u = fwd(big_v[:, :, j], segments)
+    for j in range(steps):
+        if j and j % subspace == 0:
+            _refill(big_v[:, j], big_v[:, :j])
+        u = fwd(big_v[:, j])
         if j > 0:
-            u = u - beta[:, j - 1, None] * big_u[:, :, j - 1]
-        big_u[:, :, j], alpha[:, j] = _normalize_column(
-            _orthogonalize(u, big_u, j), scale)
+            u = u - beta[:, j - 1, None] * big_u[:, j - 1]
+        big_u[:, j], alpha[:, j] = _normalize_column(
+            _orthogonalize(u, big_u[:, :j]), scale)
         scale = np.maximum(scale, alpha[:, j])
 
-        vn = adj(big_u[:, :, j], segments)
-        vn = vn - alpha[:, j, None] * big_v[:, :, j]
-        big_v[:, :, j + 1], beta[:, j] = _normalize_column(
-            _orthogonalize(vn, big_v, j + 1), scale)
+        vn = adj(big_u[:, j]) - alpha[:, j, None] * big_v[:, j]
+        big_v[:, j + 1], beta[:, j] = _normalize_column(
+            _orthogonalize(vn, big_v[:, :j + 1]), scale)
         scale = np.maximum(scale, beta[:, j])
 
     # Ritz pairs from the bidiagonal projection
-    bmat = np.zeros((m, p, p))
-    idx = np.arange(p)
+    bmat = np.zeros((m, steps, steps))
+    idx = np.arange(steps)
     bmat[:, idx, idx] = alpha
-    bmat[:, idx[:-1], idx[:-1] + 1] = beta[:, : p - 1]
-    x, values, yt = np.linalg.svd(bmat)
-    left = np.einsum("mnp,mpq->mnq", big_u, x)
-    right = np.einsum("mnp,mqp->mnq", big_v[:, :, :p], yt)
+    bmat[:, idx[:-1], idx[:-1] + 1] = beta[:, :-1]
+    x, values, _ = np.linalg.svd(bmat)
+    left = np.matmul(big_u.transpose(0, 2, 1), x[:, :, :subspace])
+    return values[:, :subspace], left
 
-    # thick restart: two-sided refresh of the Ritz block + Rayleigh-Ritz
-    rows = np.repeat(segments, p)
-    for _ in range(1, cycles):
-        w = fwd(
-            right.transpose(0, 2, 1).reshape(m * p, dim), rows
-        ).reshape(m, p, dim).transpose(0, 2, 1)
-        u_basis, _ = np.linalg.qr(w)
-        z = adj(
-            u_basis.transpose(0, 2, 1).reshape(m * p, dim), rows
-        ).reshape(m, p, dim).transpose(0, 2, 1)
-        v_basis, rv = np.linalg.qr(z)
-        # cross matrix u^T Phi v == rv^T, no extra products needed
-        x, values, yt = np.linalg.svd(rv.transpose(0, 2, 1))
-        left = np.einsum("mnp,mpq->mnq", u_basis, x)
-        right = np.einsum("mnp,mqp->mnq", v_basis, yt)
 
-    return values, left
+def _check_request(dim, retained, cycles):
+    if not 1 <= retained <= dim:
+        raise ValueError(f"retained modes must be in [1, {dim}]")
+    if cycles < 1:
+        raise ValueError("need at least one cycle")
 
 
 def lanczos_partial_svd(op, op_t, dim, retained, cycles, rng):
     """Partial SVD of a generic operator pair (matrix-free).
 
     Returns (values, left_vectors) for the top ``retained`` singular
-    modes, using the same restarted bidiagonalization as the segment
-    builds.  Mainly a test seam for injected operators.
+    modes, using the same bidiagonalization as the segment builds.
+    Mainly a test seam for injected operators.
     """
-    p = min(retained + 2, dim)
+    _check_request(dim, retained, cycles)
     values, left = _batched_partial_svd(
-        lambda x, _: op(x), lambda x, _: op_t(x),
-        np.zeros(1, dtype=int), dim, p, cycles, rng,
-    )
+        op, op_t, 1, dim, min(retained + 2, dim), cycles, rng)
     return values[0, :retained], left[0, :, :retained]
 
 
@@ -238,16 +229,13 @@ def build_preconditioner(traj, ledger, retained, cycles, rng=None):
     each kind.  ``retained`` must not exceed the state dimension.
     """
     dim = traj.system.dim
-    if not 1 <= retained <= dim:
-        raise ValueError(f"retained modes must be in [1, {dim}]")
-    if cycles < 1:
-        raise ValueError("need at least one cycle")
+    _check_request(dim, retained, cycles)
     if rng is None:
         rng = np.random.default_rng()
     values, left = _batched_partial_svd(
-        lambda x, segs: _propagate_rows(traj, ledger, segs, x),
-        lambda x, segs: _propagate_rows_adjoint(traj, ledger, segs, x),
-        np.arange(traj.n_segments), dim, min(retained + 2, dim), cycles, rng,
+        lambda x: _propagate_rows(traj, ledger, None, x),
+        lambda x: _propagate_rows_adjoint(traj, ledger, None, x),
+        traj.n_segments, dim, min(retained + 2, dim), cycles, rng,
     )
     return BlockDiagPreconditioner(*_clamp(left, values, retained), retained,
                                    cycles)

@@ -147,24 +147,18 @@ def segment_propagators(traj):
 def _matrix_rows(traj, segments, z, adjoint):
     """Rows of z times their segments' propagator matrices (transposed
     if adjoint), built at the first product; None past _MATRIX_BUDGET.
-    Rows grouped p per segment in order (repeat(arange(K), p)), or
-    segments None for the K rows in order, multiply a broadcast view of
-    the matrices; other patterns gather a copy."""
-    n, k = traj.system.dim, traj.n_segments
-    m = len(z)
-    if segments is not None and z.shape != (segments.size, n):
+    Segments None, the K rows in order, multiply the matrices
+    themselves; other patterns gather a copy."""
+    if segments is not None and z.shape != (segments.size, traj.system.dim):
         raise DimensionMismatch("propagation batch shape mismatch")
     if not build_matrices(traj):
         return None
-    p, rest = divmod(m, k)
-    if segments is None or (
-            p and not rest and (segments.reshape(k, p).T == np.arange(k)).all()):
-        mats, z = traj._propagators[:, None], z.reshape(k, p, n)
-    else:
-        mats = traj._propagators[segments]
+    mats = traj._propagators
+    if segments is not None:
+        mats = mats[segments]
     if adjoint:
-        return np.matmul(z[..., None, :], mats).reshape(m, n)
-    return np.matmul(mats, z[..., None]).reshape(m, n)
+        return np.matmul(z[:, None, :], mats)[:, 0]
+    return np.matmul(mats, z[:, :, None])[:, :, 0]
 
 
 def _propagate_rows(traj, ledger, segments, z):

@@ -51,13 +51,38 @@ class TestLanczosPartialSVD:
         pc = precond.BlockDiagPreconditioner(*arrays, 3, 1)
         assert pc.clamped_modes == 1
 
+    def test_recursion_past_rank_keeps_zero_columns(self):
+        # rank 2 in dimension 8, subspace p = 5 over 3 cycles: each cycle
+        # boundary refills the dead direction, whose image lies in the
+        # range already spanned, so it breaks down again; the trailing
+        # values and left columns stay exactly 0, the third retained
+        # mode is clamped, and every step applies each operator once
+        d = np.array([3.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        calls = []
+
+        def op(x, kind):
+            calls.append(kind)
+            return d * x
+
+        vals, left = precond._batched_partial_svd(
+            lambda x: op(x, "fwd"), lambda x: op(x, "adj"), 1, 8, 5, 3,
+            np.random.default_rng(8))
+        np.testing.assert_allclose(vals[0, :2], [3.0, 1.0], rtol=1e-12)
+        assert (vals[0, 2:] == 0.0).all() and (left[0, :, 2:] == 0.0).all()
+        assert calls == ["fwd", "adj"] * 15
+        pc = precond.BlockDiagPreconditioner(
+            *precond._clamp(left[:, :, :3], vals[:, :3], 3), 3, 3)
+        assert pc.clamped_modes == 1
+
     @pytest.mark.parametrize("cycles, expected", [(1, [3.0, 0.0]),
                                                   (2, [3.0, 1.0])],
                              ids=["one_cycle", "two_cycles"])
     def test_invariant_start_vector(self, cycles, expected):
         # the start vector e_0 spans an invariant subspace, so the first
-        # adjoint step breaks down and the recursion finds 3 alone; the
-        # thick restart's QR refills the dead directions and recovers 1
+        # adjoint step breaks down and the first cycle finds 3 alone; at
+        # the cycle boundary the dead direction is refilled with e_1, the
+        # unit vector least covered by the basis, and the second cycle
+        # recovers 1
         class SpanRng:
             def standard_normal(self, shape):
                 out = np.zeros(shape)
@@ -100,17 +125,78 @@ class TestLanczosPartialSVD:
         with pytest.raises(ValueError):
             ms.build_preconditioner(lorenz_traj, led, 4, 1)
 
+    @pytest.mark.parametrize("entry", ["lanczos", "build"])
+    @pytest.mark.parametrize("retained, cycles", [(0, 1), (4, 1), (1, 0)],
+                             ids=["no_modes", "past_dim", "no_cycles"])
+    def test_request_validated(self, lorenz_traj, entry, retained, cycles):
+        # both entry points take 1 <= retained <= N = 3 and cycles >= 1,
+        # and neither charges a product for a request they refuse
+        led = ms.CostLedger()
+        with pytest.raises(ValueError):
+            if entry == "lanczos":
+                precond.lanczos_partial_svd(
+                    lambda x: x, lambda x: x, 3, retained, cycles,
+                    np.random.default_rng(0))
+            else:
+                ms.build_preconditioner(lorenz_traj, led, retained, cycles)
+        assert led.snapshot() == (0, 0)
+
     def test_ks_segment_values_match_dense(self, ks_traj):
-        # trailing values sit in the near-unity cluster and converge
-        # slowly, so only the leading values get a tight tolerance; in
-        # other segments than 1 they miss even the loose one
+        # 6 cycles of 5 steps are one recursion of 30 steps, the
+        # propagator's rank N - 1, so every retained value is exact to
+        # round-off, the trailing ones of the near-unity cluster too
         led = ms.CostLedger()
         pc = ms.build_preconditioner(ks_traj, led, 3, 6,
                                      rng=np.random.default_rng(6))
         ref = np.linalg.svd(shadow.segment_propagators(ks_traj),
                             compute_uv=False)
-        np.testing.assert_allclose(pc.values[:, 0], ref[:, 0], rtol=1e-8)
-        np.testing.assert_allclose(pc.values[1], ref[1, :3], rtol=1e-3)
+        np.testing.assert_allclose(pc.values, ref[:, :3], rtol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def ks_bench_traj():
+    """A trajectory of the benchmark's KS size: N = 127, K = 10 segments
+    of 100 steps of 0.1 after a spin-up of 1000 time units."""
+    ks = ms.KuramotoSivashinsky(n=127, length=128.0, c=0.8)
+    u0 = ms.advance(ks, np.random.default_rng(5).uniform(0.0, 1.0, 127),
+                    -1000.0, 0.0, 0.1)
+    return ms.integrate(ks, u0, 0.0, 100.0, 0.1, stride=100)
+
+
+class TestBenchmarkSizeKS:
+    # rank 15 over 2 cycles: one recursion of 34 steps per segment; the
+    # trailing values sit in a slowly decaying spectrum, where restarting
+    # the recursion from its Ritz vectors after 17 steps leaves sigma_15
+    # 22-43% off on this trajectory, and CG 5-10 iterations longer
+
+    def test_values_match_dense(self, ks_bench_traj):
+        pc = ms.build_preconditioner(ks_bench_traj, ms.CostLedger(), 15, 2,
+                                     rng=np.random.default_rng(1))
+        ref = np.linalg.svd(shadow.segment_propagators(ks_bench_traj),
+                            compute_uv=False)
+        np.testing.assert_allclose(pc.values, ref[:, :15], rtol=1e-12)
+
+    def test_iterations_match_exact_blocks(self, ks_bench_traj):
+        # CG iteration counts move by one or two with round-off near tol,
+        # so the built blocks may take one iteration more than the exact
+        traj = ks_bench_traj
+        u, s, _ = np.linalg.svd(shadow.segment_propagators(traj))
+        exact = ms.BlockDiagPreconditioner(
+            u[:, :, :15].copy(), s[:, :15].copy(),
+            np.full(traj.n_segments, 15), 15, 0)
+        built = ms.build_preconditioner(traj, ms.CostLedger(), 15, 2,
+                                        rng=np.random.default_rng(1))
+        led = ms.CostLedger()
+        b = ms.assemble_rhs(traj, led)
+        iterations = []
+        for pc in (exact, built):
+            cfg = ms.SolveConfig(tol=1e-5, max_iter=500, gamma=0.09,
+                                 mode="pre", preconditioner=pc)
+            _, rep = ms.cg_solve(lambda z: ms.schur_apply(traj, led, z), b,
+                                 cfg)
+            assert rep.converged
+            iterations.append(rep.iterations)
+        assert iterations[1] <= iterations[0] + 1
 
 
 @pytest.fixture(scope="module")
@@ -225,7 +311,7 @@ class TestBlockDiagPreconditioner:
         else:
             values[2] = [0.5, 1.0, 2.0]
 
-        def bad_svd(fwd, adj, segments, dim, subspace, cycles, rng):
+        def bad_svd(fwd, adj, m, dim, subspace, cycles, rng):
             return values, left
 
         monkeypatch.setattr(precond, "_batched_partial_svd", bad_svd)

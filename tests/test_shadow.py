@@ -533,27 +533,35 @@ class TestPropagatorMatrices:
                                    atol=1e-12 * np.abs(swept).max())
         assert sweeps == [("tangent", k * n)]
 
-    def test_grouped_rows_served_without_gather(self, ks_traj):
-        # rows grouped p per segment, as the thick restart of the
-        # preconditioner build passes them, equal the gathered products
-        # and allocate no (K * p, N, N) copy of the matrices
+    def test_rows_in_order_served_without_gather(self, ks_traj):
+        # the K rows in order (segments None, as the preconditioner build
+        # and the constraint operators pass them) multiply the matrices
+        # with no (K, N, N) copy; rows grouped p per segment gather one;
+        # both equal the products with the gathered matrices
         k, n, p = ks_traj.n_segments, ks_traj.system.dim, 5
         rows = np.repeat(np.arange(k), p)
         z = np.random.default_rng(8).standard_normal((k * p, n))
         led = ms.CostLedger()
-        shadow._propagate_rows(ks_traj, led, rows, z)
-        mats = ks_traj._propagators[rows]
+        shadow._propagate_rows(ks_traj, led, None, z[:k])
         tracemalloc.start()
         try:
-            fwd = shadow._propagate_rows(ks_traj, led, rows, z)
-            adj = shadow._propagate_rows_adjoint(ks_traj, led, rows, z)
+            fwd = shadow._propagate_rows(ks_traj, led, None, z[:k])
+            adj = shadow._propagate_rows_adjoint(ks_traj, led, None, z[:k])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < k * p * n * n * 8
-        np.testing.assert_array_equal(fwd, np.matmul(mats, z[:, :, None])[:, :, 0])
-        np.testing.assert_array_equal(adj, np.matmul(z[:, None, :], mats)[:, 0, :])
-        assert led.snapshot() == (2 * k * p, k * p)
+        assert peak < k * n * n * 8
+        mats = ks_traj._propagators
+        np.testing.assert_array_equal(fwd, np.matmul(mats, z[:k, :, None])[:, :, 0])
+        np.testing.assert_array_equal(adj, np.matmul(z[:k, None, :], mats)[:, 0, :])
+        mats = mats[rows]
+        np.testing.assert_array_equal(
+            shadow._propagate_rows(ks_traj, led, rows, z),
+            np.matmul(mats, z[:, :, None])[:, :, 0])
+        np.testing.assert_array_equal(
+            shadow._propagate_rows_adjoint(ks_traj, led, rows, z),
+            np.matmul(z[:, None, :], mats)[:, 0, :])
+        assert led.snapshot() == (2 * k + k * p, k + k * p)
 
     def test_build_in_batches_is_exact(self, ks_traj):
         # projecting the swept unit rows a few segments at a time gives
