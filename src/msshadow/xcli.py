@@ -406,7 +406,8 @@ def solve(problem, cfg):
         y = None
         if cfg.picard or cfg.truncated_sweep:
             y = analysis.modal_inputs(traj, b, problem.functional)
-        modes, eigs = analysis.constraint_modes(s_mat, y, band=band)
+        modes, eigs, pre = analysis.conditioning(
+            s_mat, y, pc if cfg.spectrum else None, band=band)
         if cfg.picard:
             picard_table = analysis.picard_data(modes)
         if cfg.truncated_sweep:
@@ -417,9 +418,9 @@ def solve(problem, cfg):
                                                      traj.span)
         if cfg.spectrum:
             spectra["raw"] = analysis.SpectrumReport.dense("raw", eigs)
-            if pc is not None:
-                spectra["preconditioned"] = analysis.preconditioned_spectrum(
-                    s_mat, pc, label="preconditioned", band=band)
+            if pre is not None:
+                spectra["preconditioned"] = analysis.SpectrumReport.dense(
+                    "preconditioned", pre)
     elif cfg.spectrum:
         route = "lanczos"
         # M^1/2 S M^1/2, similar to M S, keeps the operator symmetric
@@ -518,7 +519,8 @@ def write_artifacts(result, out_dir=None):
         result.picard.to_csv(out / f"{name}_picard.csv")
     if result.truncated is not None:
         analysis.write_csv(out / f"{name}_truncated.csv",
-                           ["rank", "sensitivity"], result.truncated)
+                           ["rank", "sensitivity"], result.truncated,
+                           "%d,%.17g")
     (out / f"{name}_plots.gp").write_text(
         _GNUPLOT.format(residuals=f"{name}_residuals.csv"))
     return out
@@ -731,7 +733,7 @@ def main(argv=None):
             analysis.write_csv(
                 out / f"{cfg.name}_fd_reference.csv",
                 ["sample", "sensitivity"],
-                list(enumerate(samples)),
+                enumerate(samples.tolist()), "%d,%.17g",
             )
             print(f"finite-difference reference: {mean:.12g} +/- {se:.3g} "
                   f"({args.samples} samples)")

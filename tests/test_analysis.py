@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import tracemalloc
 
@@ -361,6 +362,16 @@ def test_pipeline_runs_no_svd_of_the_constraint_matrix(monkeypatch):
     assert alone.spectra["raw"].kappa == result.spectra["raw"].kappa
 
 
+def _assert_paired_equals_single(*bands):
+    """Each lane of one band_eighs call of two bands (ab, y) equals its
+    own band_eigh call: eigenvalues and U^T y, bit for bit."""
+    for (eigs, proj), (ab, y) in zip(_native.band_eighs(*bands), bands):
+        want, want_proj = _native.band_eigh(ab, y)
+        assert np.array_equal(eigs, want)
+        assert (proj is None and want_proj is None
+                or np.array_equal(proj, want_proj))
+
+
 def _library():
     if _native.library() is None:
         pytest.skip("no C compiler: the band route does not run")
@@ -459,14 +470,76 @@ class TestBandModes:
         assert np.array_equal(_native.band_eigh(ab)[0], eigs)
 
     def test_unconverged_ql_raises(self, monkeypatch):
-        # the kernel's status 1 (QL past 30 n sweeps) never returns values
+        # the kernel's status 1 (a QL past 30 n sweeps, in either lane of
+        # a paired call) never returns values; the entry takes ten
+        # arguments, (m, ab, y, d) per lane after n and kd, the second
+        # lane's NULL for a single band
+        calls = []
+
         class Unconverged:
             def band_eigh(self, *args):
+                calls.append(args)
                 return 1
 
         monkeypatch.setattr(_native, "_lib", Unconverged())
         with pytest.raises(ShadowingError):
             _native.band_eigh(np.ones((2, 3)))
+        with pytest.raises(ShadowingError):
+            _native.band_eighs(*[(np.ones((2, 3)), None)] * 2)
+        assert [len(args) for args in calls] == [10, 10]
+        assert calls[0][7] is None and calls[1][7] is not None
+
+    @pytest.mark.parametrize("n, kd", [(1, 0), (2, 1), (7, 3), (40, 39),
+                                       (60, 5)])
+    def test_paired_call_matches_single_calls(self, n, kd):
+        # two lanes of one call give each lane's single call bit for bit:
+        # eigenvalues and projections, with m = 0 or m > 0 in either lane,
+        # and with either lane already diagonal
+        _library()
+        rng = np.random.default_rng(n + kd)
+        full, other, diagonal = (rng.standard_normal((kd + 1, n))
+                                 for _ in range(3))
+        diagonal[1:] = 0.0
+        y, y2 = rng.standard_normal((n, 2)), rng.standard_normal((n, 3))
+        for a, b in ((full, other), (full, diagonal), (diagonal, full)):
+            for ya, yb in ((y, None), (None, y2), (y, y2), (None, None)):
+                _assert_paired_equals_single((a, ya), (b, yb))
+
+    def test_paired_spectra_match_single_calls(self, lorenz_200):
+        # the lorenz_conditioning instance: S's band with U^T y and the
+        # band of M^1/2 S M^1/2 in one call, against a call each, as the
+        # pipeline took them before the paired call
+        _library()
+        traj = lorenz_200
+        led = ms.CostLedger()
+        b = ms.assemble_rhs(traj, led)
+        y = analysis.modal_inputs(traj, b, functional(traj, ms.LorenzZ())[0])
+        ab = analysis.dense_constraint_matrix(traj, led, normal=True,
+                                              band=True)
+        pc = ms.build_preconditioner(traj, led, 1, 2,
+                                     rng=np.random.default_rng(5))
+        (sigma, proj), eigs, pre = analysis.conditioning(ab, y, pc, band=True)
+        (want_sigma, want_proj), want = analysis.constraint_modes(ab, y,
+                                                                  band=True)
+        assert np.array_equal(eigs, want)
+        assert np.array_equal(sigma, want_sigma)
+        assert np.array_equal(proj, want_proj)
+        assert np.array_equal(pre, analysis.preconditioned_spectrum(
+            ab, pc, band=True).eigenvalues)
+        pab = analysis._similarity(ab, pc, band=True)
+        for ya, yb in ((y, None), (None, y), (y, y), (None, None)):
+            _assert_paired_equals_single((ab, ya), (pab, yb))
+
+    def test_paired_call_checks_shapes(self):
+        _library()
+        with pytest.raises(ms.DimensionMismatch):
+            _native.band_eighs((np.ones((2, 3)), None),
+                               (np.ones((3, 3)), None))
+        with pytest.raises(ms.DimensionMismatch):
+            _native.band_eighs((np.ones((2, 3)), None),
+                               (np.ones((2, 3)), np.ones((2, 2))))
+        with pytest.raises(ValueError):
+            _native.band_eighs(*[(np.ones((2, 3)), None)] * 3)
 
     def test_route_rule(self, monkeypatch):
         _library()
@@ -588,6 +661,63 @@ class TestCsvWriters:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "label,index,value"
         assert lines[1].startswith("raw,1,")
+
+    # values whose text differs from a plain decimal: a Picard coefficient
+    # at sigma = 0, NaN, a negative zero, the least subnormal, a large one
+    EDGES = [np.inf, np.nan, -0.0, 5e-324, 1e300, 0.1, -2.5]
+
+    @staticmethod
+    def reference(path, header, rows):
+        """What csv.writer writes with every float as f"{x:.17g}"."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([f"{x:.17g}" if isinstance(x, float) else x
+                                 for x in row])
+        return path.read_bytes()
+
+    def test_picard_bytes_match_csv_writer(self, tmp_path):
+        values = np.array(self.EDGES)
+        table = analysis.PicardTable(values, values[::-1].copy(),
+                                     np.roll(values, 3))
+        table.to_csv(tmp_path / "picard.csv")
+        rows = [(i + 1, *(float(a[i]) for a in (table.sigma,
+                                                  table.projections,
+                                                  table.coefficients)))
+                for i in range(len(values))]
+        assert (tmp_path / "picard.csv").read_bytes() == self.reference(
+            tmp_path / "ref.csv",
+            ["index", "sigma", "projection", "coefficient"], rows)
+
+    @pytest.mark.parametrize("label", ["raw", "pre,conditioned", 'say "x"',
+                                       "100%", "line\nbreak", ""])
+    def test_labeled_bytes_match_csv_writer(self, tmp_path, label):
+        analysis.SpectrumReport.dense(label, np.array(self.EDGES)).to_csv(
+            tmp_path / "spec.csv")
+        rows = [(label, i + 1, v) for i, v in enumerate(self.EDGES)]
+        assert (tmp_path / "spec.csv").read_bytes() == self.reference(
+            tmp_path / "ref.csv", ["label", "index", "value"], rows)
+
+    def test_every_table_matches_csv_writer(self, tmp_path):
+        # the summary's strings (one with a comma, which csv.writer
+        # quotes), the residual history and the truncated curve
+        rows = [("model", "lorenz"), ("note", "a,b"), ("converged", True),
+                ("segments", 200), ("sensitivity", 0.1), ("clamped", "")]
+        analysis.write_csv(tmp_path / "summary.csv", ["key", "value"], rows)
+        assert (tmp_path / "summary.csv").read_bytes() == self.reference(
+            tmp_path / "ref.csv", ["key", "value"], rows)
+        report = ms.SolveReport(residuals=[1.0, *self.EDGES])
+        report.to_csv(tmp_path / "residuals.csv")
+        assert (tmp_path / "residuals.csv").read_bytes() == self.reference(
+            tmp_path / "ref.csv", ["iteration", "relative_residual"],
+            enumerate(report.residuals))
+        curve = [(r, np.float64(v)) for r, v in enumerate(self.EDGES, 1)]
+        analysis.write_csv(tmp_path / "curve.csv", ["rank", "sensitivity"],
+                           curve, "%d,%.17g")
+        assert (tmp_path / "curve.csv").read_bytes() == self.reference(
+            tmp_path / "ref.csv", ["rank", "sensitivity"],
+            [(r, float(v)) for r, v in curve])
 
 
 @pytest.mark.slow
