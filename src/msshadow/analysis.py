@@ -18,6 +18,7 @@ products.
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,36 +149,32 @@ def spectrum(operator, size, label=""):
                           "lanczos-extremes", converged)
 
 
-def _similarity(s_mat, pc, band=False):
-    """M^1/2 S M^1/2 (see preconditioned_spectrum) as a dense symmetric
-    matrix, or from S's lower band (``band``) as its own lower band."""
-    root = pc.blocks(sqrt=True)
-    if band:
-        diag, below = _blocks(s_mat)
-        diag = root @ diag @ root
-        return _band(0.5 * (diag + diag.transpose(0, 2, 1)),
-                     root[1:] @ below @ root[:-1])
-    k, n, _ = root.shape
-    sym = np.matmul(root, s_mat.reshape(k, n, -1)).reshape(k * n, -1)
-    sym = np.matmul(root, sym.T.reshape(k, n, -1)).reshape(k * n, -1)
-    return 0.5 * (sym + sym.T)
-
-
-def preconditioned_spectrum(s_mat, pc, gamma=0.0, label="", band=False):
+def preconditioned_spectrum(s_mat, pc, gamma=0.0, label=""):
     """Spectrum of the preconditioned (optionally shifted) system.
 
     The symmetric similarity M^1/2 S M^1/2 shares the spectrum of M S.
     From the dense S it is formed as M^1/2 (M^1/2 S)^T, two batched
     products of N-row blocks with M^1/2's blocks I + U_i (sigma_i^-1 - 1)
-    U_i^T, symmetrized, for LAPACK's eigvalsh.  From S's lower band
-    (``band``) its own band is placed: R_i D_i R_i, symmetrized, on the
-    diagonal and R_{i+1} L_i R_i below it, for D_i and L_i S's blocks and
-    R_i M^1/2's, for _native.band_eigh.  The shift adds gamma exactly; no
-    size cap applies.
+    U_i^T, symmetrized, for LAPACK's eigvalsh; the band route takes it
+    from conditioning.  The shift adds gamma exactly; no size cap applies.
     """
-    sym = _similarity(s_mat, pc, band)
-    eigs = _native.band_eigh(sym)[0] if band else np.linalg.eigvalsh(sym)
+    root = pc.blocks(sqrt=True)
+    k, n, _ = root.shape
+    sym = np.matmul(root, s_mat.reshape(k, n, -1)).reshape(k * n, -1)
+    sym = np.matmul(root, sym.T.reshape(k, n, -1)).reshape(k * n, -1)
+    eigs = np.linalg.eigvalsh(0.5 * (sym + sym.T))
     return SpectrumReport.dense(label, eigs + gamma if gamma else eigs)
+
+
+def _similar_band(s_band, pc):
+    """The lower band of M^1/2 S M^1/2 from S's, s_band: R_i D_i R_i,
+    symmetrized, on the diagonal and R_{i+1} L_i R_i below it, for D_i
+    and L_i S's blocks and R_i M^1/2's."""
+    root = pc.blocks(sqrt=True)
+    diag, below = _blocks(s_band)
+    diag = root @ diag @ root
+    return _band(0.5 * (diag + diag.transpose(0, 2, 1)),
+                 root[1:] @ below @ root[:-1])
 
 
 def band_route(n, k):
@@ -199,7 +196,7 @@ def conditioning(s_mat, y=None, pc=None, band=False):
     """((sigma descending, U^T y in sigma's order or None), ascending
     eigenvalues of S = A A^T, ascending eigenvalues of M^1/2 S M^1/2 for
     the preconditioner pc or None) for the dense S (its lower triangle),
-    by LAPACK's eigh (and eigvalsh, as preconditioned_spectrum), or for
+    by LAPACK's eigh (and preconditioned_spectrum's eigvalsh), or for
     S's lower band (``band``) by one _native.band_eighs call, which forms
     neither U nor a dense (N*K)^2 array and with pc diagonalises both
     bands, their QL recurrences interleaved.  U holds A's left singular
@@ -210,14 +207,14 @@ def conditioning(s_mat, y=None, pc=None, band=False):
     if band:
         bands = [(s_mat, y)]
         if pc is not None:
-            bands.append((_similarity(s_mat, pc, band=True), None))
+            bands.append((_similar_band(s_mat, pc), None))
         (eigs, proj), *rest = _native.band_eighs(*bands)
         proj = None if proj is None else proj[::-1]
         pre = rest[0][0] if rest else None
     else:
         # first, so that its arrays are freed before eigh's
-        pre = None if pc is None else np.linalg.eigvalsh(_similarity(s_mat,
-                                                                     pc))
+        pre = (None if pc is None
+               else preconditioned_spectrum(s_mat, pc).eigenvalues)
         eigs, vecs = np.linalg.eigh(s_mat)
         u = vecs[:, ::-1]
         proj = None if y is None else np.stack([u.T @ col for col in y.T],
@@ -225,11 +222,6 @@ def conditioning(s_mat, y=None, pc=None, band=False):
     if eigs[0] <= 0.0:
         raise ShadowingError(f"A A^T is not positive definite: {eigs[0]:.3g}")
     return (np.sqrt(eigs[::-1]), proj), eigs, pre
-
-
-def constraint_modes(s_mat, y=None, band=False):
-    """conditioning's first two items, (modes, eigenvalues of S)."""
-    return conditioning(s_mat, y, band=band)[:2]
 
 
 @dataclass
@@ -249,12 +241,12 @@ class PicardTable:
 
     def to_csv(self, path):
         write_csv(path, ["index", "sigma", "projection", "coefficient"],
-                  self.rows(), "%d,%.17g,%.17g,%.17g")
+                  self.rows())
 
 
 def picard_data(modes):
     """Picard table of A and b from ``modes``, (sigma descending, P) with
-    P[:, 0] = U^T b in sigma's order, such as constraint_modes' first
+    P[:, 0] = U^T b in sigma's order, such as conditioning's first
     item with modal_inputs' y."""
     s, proj = modes[0], np.abs(modes[1][:, 0])
     with np.errstate(divide="ignore"):
@@ -281,34 +273,65 @@ def sensitivity_vs_rank(modes, ranks, s0, span):
     return [(rank, s0 + partial[rank] / span) for rank in ranks]
 
 
-def write_csv(path, header, rows, pattern=None):
-    """CSV with a header row, in one write; floats serialized at full
-    precision so reruns are bit-identical.  With ``pattern``, a %-format
-    of one row such as "%d,%.17g", each row is a tuple of numbers (Python
-    ones, from an array's tolist(), format fastest) formatted by it at
-    once; without one, csv.writer writes each row, every float as
-    f"{x:.17g}".  The bytes are the same either way: %.17g prints a float
-    as f"{x:.17g}" does, and csv.writer quotes no number."""
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(header)
-    if pattern is None:
-        writer.writerows([f"{x:.17g}" if isinstance(x, (float, np.floating))
-                          else x for x in row] for row in rows)
-    else:
-        pattern += writer.dialect.lineterminator
-        text.write("".join([pattern % row for row in rows]))
+def write_csv(path, header, rows):
+    """CSV with a header row; floats serialized at full precision, as
+    f"{x:.17g}", so reruns are bit-identical.  csv.writer writes the
+    rows, or, when every column holds numbers of one kind or strings it
+    writes unquoted, _row_pattern's one %-pattern: the same bytes, in
+    about a third of the time for rows of Python numbers such as an
+    array's tolist() gives."""
+    rows = list(rows)
+    pattern = _row_pattern(rows)
     with open(path, "w", newline="") as fh:
-        fh.write(text.getvalue())
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        if pattern is None:
+            writer.writerows([f"{x:.17g}"
+                              if isinstance(x, (float, np.floating)) else x
+                              for x in row] for row in rows)
+        else:
+            fh.write("".join([pattern % row for row in rows]))
+
+
+def _row_pattern(rows):
+    """The %-pattern of every one of rows, its columns' fields joined by
+    "," and ended by csv's line end, or None for no rows or a column with
+    no field: "%.17g" for floats, "%d" for ints and "%s" for strings that
+    csv.writer writes unquoted in a row this wide (a short row's missing
+    fields are None, which has none)."""
+    columns = list(itertools.zip_longest(*rows))
+    end = csv.excel.lineterminator
+    fields = []
+    for col in columns:
+        kinds = {_field(kind) for kind in set(map(type, col))}
+        field = kinds.pop() if len(kinds) == 1 else None
+        if field is None or field == "%s" and any(
+                _csv_line([value] * len(columns))
+                != ",".join([value] * len(columns)) + end
+                for value in set(col)):
+            return None
+        fields.append(field)
+    return ",".join(fields) + end if fields else None
+
+
+def _field(kind):
+    """The %-field of a column of type kind, or None."""
+    if issubclass(kind, float):
+        return "%.17g"
+    if issubclass(kind, (int, np.integer)) and kind is not bool:
+        return "%d"
+    return "%s" if kind is str else None
+
+
+def _csv_line(row):
+    """csv.writer's text of row."""
+    text = io.StringIO()
+    csv.writer(text).writerow(row)
+    return text.getvalue()
 
 
 def write_labeled_csv(path, label, values):
-    """(label, index, value) triples, the common artifact layout.  The
-    label goes into the row pattern as csv.writer writes it beside another
-    field: a row of it and an empty field, less its "," and line end."""
-    field = io.StringIO()
-    csv.writer(field).writerow([label, None])
-    values = np.asarray(values).tolist()
+    """(label, index, value) triples, the common artifact layout."""
     write_csv(path, ["label", "index", "value"],
-              zip(range(1, len(values) + 1), values),
-              field.getvalue()[:-3].replace("%", "%%") + ",%d,%.17g")
+              [(label, i, v)
+               for i, v in enumerate(np.asarray(values).tolist(), 1)])

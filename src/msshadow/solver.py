@@ -57,7 +57,7 @@ class SolveReport:
         # import of the package does not
         from .analysis import write_csv
         write_csv(path, ["iteration", "relative_residual"],
-                  enumerate(self.residuals), "%d,%.17g")
+                  enumerate(self.residuals))
 
 
 def _build_operator(apply_s, config):

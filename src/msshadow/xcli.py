@@ -519,8 +519,7 @@ def write_artifacts(result, out_dir=None):
         result.picard.to_csv(out / f"{name}_picard.csv")
     if result.truncated is not None:
         analysis.write_csv(out / f"{name}_truncated.csv",
-                           ["rank", "sensitivity"], result.truncated,
-                           "%d,%.17g")
+                           ["rank", "sensitivity"], result.truncated)
     (out / f"{name}_plots.gp").write_text(
         _GNUPLOT.format(residuals=f"{name}_residuals.csv"))
     return out
@@ -733,7 +732,7 @@ def main(argv=None):
             analysis.write_csv(
                 out / f"{cfg.name}_fd_reference.csv",
                 ["sample", "sensitivity"],
-                enumerate(samples.tolist()), "%d,%.17g",
+                list(enumerate(samples)),
             )
             print(f"finite-difference reference: {mean:.12g} +/- {se:.3g} "
                   f"({args.samples} samples)")

@@ -32,11 +32,11 @@ def functional(traj, objective):
 
 
 def modes(traj, a, b, weights):
-    """constraint_modes' (sigma descending, P) of the dense constraint
+    """conditioning's (sigma descending, P) of the dense constraint
     matrix a through the eigh of a a^T, P's columns U^T b and
     U^T (A weights)."""
     y = analysis.modal_inputs(traj, b, weights)
-    return analysis.constraint_modes(a @ a.T, y)[0]
+    return analysis.conditioning(a @ a.T, y)[0]
 
 
 def svd_modes(traj, b, weights, svd):
@@ -257,7 +257,7 @@ class TestConstraintModes:
     def test_sigma_matches_svd(self, modal_case):
         traj, objective, a, b = modal_case
         y = analysis.modal_inputs(traj, b, functional(traj, objective)[0])
-        (sigma, proj), eigs = analysis.constraint_modes(a @ a.T, y)
+        (sigma, proj), eigs = analysis.conditioning(a @ a.T, y)[:2]
         sv = np.linalg.svd(a, compute_uv=False)
         np.testing.assert_allclose(sigma, sv, rtol=1e-11)
         assert np.array_equal(sigma, np.sqrt(eigs[::-1]))
@@ -300,7 +300,7 @@ class TestConstraintModes:
     def test_rank_deficient_raises(self):
         a = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(ShadowingError):
-            analysis.constraint_modes(a @ a.T)
+            analysis.conditioning(a @ a.T)
 
     def test_ranks_out_of_range_raise(self, lorenz_dense):
         traj, a, b = lorenz_dense
@@ -426,11 +426,11 @@ class TestBandModes:
         # (u^T b)(u^T A weights) are basis-free
         _library()
         _, s_mat, ab, y = case
-        (sigma, proj), eigs = analysis.constraint_modes(ab, y, band=True)
-        (ref_sigma, ref), ref_eigs = analysis.constraint_modes(s_mat, y)
+        (sigma, proj), eigs = analysis.conditioning(ab, y, band=True)[:2]
+        (ref_sigma, ref), ref_eigs = analysis.conditioning(s_mat, y)[:2]
         assert np.abs(eigs - ref_eigs).max() <= 1e-13 * ref_eigs[-1]
         assert np.array_equal(sigma, np.sqrt(eigs[::-1]))
-        (_, none), alone = analysis.constraint_modes(ab, band=True)
+        (_, none), alone = analysis.conditioning(ab, band=True)[:2]
         assert none is None and np.array_equal(alone, eigs)
         nb, na = np.linalg.norm(y, axis=0)
         for lo, hi in _groups(ref_sigma):
@@ -447,7 +447,7 @@ class TestBandModes:
         pc = ms.build_preconditioner(traj, ms.CostLedger(), 1, 2,
                                      rng=np.random.default_rng(5))
         want = analysis.preconditioned_spectrum(s_mat, pc).eigenvalues
-        got = analysis.preconditioned_spectrum(ab, pc, band=True).eigenvalues
+        got = analysis.conditioning(ab, None, pc, band=True)[2]
         assert np.abs(got - want).max() <= 1e-13 * want[-1]
 
     @pytest.mark.parametrize("n, kd", [(1, 0), (2, 1), (7, 3), (40, 39),
@@ -519,14 +519,13 @@ class TestBandModes:
         pc = ms.build_preconditioner(traj, led, 1, 2,
                                      rng=np.random.default_rng(5))
         (sigma, proj), eigs, pre = analysis.conditioning(ab, y, pc, band=True)
-        (want_sigma, want_proj), want = analysis.constraint_modes(ab, y,
-                                                                  band=True)
+        (want_sigma, want_proj), want = analysis.conditioning(ab, y,
+                                                              band=True)[:2]
         assert np.array_equal(eigs, want)
         assert np.array_equal(sigma, want_sigma)
         assert np.array_equal(proj, want_proj)
-        assert np.array_equal(pre, analysis.preconditioned_spectrum(
-            ab, pc, band=True).eigenvalues)
-        pab = analysis._similarity(ab, pc, band=True)
+        pab = analysis._similar_band(ab, pc)
+        assert np.array_equal(pre, _native.band_eigh(pab)[0])
         for ya, yb in ((y, None), (None, y), (y, y), (None, None)):
             _assert_paired_equals_single((ab, ya), (pab, yb))
 
@@ -673,8 +672,9 @@ class TestCsvWriters:
             writer = csv.writer(fh)
             writer.writerow(header)
             for row in rows:
-                writer.writerow([f"{x:.17g}" if isinstance(x, float) else x
-                                 for x in row])
+                writer.writerow([f"{x:.17g}"
+                                 if isinstance(x, (float, np.floating))
+                                 else x for x in row])
         return path.read_bytes()
 
     def test_picard_bytes_match_csv_writer(self, tmp_path):
@@ -714,11 +714,36 @@ class TestCsvWriters:
             enumerate(report.residuals))
         curve = [(r, np.float64(v)) for r, v in enumerate(self.EDGES, 1)]
         analysis.write_csv(tmp_path / "curve.csv", ["rank", "sensitivity"],
-                           curve, "%d,%.17g")
+                           curve)
         assert (tmp_path / "curve.csv").read_bytes() == self.reference(
             tmp_path / "ref.csv", ["rank", "sensitivity"],
             [(r, float(v)) for r, v in curve])
 
+
+    @pytest.mark.parametrize("rows", [
+        [("a", 1, 0.5), ("b,c", 2, 1.5)],      # a string csv.writer quotes
+        [("a", 1, 0.5), ("b", 2.0, 1.5)],      # an int column with a float
+        [("",), ("x",)],                       # "" alone in its row
+        [(True, 0.5), (False, 1.5)],           # bools, written as words
+        [(np.float32(0.1), 1)],                # a float that is not float64
+        [(1, 0.5), (2, 1.5, 3)],               # ragged rows
+        [],
+    ])
+    def test_other_tables_match_csv_writer(self, tmp_path, rows):
+        analysis.write_csv(tmp_path / "t.csv", ["x", "y", "z"], rows)
+        assert (tmp_path / "t.csv").read_bytes() == self.reference(
+            tmp_path / "ref.csv", ["x", "y", "z"], rows)
+
+    def test_row_pattern_fields(self):
+        # the artifact tables take the one-pattern path
+        assert (analysis._row_pattern([(1, 0.5, np.float64(2.0), -1.0)])
+                == "%d,%.17g,%.17g,%.17g\r\n")
+        assert (analysis._row_pattern([("raw", 1, 0.5), ("pre", 2, 1.5)])
+                == "%s,%d,%.17g\r\n")
+        assert analysis._row_pattern([(np.int64(3), 0.5)]) == "%d,%.17g\r\n"
+        for rows in ([("a,b", 1)], [("x", 1), ("y", 0.5)], [(True, 1)],
+                     [(np.float32(0.5), 1)], [(1, 0.5), (2,)], []):
+            assert analysis._row_pattern(rows) is None
 
 @pytest.mark.slow
 class TestSegmentSpectrumGap:
